@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass, field
 
 from .demand import Demand, check_demand_nodes
-from .epochs import EpochConfig, compute_delta, kappa
+from .epochs import EpochConfig, link_timing
 from .errors import RoundLimitError, SolverBackendError, ValidationError
-from .milp import ModelOptions, _windowed, build_time_expanded
+from .milp import ModelOptions, build_time_expanded, model_topology
 from .model import Model
 from .schedule import Schedule, schedule_from_flows
 from .solver import SolverOptions, solve
-from .topology import NodeId, Topology, hyper_edge_transform, require_valid
+from .topology import NodeId, Topology, require_valid
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,10 @@ class RoundState:
     demand_proto: Demand | None = None  # chunk-id space and chunk size
 
 
-def _deltas(t: Topology, cfg: EpochConfig, opts: ModelOptions):
-    t_eff = t
-    if opts.switch_mode == "hyper-edge":
-        t_eff, _ = hyper_edge_transform(t)
-    windowed = _windowed(cfg, opts)
-    kap = {(e.src, e.dst): (kappa(e, cfg) if windowed else 1) for e in t_eff.edges}
-    widen = max(kap.values(), default=1) - 1 if windowed else 0
-    return t_eff, {(e.src, e.dst): compute_delta(e, cfg.tau) + widen for e in t_eff.edges}
-
-
 def max_future_epochs(t: Topology, cfg: EpochConfig, opts: ModelOptions | None = None) -> int:
     """Largest link delay in epochs: how far into the next round chunks land."""
-    _, delta = _deltas(t, cfg, opts or ModelOptions())
-    return max(delta.values(), default=0)
+    t_eff, _ = model_topology(t, opts or ModelOptions())
+    return link_timing(t_eff, cfg).max_delta
 
 
 def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
@@ -110,8 +100,9 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     if not (0 < gamma < 1):
         raise ValidationError("gamma must lie in (0, 1)")
     opts = opts or ModelOptions()
-    t_eff, delta = _deltas(t, cfg, opts)
-    max_kp = max(delta.values(), default=0)
+    t_eff, _ = model_topology(t, opts)
+    timing = link_timing(t_eff, cfg)
+    delta, max_kp = timing.delta, timing.max_delta
     if cfg.K < max_kp:
         raise ValidationError(f"epochs per round {cfg.K} < max link delay {max_kp}")
 
@@ -140,8 +131,6 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
 
     m = build_time_expanded(t, dem, cfg, opts, final_delivery=False, b0=b0,
                             delta_q=delta_q, switch_q=switch_q, name="round")
-    m.meta["round_index"] = state.round_index
-    m.meta["max_future_epochs"] = max_kp
 
     # Look-ahead: what sits in each buffer at the start of the next round's
     # epoch k'. k'=0 is the terminal buffer itself; switches only ever hold
@@ -157,7 +146,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
                         k_send = kk + kp - dlt
                         if dlt >= kp and k_send >= 0:
                             coeffs.append((m.var("F", s, c, e.src, e.dst, k_send), -1.0))
-                    m.add_eq(coeffs, 0.0, tag=("lookahead", s, c, n, kp))
+                    m.add_eq(coeffs, 0.0)
             else:
                 for kp in range(1, max_kp + 1):
                     coeffs = [(m.add_var("Q", (s, c, n, kp)), 1.0)]
@@ -168,7 +157,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
                         k_send = kk + kp - dlt
                         if dlt >= kp and k_send >= 0:
                             coeffs.append((m.var("F", s, c, e.src, e.dst, k_send), -1.0))
-                    m.add_eq(coeffs, 0.0, tag=("lookahead", s, c, n, kp))
+                    m.add_eq(coeffs, 0.0)
 
     def q_ref(s, c, n, kp):
         if kp == 0 and not t_eff.is_switch(n):
@@ -187,7 +176,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
             for loc in t_eff.nodes:
                 p = m.add_var("P", (loc, dst, kp), lb=0.0, ub=cap)
                 coeffs = [(p, 1.0)] + [(q_ref(s, c, loc, kp), -1.0) for (s, c) in pairs]
-                m.add_le(coeffs, 0.0, tag=("progress", loc, dst, kp))
+                m.add_le(coeffs, 0.0)
                 total.append((p, 1.0))
                 if loc == dst:
                     m.add_objective_term(p, 1.0 / (kp + 1))
@@ -195,7 +184,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
                     w = fw[loc, dst]
                     if math.isfinite(w):
                         m.add_objective_term(p, gamma / ((kp + 1) * (1.0 + w)))
-            m.add_eq(total, float(len(pairs)), tag=("progress-total", dst, kp))
+            m.add_eq(total, float(len(pairs)))
     return m
 
 
@@ -249,8 +238,8 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
     require_valid(t)
     check_demand_nodes(d, t)
     opts = opts or ModelOptions()
-    t_eff, delta = _deltas(t, cfg, opts)
-    max_kp = max(delta.values(), default=0)
+    t_eff, _ = model_topology(t, opts)
+    timing = link_timing(t_eff, cfg)
     fw = fw or round_distance_table(t, cfg)
     for s, c, dst in d.entries:
         if not math.isfinite(fw[s, dst]):
@@ -272,17 +261,15 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
         for (s, c, i, j, k), v in sol.family_values("F", 0.5).items():
             flows[(s, c, i, j, offset + k)] = 1.0
         prev_residual = state.residual
-        state = advance_state(state, sol, t_eff, cfg, max_kp, strict_appendix_d)
+        state = advance_state(state, sol, t_eff, cfg, timing.max_delta, strict_appendix_d)
         rounds_used = state.round_index
         if state.residual == prev_residual and not sol.family_values("F", 0.5):
             raise RoundLimitError(
                 f"no progress in round {state.round_index - 1}", list(flows),
                 len(state.residual))
 
-    meta = {
-        "eff_topology": t_eff, "delta": delta, "opts": opts,
-        "entries": set(d.entries), "demand": d,
-    }
+    meta = {"eff_topology": t_eff, "delta": timing.delta, "opts": opts,
+            "entries": set(d.entries)}
     horizon = max(1, rounds_used * cfg.K)
     sched = schedule_from_flows(flows, meta, cfg.with_horizon(horizon), d.chunk_size)
     sched.meta.update({"rounds": rounds_used, "epochs_per_round": cfg.K, "gamma": gamma})

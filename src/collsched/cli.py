@@ -105,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gamma", type=float, default=0.5)
     g.add_argument("--epochs-per-round", type=int, default=None)
     g.add_argument("--max-rounds", type=int, default=64)
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None, help="schedule JSON path")
     g.add_argument("--steps-out", default=None, help="also emit a step-list export")
     g.add_argument("--dump-model", default=None, help="write the model in LP format")
@@ -197,7 +196,7 @@ def cmd_solve(args) -> int:
         search_horizon=args.search_horizon, gap=args.gap,
         time_limit=args.time_limit, gamma=args.gamma,
         epochs_per_round=args.epochs_per_round, max_rounds=args.max_rounds,
-        seed=args.seed, dump_model_path=args.dump_model)
+        dump_model_path=args.dump_model)
     sched = result.schedule
     sched.meta.update({
         "method": result.method, "status": result.status,

@@ -36,17 +36,11 @@ class Demand:
         """Demanded (source, chunk) pairs, sorted for determinism."""
         return sorted({(s, c) for s, c, _ in self.entries}, key=lambda x: (str(x[0]), x[1]))
 
-    def destinations_of(self, s: NodeId, c: int) -> list[NodeId]:
-        return sorted((d for s2, c2, d in self.entries if (s2, c2) == (s, c)), key=str)
-
     def wanted_by(self, d: NodeId) -> list[tuple[NodeId, int]]:
         return sorted(((s, c) for s, c, d2 in self.entries if d2 == d), key=str)
 
     def total_bytes(self) -> int:
         return len(self.entries) * self.chunk_size
-
-    def is_empty(self) -> bool:
-        return not self.entries
 
 
 def generate_demand(kind: str, t: Topology, chunks_per_pair: int = 1,

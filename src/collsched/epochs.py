@@ -1,5 +1,13 @@
 """Epoch arithmetic: durations, link delays in epochs, capacities in chunks.
 
+Every whole-chunk model (the one-shot MILP, A*'s rounds and the estimator's
+coarse models) takes its link timing from `link_timing`, which applies the
+replay's whole-chunk rule: a link that moves less than one chunk per epoch
+holds a chunk for kappa epochs, so its capacity binds over windows of kappa
+epochs and every delay is widened by the slowest link's kappa - 1. The
+copy-free LP moves fractions, which the replay does not widen, and uses the
+plain `compute_delta` and `cap_chunks`.
+
 Ratios are computed with Fraction so that exact boundaries (a link that is an
 integer multiple of the epoch) never fall on the wrong side of a ceiling.
 """
@@ -20,8 +28,6 @@ FASTEST = "fastest"
 class EpochConfig:
     tau: float  # epoch duration, seconds
     K: int  # epoch count; epoch indices run 0..K-1
-    duration_mode: str = SLOWEST
-    epoch_multiplier: int = 1
     chunk_size: int = 1  # bytes
 
     def __post_init__(self):
@@ -29,25 +35,18 @@ class EpochConfig:
             raise ValidationError("tau must be positive")
         if self.K < 1:
             raise ValidationError("K must be >= 1")
-        if self.epoch_multiplier < 1:
-            raise ValidationError("epoch_multiplier must be >= 1")
-        if self.duration_mode not in (SLOWEST, FASTEST):
-            raise ValidationError(f"unknown duration mode {self.duration_mode!r}")
 
     def with_horizon(self, K: int) -> "EpochConfig":
-        return EpochConfig(self.tau, K, self.duration_mode, self.epoch_multiplier,
-                           self.chunk_size)
-
-    @property
-    def windowed(self) -> bool:
-        # Fastest-link epochs make slow links fractional per epoch; whole-chunk
-        # formulations then need sliding-window capacity and widened delays.
-        return self.duration_mode == FASTEST
+        return EpochConfig(self.tau, K, self.chunk_size)
 
 
 def epoch_duration(t: Topology, chunk_size: int, mode: str = FASTEST,
                    em: int = 1) -> float:
     """Seconds one epoch lasts: em times the chunk time of the slowest or fastest link."""
+    if mode not in (SLOWEST, FASTEST):
+        raise ValidationError(f"unknown duration mode {mode!r}")
+    if em < 1:
+        raise ValidationError("epoch multiplier must be >= 1")
     caps = [e.capacity for e in t.edges]
     if not caps:
         raise ValidationError("topology has no edges")
@@ -66,42 +65,59 @@ def compute_delta(edge: Edge, tau: float) -> int:
 
 def cap_chunks(t: Topology, edge: Edge, k: int, cfg: EpochConfig) -> Fraction:
     """Capacity of an edge during epoch k, in chunks per epoch."""
-    cap = t.capacity_at(edge, k)
-    return _frac(cap) * _frac(cfg.tau) / Fraction(cfg.chunk_size)
+    return _chunks_per_epoch(t.capacity_at(edge, k), cfg)
 
 
-def kappa(edge: Edge, cfg: EpochConfig) -> int:
-    """Epochs needed to push one whole chunk through the edge at base capacity.
+@dataclass(frozen=True)
+class LinkTiming:
+    """How a whole-chunk model times each edge (src, dst) over K epochs."""
 
-    Pure arithmetic; whether windows actually apply is the formulation's call.
+    kappa: dict  # epochs one chunk occupies the edge
+    delta: dict  # epochs from a send to its arrival at the far end
+    budget: dict  # per epoch k < K: chunks the kappa-epoch window ending at k may carry
+
+    @property
+    def max_delta(self) -> int:
+        return max(self.delta.values(), default=0)
+
+
+def link_timing(t: Topology, cfg: EpochConfig) -> LinkTiming:
+    """Kappa, delay and window budget of every edge, by the replay's rule.
+
+    kappa is the epochs one whole chunk needs at the edge's base capacity.
+    Every delay is ceil(alpha / tau) plus the largest kappa minus 1, so no
+    chunk is forwarded while any link could still be transmitting it. The
+    window ending at epoch k sums the capacities of epochs k-kappa+1..k,
+    epochs before 0 counting at epoch 0's. With every kappa 1 this is plain
+    per-epoch capacity and latency.
     """
-    per_epoch = _frac(edge.capacity) * _frac(cfg.tau) / Fraction(cfg.chunk_size)
-    if per_epoch <= 0:
-        raise ValidationError(f"edge ({edge.src!r},{edge.dst!r}) has no capacity")
-    return max(1, _ceil(1 / per_epoch))
+    kap, cap = {}, {}
+    for e in t.edges:
+        pair = (e.src, e.dst)
+        base = _chunks_per_epoch(e.capacity, cfg)
+        if base <= 0:
+            raise ValidationError(f"edge ({e.src!r},{e.dst!r}) has no capacity")
+        kap[pair] = max(1, _ceil(1 / base))
+        cap[pair] = [base] * cfg.K
+    for (i, j, k), c in t.capacity_overrides.items():
+        if (i, j) in cap and 0 <= k < cfg.K:
+            cap[(i, j)][k] = _chunks_per_epoch(c, cfg)
+
+    widen = max(kap.values(), default=1) - 1
+    delta = {(e.src, e.dst): compute_delta(e, cfg.tau) + widen for e in t.edges}
+    budget = {}
+    for pair, per_epoch in cap.items():
+        w = kap[pair]
+        window = w * per_epoch[0]
+        budget[pair] = [float(window)]
+        for k in range(1, cfg.K):
+            window += per_epoch[k] - per_epoch[max(k - w, 0)]
+            budget[pair].append(float(window))
+    return LinkTiming(kap, delta, budget)
 
 
-def max_kappa(t: Topology, cfg: EpochConfig) -> int:
-    """Epochs a chunk needs on the slowest link of the topology."""
-    return max((kappa(e, cfg) for e in t.edges), default=1)
-
-
-def effective_delta(edge: Edge, cfg: EpochConfig, kappa_slowest: int | None = None) -> int:
-    """Epochs from send to availability at the far end.
-
-    In windowed (fastest-link) mode every delay is widened by the epochs a
-    chunk spends traversing the slowest link, so nothing is forwarded
-    mid-transmission anywhere in the network.
-    """
-    widen = 0
-    if cfg.windowed:
-        widen = (kappa_slowest if kappa_slowest is not None else kappa(edge, cfg)) - 1
-    return compute_delta(edge, cfg.tau) + widen
-
-
-def max_effective_delta(t: Topology, cfg: EpochConfig) -> int:
-    km = max_kappa(t, cfg) if cfg.windowed else None
-    return max((effective_delta(e, cfg, km) for e in t.edges), default=0)
+def _chunks_per_epoch(capacity: float, cfg: EpochConfig) -> Fraction:
+    return _frac(capacity) * _frac(cfg.tau) / Fraction(cfg.chunk_size)
 
 
 def _frac(x) -> Fraction:

@@ -12,7 +12,7 @@ import math
 
 from .astar import floyd_warshall_alpha
 from .demand import Demand
-from .epochs import EpochConfig, SLOWEST, ceil_frac, _frac
+from .epochs import EpochConfig, ceil_frac, _frac
 from .errors import EstimationError
 from .milp import ModelOptions, build_time_expanded
 from .solver import SolverOptions, solve
@@ -50,17 +50,12 @@ def estimate_epoch_upper_bound(t: Topology, d: Demand, tau_opt: float,
     if sorted(candidates) != list(candidates):
         raise EstimationError("candidate completion times must be ascending")
     opts = opts or ModelOptions()
-    # Windowed capacity keeps the coarse models honest when a candidate's
-    # epoch lands below the slowest link's chunk time.
-    coarse_opts = ModelOptions(switch_mode=opts.switch_mode,
-                               buffer_limit=opts.buffer_limit,
-                               capacity_mode="windowed")
     solver_opts = solver_opts or SolverOptions(time_limit=60.0)
     for total_time in candidates:
         for n_e in COARSE_EPOCH_COUNTS:
             tau = total_time / n_e
-            cfg = EpochConfig(tau, n_e, SLOWEST, 1, d.chunk_size)
-            sol = solve(build_time_expanded(t, d, cfg, coarse_opts, name="coarse"),
+            cfg = EpochConfig(tau, n_e, d.chunk_size)
+            sol = solve(build_time_expanded(t, d, cfg, opts, name="coarse"),
                         solver_opts)
             if sol.feasible:
                 return ceil_frac(_frac(total_time) / _frac(tau_opt))

@@ -38,11 +38,7 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     out_units = {s: sum(v for (s2, _), v in units.items() if s2 == s) for s in sources}
 
     m = Model("lp-alltoall")
-    m.meta.update({
-        "kind": "lp", "topology": t, "eff_topology": t, "demand": d, "cfg": cfg,
-        "opts": opts, "delta": delta, "units": units, "sources": sources,
-        "windowed": False, "kappa": {pair: 1 for pair in delta},
-    })
+    m.meta.update({"cfg": cfg, "delta": delta, "units": units, "sources": sources})
 
     for s in sources:
         for e in t.edges:
@@ -69,12 +65,12 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     for s in sources:
         coeffs = [(m.var("B", s, s, 0), 1.0)]
         coeffs += [(m.var("F", s, s, e.dst, 0), 1.0) for e in t.out_edges(s)]
-        m.add_eq(coeffs, float(out_units[s]), tag=("init", s))
+        m.add_eq(coeffs, float(out_units[s]))
 
     for e in t.edges:
         for k in range(K):
             m.add_le([(m.var("F", s, e.src, e.dst, k), 1.0) for s in sources],
-                     float(cap_chunks(t, e, k, cfg)), tag=("cap", e.src, e.dst, k))
+                     float(cap_chunks(t, e, k, cfg)))
 
     # Conservation: buffer plus arrivals split into next buffer, reads, and
     # next-epoch sends. Switches neither buffer nor read.
@@ -91,7 +87,7 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
                             coeffs.append((m.var("F", s, e.src, n, k_in), 1.0))
                     if k + 1 <= kk:
                         coeffs += [(m.var("F", s, n, e.dst, k + 1), -1.0) for e in out_edges]
-                    m.add_eq(coeffs, 0.0, tag=("swcons", s, n, k))
+                    m.add_eq(coeffs, 0.0)
                 continue
             for k in range(K):
                 coeffs = [(m.var("B", s, n, k), 1.0), (m.var("B", s, n, k + 1), -1.0)]
@@ -103,7 +99,7 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
                     coeffs.append((m.var("Rd", s, n, k), -1.0))
                 if k + 1 <= kk:
                     coeffs += [(m.var("F", s, n, e.dst, k + 1), -1.0) for e in out_edges]
-                m.add_eq(coeffs, 0.0, tag=("cons", s, n, k))
+                m.add_eq(coeffs, 0.0)
             if n != s:
                 # Last epoch: whatever still lands must be consumed on arrival.
                 coeffs = []
@@ -113,14 +109,14 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
                         coeffs.append((m.var("F", s, e.src, n, k_in), 1.0))
                 if m.has_var("Rd", s, n, kk):
                     coeffs.append((m.var("Rd", s, n, kk), -1.0))
-                m.add_eq(coeffs, 0.0, tag=("last", s, n))
+                m.add_eq(coeffs, 0.0)
 
     for (s, dst), u in sorted(units.items(), key=str):
         for k in range(K):
             coeffs = [(m.var("Rc", s, dst, k), 1.0), (m.var("Rd", s, dst, k), -1.0)]
             if k >= 1:
                 coeffs.append((m.var("Rc", s, dst, k - 1), -1.0))
-            m.add_eq(coeffs, 0.0, tag=("cum", s, dst, k))
+            m.add_eq(coeffs, 0.0)
 
     if opts.buffer_limit is not None:
         for n in t.nodes:
@@ -128,7 +124,7 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
                 continue
             for k in range(K + 1):
                 m.add_le([(m.var("B", s, n, k), 1.0) for s in sources],
-                         float(opts.buffer_limit), tag=("bcap", n, k))
+                         float(opts.buffer_limit))
 
     for (s, dst), u in units.items():
         for k in range(K):

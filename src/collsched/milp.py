@@ -1,23 +1,22 @@
 """Whole-chunk schedule model over the time-expanded network.
 
 Binary flow variables F[s,c,i,j,k] say whether chunk c of source s crosses
-edge (i,j) during epoch k. Buffers, per-edge capacity (optionally sliding
-windows for fastest-link epochs), copy-aware conservation, three switch
-treatments, optional buffer limits, and a delivery objective that rewards
-finishing early.
+edge (i,j) during epoch k. Buffers, per-edge capacity over each link's
+kappa-epoch window with delays from `epochs.link_timing`, copy-aware
+conservation, three switch treatments, optional buffer limits, and a
+delivery objective that rewards finishing early.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .demand import Demand, check_demand_nodes
-from .epochs import EpochConfig, cap_chunks, compute_delta, kappa
+from .epochs import EpochConfig, link_timing
 from .errors import ValidationError
 from .model import BINARY, Model
-from .topology import HyperEdgeGroup, Topology, hyper_edge_transform, require_valid
+from .topology import Topology, hyper_edge_transform, require_valid
 
 COPY = "copy"
 NO_COPY = "no-copy"
@@ -26,52 +25,24 @@ HYPER_EDGE = "hyper-edge"
 
 @dataclass(frozen=True)
 class ModelOptions:
+    """How a model treats switches and node buffers; link timing is not an
+    option (see `epochs.link_timing`)."""
+
     switch_mode: str = COPY
     buffer_limit: float | None = None  # chunks a node may hold at once
-    capacity_mode: str = "auto"  # auto: windowed iff fastest-link epochs
 
     def __post_init__(self):
         if self.switch_mode not in (COPY, NO_COPY, HYPER_EDGE):
             raise ValidationError(f"unknown switch mode {self.switch_mode!r}")
-        if self.capacity_mode not in ("auto", "plain", "windowed"):
-            raise ValidationError(f"unknown capacity mode {self.capacity_mode!r}")
         if self.buffer_limit is not None and self.buffer_limit <= 0:
             raise ValidationError("buffer_limit must be positive")
 
 
-def _windowed(cfg: EpochConfig, opts: ModelOptions) -> bool:
-    if opts.capacity_mode == "plain":
-        return False
-    if opts.capacity_mode == "windowed":
-        return True
-    return cfg.windowed
-
-
-@dataclass(frozen=True)
-class CapacityWindow:
-    kappa: int  # epochs one chunk occupies the link
-    width: int  # epochs summed per constraint (== kappa)
-    budget: Fraction  # chunk budget per window
-
-
-def build_windowed_capacity(t: Topology, cfg: EpochConfig) -> dict[tuple, CapacityWindow]:
-    """Sliding-window capacity descriptors for fastest-link epochs.
-
-    A link needing kappa epochs per chunk gets, at every epoch k, the
-    constraint sum(F over epochs (k-kappa, k]) <= kappa * cap. kappa == 1
-    reduces to the plain per-epoch constraint.
-    """
-    out = {}
-    for e in t.edges:
-        kap = kappa(e, cfg)
-        out[(e.src, e.dst)] = CapacityWindow(kap, kap, kap * cap_chunks(t, e, 0, cfg))
-    return out
-
-
-def build_hyper_edge_constraints(t: Topology) -> dict:
-    """Per-switch budgets for the legacy (non-copy) switch rewrite."""
-    _, groups = hyper_edge_transform(t)
-    return groups
+def model_topology(t: Topology, opts: ModelOptions) -> tuple[Topology, dict]:
+    """The topology a whole-chunk model runs on, and its hyper-edge groups."""
+    if opts.switch_mode == HYPER_EDGE:
+        return hyper_edge_transform(t)
+    return t, {}
 
 
 def build_general_model(t: Topology, d: Demand, cfg: EpochConfig,
@@ -129,19 +100,12 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         if per_source and opts.buffer_limit < max(per_source.values()):
             raise ValidationError("buffer_limit below a source's initial chunk count")
 
-    hyper_groups: dict = {}
-    t_eff = t
-    if opts.switch_mode == HYPER_EDGE:
-        t_eff, hyper_groups = hyper_edge_transform(t)
-
-    windowed = _windowed(cfg, opts)
+    t_eff, hyper_groups = model_topology(t, opts)
+    timing = link_timing(t_eff, cfg)
+    kap, delta = timing.kappa, timing.delta
     K = cfg.K
     kk = K - 1  # last epoch index
     edges = t_eff.edges
-    kap = {(e.src, e.dst): (kappa(e, cfg) if windowed else 1) for e in edges}
-    kap_slowest = max(kap.values(), default=1)
-    delta = {(e.src, e.dst): compute_delta(e, cfg.tau) + (kap_slowest - 1 if windowed else 0)
-             for e in edges}
 
     commodities = d.commodities
     entries = set(demand_entries if demand_entries is not None else d.entries)
@@ -152,12 +116,8 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         dests[key].sort(key=str)
 
     m = Model(name)
-    m.meta.update({
-        "kind": name, "topology": t, "eff_topology": t_eff, "demand": d,
-        "cfg": cfg, "opts": opts, "delta": delta, "kappa": kap,
-        "hyper_groups": hyper_groups, "windowed": windowed,
-        "entries": entries,
-    })
+    # What extraction reads: schedule.trace_required_flows and delivery_epochs.
+    m.meta.update({"eff_topology": t_eff, "delta": delta, "opts": opts, "entries": entries})
 
     is_switch = t_eff.is_switch  # hyper-edge mode leaves no switches
 
@@ -224,13 +184,9 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         w = kap[pair]
         for k in range(K):
             lo = max(0, k - w + 1)
-            budget = Fraction(0)
-            for k2 in range(k - w + 1, k + 1):
-                budget += cap_chunks(t_eff, e, max(k2, 0), cfg) if k2 >= 0 \
-                    else cap_chunks(t_eff, e, 0, cfg)
             coeffs = [(m.var("F", s, c, e.src, e.dst, k2), 1.0)
                       for s, c in commodities for k2 in range(lo, k + 1)]
-            m.add_le(coeffs, float(budget), tag=("cap", e.src, e.dst, k))
+            m.add_le(coeffs, timing.budget[pair][k])
 
     # Conservation with copy: what a node holds at the start of an epoch plus
     # what lands during it bounds each outgoing flow of the next epoch.
@@ -248,7 +204,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                         if k_in >= 0:
                             coeffs.append((m.var("F", s, c, e.src, e.dst, k_in), -1.0))
                     rhs += float((switch_q or {}).get((s, c, n, k_out), 0.0))
-                    m.add_eq(coeffs, rhs, tag=("sweq", s, c, n, k_out))
+                    m.add_eq(coeffs, rhs)
                 if switch_q is None:
                     # Arrivals in the final epochs could never leave again.
                     for e in in_edges:
@@ -276,7 +232,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                     if len(coeffs) == 1 and rhs == 0.0:
                         m.fix(f_out, 0.0)
                     else:
-                        m.add_ge(coeffs, rhs, tag=("cons", s, c, n, e_out.dst, k_out))
+                        m.add_ge(coeffs, rhs)
 
     # Buffer recurrence: each start-of-epoch buffer accumulates last epoch's
     # arrivals (minus explicit removals when a limit is in force).
@@ -293,7 +249,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                     if k_in >= 0:
                         coeffs.append((m.var("F", s, c, e.src, e.dst, k_in), -1.0))
                 rhs = float((delta_q or {}).get((s, c, n, k), 0.0))
-                m.add_eq(coeffs, rhs, tag=("buf", s, c, n, k))
+                m.add_eq(coeffs, rhs)
 
     # Destination reads: R is capped by demand (declared R vars only) and by
     # what the buffer holds at the next boundary; monotone so a read is never
@@ -302,8 +258,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         for dst in dlist:
             for k in range(K):
                 m.add_le([(m.var("R", s, c, dst, k), 1.0),
-                          (m.var("B", s, c, dst, k + 1), -1.0)], 0.0,
-                         tag=("dest", s, c, dst, k))
+                          (m.var("B", s, c, dst, k + 1), -1.0)], 0.0)
                 if k >= 1:
                     m.add_ge([(m.var("R", s, c, dst, k), 1.0),
                               (m.var("R", s, c, dst, k - 1), -1.0)], 0.0)
@@ -314,7 +269,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                 continue
             for k in range(K + 1):
                 coeffs = [(m.var("B", s, c, n, k), 1.0) for s, c in commodities]
-                m.add_le(coeffs, float(opts.buffer_limit), tag=("bcap", n, k))
+                m.add_le(coeffs, float(opts.buffer_limit))
 
     # Legacy-switch budgets: simultaneous pair uses are limited by the
     # physical switch degree, and each node drives or drains at most one
@@ -323,15 +278,15 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         for k in range(K):
             coeffs = [(m.var("F", s, c, i, j, k), 1.0)
                       for s, c in commodities for (i, j) in group.pairs]
-            m.add_le(coeffs, float(group.budget), tag=("hyper", sw, k))
+            m.add_le(coeffs, float(group.budget))
             for node in sorted({i for i, _ in group.pairs}, key=str):
                 coeffs = [(m.var("F", s, c, i, j, k), 1.0)
                           for s, c in commodities for (i, j) in group.pairs if i == node]
-                m.add_le(coeffs, 1.0, tag=("hyper-out", sw, node, k))
+                m.add_le(coeffs, 1.0)
             for node in sorted({j for _, j in group.pairs}, key=str):
                 coeffs = [(m.var("F", s, c, i, j, k), 1.0)
                           for s, c in commodities for (i, j) in group.pairs if j == node]
-                m.add_le(coeffs, 1.0, tag=("hyper-in", sw, node, k))
+                m.add_le(coeffs, 1.0)
 
     for (s, c), dlist in dests.items():
         for dst in dlist:

@@ -27,7 +27,6 @@ class Model:
         self._index: dict[tuple, int] = {}
         self._keys: list[tuple] = []
         self.rows: list[tuple[list[tuple[int, float]], float, float]] = []
-        self.row_tags: list[tuple | None] = []
         self.objective: dict[int, float] = {}
         self.meta: dict = {}
 
@@ -68,23 +67,21 @@ class Model:
 
     # -- rows and objective --------------------------------------------------
 
-    def add_row(self, coeffs, lb: float = -INF, ub: float = INF,
-                tag: tuple | None = None) -> None:
+    def add_row(self, coeffs, lb: float = -INF, ub: float = INF) -> None:
         merged: dict[int, float] = {}
         for idx, coef in coeffs:
             if coef:
                 merged[idx] = merged.get(idx, 0.0) + coef
         self.rows.append((list(merged.items()), lb, ub))
-        self.row_tags.append(tag)
 
-    def add_eq(self, coeffs, rhs: float, tag=None) -> None:
-        self.add_row(coeffs, rhs, rhs, tag)
+    def add_eq(self, coeffs, rhs: float) -> None:
+        self.add_row(coeffs, rhs, rhs)
 
-    def add_le(self, coeffs, rhs: float, tag=None) -> None:
-        self.add_row(coeffs, -INF, rhs, tag)
+    def add_le(self, coeffs, rhs: float) -> None:
+        self.add_row(coeffs, -INF, rhs)
 
-    def add_ge(self, coeffs, rhs: float, tag=None) -> None:
-        self.add_row(coeffs, rhs, INF, tag)
+    def add_ge(self, coeffs, rhs: float) -> None:
+        self.add_row(coeffs, rhs, INF)
 
     def add_objective_term(self, idx: int, coef: float) -> None:
         if coef:

@@ -44,46 +44,18 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # Reverse-trace pruning
 
-def _flow_values(sol: Solution, threshold: float = 0.5) -> dict:
-    """(s, c, i, j, k) -> value for whole-chunk flows of a solved model."""
-    return sol.family_values("F", threshold)
-
-
 def prune_unused_flows(sol: Solution, d: Demand, t: Topology) -> Solution:
-    """Zero every flow and buffer entry that no demanded delivery depends on.
+    """Zero every flow that no demanded delivery depends on.
 
     Walks backward from each destination's earliest delivery, preferring the
     earliest arrival and then the lowest sender id, marking the flows that
-    account for each demanded chunk. Buffers are rebuilt from the surviving
-    flows. Reads and the objective are untouched.
+    account for each demanded chunk. Buffers, reads and the objective are
+    untouched.
     """
     m = sol.model
-    keep = trace_required_flows(_flow_values(sol), m.meta, set(m.meta["entries"]))
-    updates = {}
-    for key, idx in m.family_items("F"):
-        v = float(sol.x[idx])
-        if v >= 0.5 and key not in keep:
-            updates[idx] = 0.0
-    # Rebuild buffers from surviving flows so B rows mirror the pruned flows.
-    if any(True for _ in m.family_items("B")):
-        t_eff = m.meta["eff_topology"]
-        delta = m.meta["delta"]
-        cfg = m.meta["cfg"]
-        arrivals: dict[tuple, list[int]] = {}
-        for (s, c, i, j, k) in keep:
-            arrivals.setdefault((s, c, j), []).append(k + delta[(i, j)])
-        for (s, c) in m.meta["demand"].commodities:
-            for n in t_eff.nodes:
-                if not m.has_var("B", s, c, n, 0):
-                    continue
-                held = float(sol.x[m.var("B", s, c, n, 0)])
-                arr = sorted(arrivals.get((s, c, n), []))
-                for k in range(1, cfg.K + 1):
-                    held += sum(1 for a in arr if a == k - 1)
-                    idx = m.var("B", s, c, n, k)
-                    if float(sol.x[idx]) != held:
-                        updates[idx] = held
-    return sol.replace_values(updates)
+    flows = sol.family_values("F", 0.5)
+    keep = trace_required_flows(flows, m.meta, set(m.meta["entries"]))
+    return sol.replace_values({m.var("F", *key): 0.0 for key in flows if key not in keep})
 
 
 def trace_required_flows(flows: dict, meta: dict, entries: set) -> set:
@@ -143,8 +115,6 @@ def trace_required_flows(flows: dict, meta: dict, entries: set) -> set:
 def delivery_epochs(flows: dict, meta: dict, entries: set) -> dict:
     """Earliest arrival epoch of each demanded (s, c, d); raises if missing."""
     delta = meta["delta"]
-    t_eff: Topology = meta["eff_topology"]
-    earliest: dict[tuple, int] = {}
     # Chunks can relay, so propagate earliest possession forward.
     possession: dict[tuple, int] = {}
     for (s, c, i, j, k) in sorted(flows, key=lambda f: f[4]):
@@ -168,8 +138,8 @@ def schedule_from_flows(flows: dict, meta: dict, cfg: EpochConfig, chunk_size: i
                         prune: bool = True) -> Schedule:
     """Build a schedule straight from whole-chunk flow values.
 
-    Used when flows come from several chained solves and no single model holds
-    them; completion is the latest arrival among demanded deliveries.
+    Flows may come from one solve or from several chained ones; completion is
+    the latest arrival among demanded deliveries.
     """
     entries = set(meta["entries"])
     if not entries:
@@ -184,31 +154,10 @@ def schedule_from_flows(flows: dict, meta: dict, cfg: EpochConfig, chunk_size: i
 
 
 def extract_schedule(sol: Solution, t: Topology, d: Demand, cfg: EpochConfig) -> Schedule:
-    """One event per surviving whole-chunk flow, deterministically ordered."""
-    m = sol.model
-    flows = _flow_values(sol)
-    entries = set(m.meta["entries"])
-    if not entries:
-        return Schedule(cfg.tau, (), -1, d.chunk_size)
-    completion = max(_read_epochs(sol, entries).values())
-    events = [ScheduleEvent(s, c, i, j, k, 1.0)
-              for (s, c, i, j, k) in sorted(
-                  flows, key=lambda f: (f[4], str(f[0]), str(f[2]), str(f[3]), f[1]))]
-    return Schedule(cfg.tau, tuple(events), completion, d.chunk_size)
-
-
-def _read_epochs(sol: Solution, entries: set) -> dict:
-    """Earliest epoch each demanded entry's cumulative read reaches 1."""
-    best: dict[tuple, int] = {}
-    for (s, c, dst, k), v in sol.model.family_items("R"):
-        if float(sol.x[v]) >= 0.5:
-            key = (s, c, dst)
-            if key in entries and (key not in best or k < best[key]):
-                best[key] = k
-    missing = entries - set(best)
-    if missing:
-        raise ConservationError(f"{len(missing)} demanded entries never read")
-    return best
+    """One event per whole-chunk flow of a solved model, deterministically
+    ordered; completion is the latest demanded arrival."""
+    return schedule_from_flows(sol.family_values("F", 0.5), sol.model.meta, cfg,
+                               d.chunk_size, prune=False)
 
 
 # ---------------------------------------------------------------------------

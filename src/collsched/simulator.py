@@ -54,8 +54,9 @@ class SimReport:
 
     `violations` checks the schedule as scheduled. The completion fields
     (`completion_epochs`, `completion_epoch`, `per_entry_completion`,
-    `transfer_time`) are as executed, and cover delivered entries only: an
-    entry never delivered is an `unmet-demand` violation instead.
+    `transfer_time`) and `output_buffer_bytes` are as executed, and cover
+    delivered entries only: an entry never delivered is an `unmet-demand`
+    violation instead.
     """
 
     violations: list[Violation]
@@ -101,20 +102,8 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
     tau = _frac(sched.tau)
     if tau <= 0:
         raise ScheduleError("schedule has non-positive epoch duration")
-    chunk = Fraction(sched.chunk_size)
-    caps = {}
-    for e in t_eff.edges:
-        caps[(e.src, e.dst)] = _frac(e.capacity) * tau / chunk
-
     whole_only = all(ev.fraction >= WHOLE for ev in sched.events)
-    kap = {}
-    for e in t_eff.edges:
-        pair = (e.src, e.dst)
-        kap[pair] = max(1, ceil_frac(1 / caps[pair])) if whole_only else 1
-    widen = max(kap.values(), default=1) - 1
-    delta = {}
-    for e in t_eff.edges:
-        delta[(e.src, e.dst)] = ceil_frac(_frac(e.alpha) / tau) + widen
+    caps, kap, delta = _link_timing(t_eff, tau, sched.chunk_size, whole_only)
 
     events = sorted(sched.events,
                     key=lambda ev: (ev.epoch, str(ev.source), str(ev.src), str(ev.dst), ev.chunk))
@@ -167,7 +156,7 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
     output_bytes = {}
     for n in t.nodes:
         if not t.is_switch(n):
-            output_bytes[n] = sum(d.chunk_size for (s, c, dst) in d.entries if dst == n)
+            output_bytes[n] = sum(d.chunk_size for (s, c, dst) in per_entry if dst == n)
     return SimReport(
         violations=violations,
         completion_epochs=completion_per_dest,
@@ -178,6 +167,25 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
         tau=float(tau),
         per_entry_completion=per_entry,
     )
+
+
+def _link_timing(t_eff: Topology, tau: Fraction, chunk_size: int,
+                 whole_only: bool) -> tuple[dict, dict, dict]:
+    """Chunks per epoch, kappa and delay of every edge, from raw link parameters.
+
+    A whole chunk occupies a link for kappa epochs, and every delay is
+    widened by the slowest link's kappa - 1, so nothing is forwarded while a
+    chunk is still on the wire. Fractional sends are not widened.
+    """
+    chunk = Fraction(chunk_size)
+    caps, kap = {}, {}
+    for e in t_eff.edges:
+        pair = (e.src, e.dst)
+        caps[pair] = _frac(e.capacity) * tau / chunk
+        kap[pair] = max(1, ceil_frac(1 / caps[pair])) if whole_only else 1
+    widen = max(kap.values(), default=1) - 1
+    delta = {(e.src, e.dst): ceil_frac(_frac(e.alpha) / tau) + widen for e in t_eff.edges}
+    return caps, kap, delta
 
 
 class _Holdings:
@@ -420,9 +428,12 @@ def _check_hyper_budgets(events, hyper_groups, tol, violations):
 
 
 def algorithmic_bandwidth(report: SimReport) -> dict:
-    """Received bytes over transfer time, per destination and in aggregate."""
+    """Received bytes over transfer time, per destination and in aggregate.
+
+    Only delivered demand counts as received.
+    """
     total_bytes = sum(report.output_buffer_bytes.values())
-    if total_bytes == 0:
+    if report.demand_bytes == 0:
         return {"aggregate": 0.0, "per_node": {n: 0.0 for n in report.output_buffer_bytes}}
     if report.transfer_time <= 0:
         raise ValidationError("zero transfer time with nonzero demand")

@@ -31,7 +31,6 @@ _GAP_EPS = 1e-9
 class SolverOptions:
     time_limit: float = 300.0
     relative_gap: float = 0.0  # early-stop when the primal-dual gap falls below
-    seed: int = 0
     verbosity: int = 0
     backend: str | None = None  # None: $COLLSCHED_SOLVER or "highs"
 
@@ -88,8 +87,7 @@ def solve(m: Model, opts: SolverOptions | None = None,
     """Solve the model; integer variables come back integral within 1e-6.
 
     HiGHS runs single-threaded here, so results are deterministic for a fixed
-    model; the seed option is accepted for interface stability but the
-    backend does not randomize.
+    model.
     """
     opts = opts or SolverOptions()
     name = _backend_name(opts)

@@ -318,8 +318,6 @@ class HyperEdgeGroup:
     switch: NodeId
     pairs: tuple[tuple[NodeId, NodeId], ...]
     budget: int  # simultaneous pair uses per epoch: min(in-degree, out-degree)
-    in_nodes: tuple[NodeId, ...]
-    out_nodes: tuple[NodeId, ...]
 
 
 def hyper_edge_transform(t: Topology) -> tuple[Topology, dict[NodeId, HyperEdgeGroup]]:
@@ -353,7 +351,6 @@ def hyper_edge_transform(t: Topology) -> tuple[Topology, dict[NodeId, HyperEdgeG
                     claimed.add((i, j))
                     new_edges.append(Edge(i, j, min(ein.capacity, eout.capacity),
                                           ein.alpha + eout.alpha))
-        groups[sw] = HyperEdgeGroup(sw, tuple(pairs), min(len(ins), len(outs)),
-                                    tuple(e.src for e in ins), tuple(e.dst for e in outs))
+        groups[sw] = HyperEdgeGroup(sw, tuple(pairs), min(len(ins), len(outs)))
     nodes = tuple(n for n in t.nodes if n not in t.switches)
     return Topology(nodes, frozenset(), tuple(new_edges)), groups

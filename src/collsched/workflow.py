@@ -42,8 +42,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
                epochs: int | None = None, search_horizon: bool = False,
                gap: float = 0.0, time_limit: float = 300.0,
                gamma: float = 0.5, epochs_per_round: int | None = None,
-               max_rounds: int = 64, seed: int = 0,
-               dump_model_path=None) -> SynthesisResult:
+               max_rounds: int = 64, dump_model_path=None) -> SynthesisResult:
     """Produce a schedule with the requested solver and verify it by replay.
 
     The emitted schedule always passed simulation; a schedule that fails its
@@ -55,14 +54,14 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
     start = time.perf_counter()
     tau = epoch_duration(t, d.chunk_size, epoch_mode, em)
     opts = ModelOptions(switch_mode=switch_mode, buffer_limit=buffer_limit)
-    solver_opts = SolverOptions(time_limit=time_limit, relative_gap=gap, seed=seed)
+    solver_opts = SolverOptions(time_limit=time_limit, relative_gap=gap)
 
     if method == "astar":
         kpr = epochs_per_round
         if kpr is None:
-            cfg_probe = EpochConfig(tau, 1, epoch_mode, em, d.chunk_size)
+            cfg_probe = EpochConfig(tau, 1, d.chunk_size)
             kpr = max(4, max_future_epochs(t, cfg_probe, opts))
-        cfg = EpochConfig(tau, kpr, epoch_mode, em, d.chunk_size)
+        cfg = EpochConfig(tau, kpr, d.chunk_size)
         sched = astar_solve(t, d, cfg, gamma, max_rounds, opts=opts,
                             solver_opts=solver_opts)
         report = _checked_replay(sched, t, d, switch_mode)
@@ -74,7 +73,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
     if epochs is None:
         epochs = estimate_epoch_upper_bound(t, d, tau, opts=opts)
         notes.append(f"estimated epoch upper bound {epochs}")
-    cfg = EpochConfig(tau, epochs, epoch_mode, em, d.chunk_size)
+    cfg = EpochConfig(tau, epochs, d.chunk_size)
 
     if method == "lp":
         if _benefits_from_copy(d):

@@ -131,20 +131,21 @@ class TestAstarSolve:
         assert a.completion_epoch == b.completion_epoch
 
     def test_residual_demand_never_grows(self, solver_opts):
-        from collsched.astar import advance_state, state_demand, _deltas
+        from collsched.astar import advance_state
         from collsched.astar import build_round_model as brm
+        from collsched.epochs import link_timing
         t = ring(6, alpha=1.0)
         d = generate_demand("allgather", t, 1, 1)
         cfg = EpochConfig(1.0, 3)
         fw = round_distance_table(t, cfg)
-        t_eff, delta = _deltas(t, cfg, ModelOptions())
+        max_kp = link_timing(t, cfg).max_delta
         state = initial_state(d)
         sizes = [len(state.residual)]
         for _ in range(12):
             if not state.residual:
                 break
             sol = solve(brm(t, state, cfg, fw), solver_opts)
-            state = advance_state(state, sol, t_eff, cfg, max(delta.values()))
+            state = advance_state(state, sol, t, cfg, max_kp)
             sizes.append(len(state.residual))
         assert sizes[-1] == 0
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))

@@ -1,10 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from collsched.epochs import (EpochConfig, compute_delta, epoch_duration,
-                              kappa, max_kappa)
+from collsched.epochs import EpochConfig, compute_delta, epoch_duration, link_timing
 from collsched.errors import ValidationError
-from collsched.topology import Edge, dgx1, line
+from collsched.topology import Edge, Topology, dgx1, line
+
+
+def _kappa(capacity, cfg):
+    """kappa of a lone edge of the given capacity, by `link_timing`."""
+    t = Topology(("a", "b"), frozenset(), (Edge("a", "b", capacity),))
+    return link_timing(t, cfg).kappa[("a", "b")]
 
 
 def test_delta_zero_latency():
@@ -38,17 +43,17 @@ def test_epoch_duration_multiplier():
 
 
 def test_kappa_ladder():
-    cfg = EpochConfig(0.5e-6, 4, "fastest", 1, 25000)
-    assert kappa(Edge("a", "b", 50e9), cfg) == 1  # fastest link: plain capacity
-    assert kappa(Edge("a", "b", 25e9), cfg) == 2  # half speed: 1 chunk per 2 epochs
-    assert kappa(Edge("a", "b", 12.5e9), cfg) == 4  # quarter speed
-    assert max_kappa(dgx1(), cfg) == 2
+    cfg = EpochConfig(0.5e-6, 4, chunk_size=25000)
+    assert _kappa(50e9, cfg) == 1  # fastest link: plain capacity
+    assert _kappa(25e9, cfg) == 2  # half speed: 1 chunk per 2 epochs
+    assert _kappa(12.5e9, cfg) == 4  # quarter speed
+    assert max(link_timing(dgx1(), cfg).kappa.values()) == 2
 
 
 def test_kappa_is_mode_independent_arithmetic():
     # 12.5 GBps moves half a 25 KB chunk per 1us epoch regardless of mode
-    cfg = EpochConfig(1e-6, 4, "slowest", 1, 25000)
-    assert kappa(Edge("a", "b", 12.5e9), cfg) == 2
+    cfg = EpochConfig(1e-6, 4, chunk_size=25000)
+    assert _kappa(12.5e9, cfg) == 2
 
 
 def test_epoch_config_validation():
@@ -57,9 +62,9 @@ def test_epoch_config_validation():
     with pytest.raises(ValidationError):
         EpochConfig(1.0, 0)
     with pytest.raises(ValidationError):
-        EpochConfig(1.0, 4, epoch_multiplier=0)
+        epoch_duration(line(2), 1, "fastest", em=0)
     with pytest.raises(ValidationError):
-        EpochConfig(1.0, 4, duration_mode="sideways")
+        epoch_duration(line(2), 1, "sideways")
 
 
 @given(alpha=st.floats(0, 1e-3), tau_a=st.floats(1e-9, 1e-3), tau_b=st.floats(1e-9, 1e-3))
@@ -74,3 +79,12 @@ def test_delta_monotone_in_alpha(alpha_a, alpha_b, tau):
     lo, hi = sorted([alpha_a, alpha_b])
     assert compute_delta(Edge("a", "b", 1.0, lo), tau) <= \
         compute_delta(Edge("a", "b", 1.0, hi), tau)
+
+
+def test_window_budget_sums_overridden_capacities():
+    # half a chunk per epoch (kappa 2) with epoch 2 raised to 1.5 chunks
+    t = Topology(("a", "b"), frozenset(), (Edge("a", "b", 0.5, 2.5),), {("a", "b", 2): 1.5})
+    timing = link_timing(t, EpochConfig(1.0, 5))
+    assert timing.kappa[("a", "b")] == 2
+    assert timing.delta[("a", "b")] == 3 + 1  # ceil(2.5) plus kappa - 1
+    assert timing.budget[("a", "b")] == [1.0, 1.0, 2.0, 2.0, 1.0]

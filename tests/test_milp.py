@@ -1,15 +1,14 @@
-from fractions import Fraction
-
 import pytest
 
 from collsched.demand import Demand, generate_demand
-from collsched.epochs import EpochConfig
+from collsched.epochs import EpochConfig, link_timing
 from collsched.errors import ValidationError
-from collsched.milp import (ModelOptions, build_general_model,
-                            build_hyper_edge_constraints, build_windowed_capacity)
+from collsched.milp import ModelOptions, build_general_model
 from collsched.model import INF
+from collsched.schedule import extract_schedule, prune_unused_flows
+from collsched.simulator import simulate
 from collsched.solver import min_feasible_horizon, solve
-from collsched.topology import Edge, Topology, dgx1, line, star
+from collsched.topology import Edge, Topology, dgx1, hyper_edge_transform, line
 
 
 def _min_horizon(t, d, opts, hi, solver_opts, cfg_kwargs=None):
@@ -96,14 +95,12 @@ class TestWindowedCapacity:
     def test_kappa_descriptors(self):
         t = Topology(("a", "b", "c", "d"), frozenset(),
                      (Edge("a", "b", 50e9), Edge("b", "c", 25e9), Edge("c", "d", 12.5e9)))
-        cfg = EpochConfig(0.5e-6, 4, "fastest", 1, 25000)
-        wins = build_windowed_capacity(t, cfg)
-        assert wins[("a", "b")].kappa == 1  # plain capacity on the fastest link
-        assert wins[("a", "b")].budget == Fraction(1)
-        assert wins[("b", "c")].kappa == 2
-        assert wins[("b", "c")].width == 2
-        assert wins[("b", "c")].budget == Fraction(1)  # 2 epochs admit 1 chunk
-        assert wins[("c", "d")].kappa == 4
+        timing = link_timing(t, EpochConfig(0.5e-6, 4, chunk_size=25000))
+        assert timing.kappa[("a", "b")] == 1  # plain capacity on the fastest link
+        assert timing.budget[("a", "b")] == [1.0] * 4
+        assert timing.kappa[("b", "c")] == 2
+        assert timing.budget[("b", "c")] == [1.0] * 4  # 2 epochs admit 1 chunk
+        assert timing.kappa[("c", "d")] == 4
 
     def test_window_blocks_back_to_back_sends(self, solver_opts):
         # one half-speed link, two chunks: 1 chunk per 2-epoch window forces
@@ -112,11 +109,24 @@ class TestWindowedCapacity:
         d = Demand(frozenset({(0, 0, 1), (0, 1, 1)}), 2, 1)
         opts = ModelOptions()
         builder = lambda k: build_general_model(
-            t, d, EpochConfig(1.0, k, "fastest", 1, 1), opts)
+            t, d, EpochConfig(1.0, k, chunk_size=1), opts)
         k, sol = min_feasible_horizon(builder, 1, 8, solver_opts)
         assert k == 4
         epochs = sorted(key[4] for key in sol.family_values("F", 0.5))
         assert epochs == [0, 2]
+
+    def test_sub_chunk_links_get_windows_in_any_mode(self, diamond_multicast, solver_opts):
+        # 0.5 chunks per epoch on every link: each chunk needs a 2-epoch
+        # window, and arrivals land one epoch later than plain latency says.
+        t, d = diamond_multicast
+        builder = lambda k: build_general_model(t, d, EpochConfig(1.0, k), ModelOptions())
+        k, sol = min_feasible_horizon(builder, 1, 12, solver_opts)
+        assert k == 4
+        cfg = EpochConfig(1.0, k)
+        sched = extract_schedule(prune_unused_flows(sol, d, t), t, d, cfg)
+        rep = simulate(sched, t, d)
+        assert rep.violations == []
+        assert sched.completion_epoch == rep.completion_epoch == 3
 
 
 class TestHyperEdgeConstraints:
@@ -125,7 +135,7 @@ class TestHyperEdgeConstraints:
         edges = []
         for g in range(4):
             edges += [Edge(g, "sw", 1.0), Edge("sw", g, 1.0)]
-        groups = build_hyper_edge_constraints(Topology(nodes, frozenset({"sw"}), tuple(edges)))
+        _, groups = hyper_edge_transform(Topology(nodes, frozenset({"sw"}), tuple(edges)))
         assert len(groups["sw"].pairs) == 12
         assert groups["sw"].budget == 4
 
@@ -184,6 +194,6 @@ class TestModelInvariants:
         t = dgx1(alpha=0.0)
         d = generate_demand("allgather", t, 1, 25000)
         builder = lambda k: build_general_model(
-            t, d, EpochConfig(1e-6, k, "slowest", 1, 25000), ModelOptions())
+            t, d, EpochConfig(1e-6, k, chunk_size=25000), ModelOptions())
         k, _ = min_feasible_horizon(builder, 1, 4, solver_opts)
         assert k == 2

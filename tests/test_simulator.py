@@ -1,17 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collsched.demand import Demand, generate_demand
-from collsched.epochs import EpochConfig
+from collsched.epochs import EpochConfig, _frac, epoch_duration, link_timing
 from collsched.errors import ScheduleError, ValidationError
 from collsched.milp import ModelOptions, build_general_model
 from collsched.schedule import Schedule, ScheduleEvent, extract_schedule, prune_unused_flows
-from collsched.simulator import (SimOptions, Violation, _check_capacity,
+from collsched.simulator import (SimOptions, Violation, _check_capacity, _link_timing,
                                   algorithmic_bandwidth, simulate)
 from collsched.solver import solve
-from collsched.topology import Edge, Topology, line, ndv2, star
+from collsched.topology import Edge, Topology, dgx1, line, ndv2, star
 
 
 def _sched(events, tau=1.0, completion=None, chunk_size=1):
@@ -227,6 +227,16 @@ class TestMetrics:
         assert slow.violations == []
         assert algorithmic_bandwidth(slow)["per_node"][1] == pytest.approx(1.0)
 
+    def test_undelivered_demand_earns_no_bandwidth(self):
+        t = line(3)
+        d = Demand(frozenset({(0, 0, 1), (0, 0, 2)}), 1, 1)
+        rep = simulate(_sched([ScheduleEvent(0, 0, 0, 1, 0)]), t, d, SimOptions())
+        assert [v.kind for v in rep.violations] == ["unmet-demand"]
+        assert rep.transfer_time == pytest.approx(1.0)
+        bw = algorithmic_bandwidth(rep)
+        assert bw["aggregate"] == pytest.approx(1.0)
+        assert bw["per_node"] == {0: 0.0, 1: pytest.approx(1.0), 2: 0.0}
+
     def test_empty_demand_bandwidth_zero(self):
         t = line(2)
         d = Demand(frozenset(), 1, 1)
@@ -258,3 +268,41 @@ class TestMetrics:
         # budget is min(4 in, 4 out) = 2? No: 4 uplinks and 4 downlinks
         assert not any(v.kind == "capacity" and "hyper" in v.location
                        for v in rep.violations)
+
+
+@st.composite
+def _timed_links(draw):
+    """A small random topology, a chunk size and an epoch duration for it."""
+    n = draw(st.integers(2, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=6, unique=True))
+    chunk = draw(st.sampled_from([1, 1000, 25000, 7_777_777, 1 << 20]) |
+                 st.integers(1, 10 ** 8))
+    # capacities from well below one chunk per second to tens of GB/s
+    edges = tuple(Edge(i, j, draw(st.sampled_from([0.3, 0.5, 1.0, 12.5e9, 25e9, 50e9]) |
+                                  st.floats(0.1, 1e11)),
+                       draw(st.sampled_from([0.0, 0.7e-6, 1.3e-6]) | st.floats(0.0, 10.0)))
+                  for i, j in pairs)
+    t = Topology(tuple(range(n)), frozenset(), edges)
+    if draw(st.booleans()):
+        tau = epoch_duration(t, chunk, draw(st.sampled_from(["slowest", "fastest"])),
+                             draw(st.integers(1, 3)))
+    else:
+        tau = draw(st.sampled_from([1.0, 0.5, 0.3, 1e-6, 0.5e-6, 3.11e-4]))
+    return t, chunk, tau
+
+
+class TestOracleAgreement:
+    @settings(max_examples=300, deadline=None)
+    @given(_timed_links())
+    @example((dgx1(), 7_777_777, epoch_duration(dgx1(), 7_777_777, "slowest")))
+    def test_models_time_links_as_the_replay_does(self, case):
+        # The replay derives link timing on its own; every whole-chunk model
+        # takes it from link_timing. Both must agree edge by edge.
+        t, chunk, tau = case
+        model = link_timing(t, EpochConfig(tau, 2, chunk_size=chunk))
+        caps, kap, delta = _link_timing(t, _frac(tau), chunk, whole_only=True)
+        assert model.kappa == kap
+        assert model.delta == delta
+        for pair, budget in model.budget.items():
+            assert budget == [float(kap[pair] * caps[pair])] * 2

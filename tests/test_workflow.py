@@ -1,0 +1,25 @@
+import pytest
+
+from collsched.demand import generate_demand
+from collsched.topology import dgx1
+from collsched.workflow import synthesize
+
+
+@pytest.fixture(scope="module")
+def dgx1_odd_chunks():
+    # With slowest-link epochs, float rounding of tau leaves the 25 GB/s links
+    # just short of one 7,777,777-byte chunk per epoch, so a chunk needs two
+    # epochs on them (kappa 2) and every delay widens by one epoch.
+    t = dgx1()
+    return t, generate_demand("allgather", t, 1, 7_777_777)
+
+
+@pytest.mark.parametrize("method, kwargs, completion", [
+    ("astar", {}, 6),
+    ("milp", {"epochs": 12}, 5),
+])
+def test_sub_chunk_epochs_replay_clean(dgx1_odd_chunks, method, kwargs, completion):
+    t, d = dgx1_odd_chunks
+    result = synthesize(t, d, method, epoch_mode="slowest", time_limit=120.0, **kwargs)
+    assert result.report.ok
+    assert result.report.completion_epoch == result.schedule.completion_epoch == completion
