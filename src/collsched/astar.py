@@ -1,20 +1,22 @@
 """Horizon-decomposed solver: fixed-size rounds, carried in-flight state, and
 a distance-shaped reward for moving chunks toward the nodes that want them.
 
-Each round reuses the general whole-chunk model minus the hard final-delivery
-constraint; look-ahead variables record what lands after the round boundary
-and seed the next round's buffers.
+Each round is the general whole-chunk model given a `Carry`, which makes
+delivery rewarded rather than forced. What a round leaves behind seeds the
+next one: the chunks its nodes hold and those still landing after the
+boundary seed buffers and switches, and its last sends on a link that holds
+a chunk for several epochs seed that link's capacity windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .demand import Demand, check_demand_nodes
-from .epochs import EpochConfig, link_timing
+from .epochs import EpochConfig, LinkTiming, link_timing
 from .errors import RoundLimitError, SolverBackendError, ValidationError
-from .milp import ModelOptions, build_time_expanded, model_topology
+from .milp import Carry, ModelOptions, build_time_expanded, model_topology
 from .model import Model
 from .schedule import Schedule, schedule_from_flows
 from .solver import SolverOptions, solve
@@ -72,13 +74,12 @@ def round_distance_table(t: Topology, cfg: EpochConfig) -> DistanceTable:
 
 @dataclass
 class RoundState:
-    """What one round hands to the next."""
+    """What one round hands to the next: the demand still unmet and the
+    carry that seeds the round's buffers, switches and link windows."""
 
     round_index: int
     residual: frozenset  # demanded (s, c, d) entries still unmet
-    # (s, c, node, k') -> copies in the node's buffer at the start of the
-    # next round's epoch k'; cumulative over k' for buffering nodes.
-    q: dict = field(default_factory=dict)
+    carry: Carry
     demand_proto: Demand | None = None  # chunk-id space and chunk size
 
 
@@ -91,7 +92,7 @@ def max_future_epochs(t: Topology, cfg: EpochConfig, opts: ModelOptions | None =
 def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
                       fw: DistanceTable, gamma: float = 0.5,
                       opts: ModelOptions | None = None) -> Model:
-    """One round: general model without the final-delivery equality, plus
+    """One round: the general model seeded with the state's carry, plus
     look-ahead accounting (Q), progress counters (P), and the distance reward.
 
     gamma < 1 keeps any in-transit reward below the payoff of a chunk sitting
@@ -110,27 +111,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     commodities = dem.commodities
     kk = cfg.K - 1
 
-    b0 = None
-    delta_q: dict = {}
-    switch_q: dict = {}
-    if state.round_index > 0:
-        b0 = {}
-        for (s, c) in commodities:
-            for n in t_eff.nodes:
-                if t_eff.is_switch(n):
-                    for k in range(0, max_kp + 1):
-                        v = state.q.get((s, c, n, k), 0)
-                        if v:
-                            switch_q[(s, c, n, k)] = v
-                else:
-                    b0[(s, c, n)] = state.q.get((s, c, n, 0), 0)
-                    for k in range(1, max_kp + 1):
-                        dv = state.q.get((s, c, n, k), 0) - state.q.get((s, c, n, k - 1), 0)
-                        if dv:
-                            delta_q[(s, c, n, k)] = dv
-
-    m = build_time_expanded(t, dem, cfg, opts, final_delivery=False, b0=b0,
-                            delta_q=delta_q, switch_q=switch_q, name="round")
+    m = build_time_expanded(t, dem, cfg, opts, state.carry)
 
     # Look-ahead: what sits in each buffer at the start of the next round's
     # epoch k'. k'=0 is the terminal buffer itself; switches only ever hold
@@ -196,42 +177,38 @@ def state_demand(state: RoundState) -> Demand:
 
 
 def initial_state(d: Demand) -> RoundState:
-    return RoundState(0, frozenset(d.entries), demand_proto=d)
+    return RoundState(0, frozenset(d.entries), Carry.at_sources(d), d)
 
 
 def advance_state(state: RoundState, sol, t_eff: Topology, cfg: EpochConfig,
-                  max_kp: int, strict_appendix_d: bool = False) -> RoundState:
-    """Carry look-ahead holdings forward and clear satisfied demand entries."""
-    dem = state_demand(state)
-    q_new: dict = {}
-    for (s, c) in dem.commodities:
+                  timing: LinkTiming) -> RoundState:
+    """Clear the demand entries a round met and carry forward what it leaves:
+    the chunks each buffering node holds at the boundary, the arrivals that
+    land after it, and its sends still occupying a link's window."""
+    arrivals: dict = {}
+    link_load: dict = {}
+    for (s, c, i, j, k) in sol.family_values("F", 0.5):
+        kp = k + timing.delta[(i, j)] + 1 - cfg.K  # next round's epoch it is usable from
+        if kp > 0 or (kp == 0 and t_eff.is_switch(j)):
+            arrivals[(s, c, j, kp)] = arrivals.get((s, c, j, kp), 0) + 1
+        for kn in range(k + timing.kappa[(i, j)] - cfg.K):
+            link_load[(i, j, kn)] = link_load.get((i, j, kn), 0) + 1
+    for s, c in state_demand(state).commodities:
         for n in t_eff.nodes:
-            for kp in range(0, max_kp + 1):
-                if kp == 0 and not t_eff.is_switch(n):
-                    v = sol.value("B", s, c, n, cfg.K)
-                else:
-                    v = sol.value("Q", s, c, n, kp)
-                v = int(round(v))
-                if v:
-                    q_new[(s, c, n, kp)] = v
-    residual = set()
-    for (s, c, dst) in state.residual:
-        if strict_appendix_d:
-            done = q_new.get((s, c, dst, max_kp), 0) >= 1
-        else:
-            done = any(q_new.get((s, c, dst, kp), 0) >= 1 for kp in range(max_kp + 1))
-        if not done:
-            residual.add((s, c, dst))
+            if not t_eff.is_switch(n):
+                held = int(round(sol.value("B", s, c, n, cfg.K)))
+                if held:
+                    arrivals[(s, c, n, 0)] = held
+    residual = state.residual - {key[:3] for key in arrivals}
     kept = {(s, c) for (s, c, _) in residual}
-    q_new = {key: v for key, v in q_new.items() if (key[0], key[1]) in kept}
-    return RoundState(state.round_index + 1, frozenset(residual), q_new,
-                      demand_proto=state.demand_proto)
+    arrivals = {key: v for key, v in arrivals.items() if key[:2] in kept}
+    return RoundState(state.round_index + 1, residual, Carry(arrivals, link_load),
+                      state.demand_proto)
 
 
 def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
                 max_rounds: int = 64, *, opts: ModelOptions | None = None,
                 solver_opts: SolverOptions | None = None,
-                strict_appendix_d: bool = False,
                 fw: DistanceTable | None = None) -> Schedule:
     """Solve round after round until every demand entry is met, then stitch
     the per-round flows into one schedule on the global epoch axis."""
@@ -261,7 +238,7 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
         for (s, c, i, j, k), v in sol.family_values("F", 0.5).items():
             flows[(s, c, i, j, offset + k)] = 1.0
         prev_residual = state.residual
-        state = advance_state(state, sol, t_eff, cfg, timing.max_delta, strict_appendix_d)
+        state = advance_state(state, sol, t_eff, cfg, timing)
         rounds_used = state.round_index
         if state.residual == prev_residual and not sol.family_values("F", 0.5):
             raise RoundLimitError(

@@ -55,8 +55,7 @@ def estimate_epoch_upper_bound(t: Topology, d: Demand, tau_opt: float,
         for n_e in COARSE_EPOCH_COUNTS:
             tau = total_time / n_e
             cfg = EpochConfig(tau, n_e, d.chunk_size)
-            sol = solve(build_time_expanded(t, d, cfg, opts, name="coarse"),
-                        solver_opts)
+            sol = solve(build_time_expanded(t, d, cfg, opts), solver_opts)
             if sol.feasible:
                 return ceil_frac(_frac(total_time) / _frac(tau_opt))
     raise EstimationError("no candidate completion time was feasible")

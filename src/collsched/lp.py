@@ -37,7 +37,7 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
         units[(s, dst)] = units.get((s, dst), 0) + 1
     out_units = {s: sum(v for (s2, _), v in units.items() if s2 == s) for s in sources}
 
-    m = Model("lp-alltoall")
+    m = Model()
     m.meta.update({"cfg": cfg, "delta": delta, "units": units, "sources": sources})
 
     for s in sources:

@@ -10,7 +10,7 @@ delivery objective that rewards finishing early.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .demand import Demand, check_demand_nodes
 from .epochs import EpochConfig, link_timing
@@ -77,19 +77,36 @@ def _earliest_send(t_eff: Topology, delta: dict, seeds: dict) -> dict:
     return dist
 
 
-def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOptions,
-                        *, final_delivery: bool = True,
-                        b0: dict | None = None,
-                        delta_q: dict | None = None,
-                        switch_q: dict | None = None,
-                        demand_entries=None,
-                        name: str = "general") -> Model:
-    """Shared core for the one-shot model and the per-round models.
+@dataclass(frozen=True)
+class Carry:
+    """What earlier rounds of a horizon-decomposed solve hand to the next.
 
-    b0 overrides initial buffers ((s,c,n) -> 0/1); delta_q injects prior-round
-    arrivals into buffer rows ((s,c,n,k) -> count); switch_q does the same on
-    switch conservation rows. demand_entries restricts which (s,c,d) triples
-    get read variables (residual demand in round mode).
+    arrivals: (s, c, n, k) -> copies of chunk (s, c) that land at node n,
+    usable from epoch k. At k = 0 on a buffering node these are the copies
+    held when the round starts.
+    link_load: (i, j, k) -> chunks the previous round put into the
+    kappa-epoch window of edge (i, j) that ends at this round's epoch k.
+    """
+
+    arrivals: dict
+    link_load: dict = field(default_factory=dict)
+
+    @classmethod
+    def at_sources(cls, d: Demand) -> "Carry":
+        """Every source holds its own chunks at epoch 0."""
+        return cls({(s, c, s, 0): 1 for s, c in d.commodities})
+
+
+def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOptions,
+                        carry: Carry | None = None) -> Model:
+    """The time-expanded model behind the one-shot solve and every A* round.
+
+    With carry None it is the one-shot model: sources hold their chunks at
+    epoch 0, every demanded chunk must be delivered by the last epoch, and
+    no-copy switches take no arrival they could not forward. With a carry it
+    is one round: buffers and switches receive the carried arrivals, link
+    windows start with the carried load, and delivery is rewarded but not
+    forced.
     """
     require_valid(t)
     check_demand_nodes(d, t)
@@ -108,14 +125,17 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     edges = t_eff.edges
 
     commodities = d.commodities
-    entries = set(demand_entries if demand_entries is not None else d.entries)
+    one_shot = carry is None
+    carry = carry or Carry.at_sources(d)
+    arrivals = carry.arrivals
+    entries = set(d.entries)
     dests = {}
     for s, c, dst in entries:
         dests.setdefault((s, c), []).append(dst)
     for key in dests:
         dests[key].sort(key=str)
 
-    m = Model(name)
+    m = Model()
     # What extraction reads: schedule.trace_required_flows and delivery_epochs.
     m.meta.update({"eff_topology": t_eff, "delta": delta, "opts": opts, "entries": entries})
 
@@ -123,24 +143,21 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
 
     # Earliest epoch each chunk could be forwarded from each node; flows,
     # buffers, and reads before that are fixed to zero up front, which trims
-    # the search space considerably on multi-chassis horizons.
+    # the search space considerably on multi-chassis horizons. One walk per
+    # distinct set of starting holdings: once per source in a one-shot model.
+    seeds: dict[tuple, dict] = {}
+    for (s, c, n, k), v in arrivals.items():
+        if v:
+            held = seeds.setdefault((s, c), {})
+            held[n] = min(held.get(n, k), k)
+    walks: dict[frozenset, dict] = {}
     reach: dict[tuple, dict] = {}
-    single_source_cache: dict = {}
     for s, c in commodities:
-        if b0 is None and not switch_q and not delta_q:
-            if s not in single_source_cache:
-                single_source_cache[s] = _earliest_send(t_eff, delta, {s: 0})
-            reach[(s, c)] = single_source_cache[s]
-        else:
-            seeds: dict = {}
-            for n in t_eff.nodes:
-                if (b0 or {}).get((s, c, n), 0):
-                    seeds[n] = 0
-                for k in range(K + 1):
-                    if (delta_q or {}).get((s, c, n, k), 0) or \
-                            (switch_q or {}).get((s, c, n, k), 0):
-                        seeds[n] = min(seeds.get(n, k), k)
-            reach[(s, c)] = _earliest_send(t_eff, delta, seeds)
+        start = seeds.get((s, c), {})
+        key = frozenset(start.items())
+        if key not in walks:
+            walks[key] = _earliest_send(t_eff, delta, start)
+        reach[(s, c)] = walks[key]
 
     # Variables. Buffers and reads stay continuous: integrality propagates
     # from the binary flows through the equalities that define them.
@@ -157,16 +174,13 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
             for k in range(K + 1):
                 idx = m.add_var("B", (s, c, n, k))
                 if k == 0:
-                    if b0 is not None:
-                        m.fix(idx, float(b0.get((s, c, n), 0.0)))
-                    else:
-                        m.fix(idx, 1.0 if n == s else 0.0)
+                    m.fix(idx, float(arrivals.get((s, c, n, 0), 0)))
                 elif k < es[n]:
                     m.fix(idx, 0.0)
         for dst in dests.get((s, c), ()):
             for k in range(K):
                 idx = m.add_var("R", (s, c, dst, k), lb=0.0, ub=1.0)
-                if final_delivery and k == kk:
+                if one_shot and k == kk:
                     m.fix(idx, 1.0)
                 elif k + 1 < es[dst]:
                     m.fix(idx, 0.0)
@@ -186,7 +200,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
             lo = max(0, k - w + 1)
             coeffs = [(m.var("F", s, c, e.src, e.dst, k2), 1.0)
                       for s, c in commodities for k2 in range(lo, k + 1)]
-            m.add_le(coeffs, timing.budget[pair][k])
+            m.add_le(coeffs, timing.budget[pair][k] - carry.link_load.get((*pair, k), 0))
 
     # Conservation with copy: what a node holds at the start of an epoch plus
     # what lands during it bounds each outgoing flow of the next epoch.
@@ -203,9 +217,9 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                         k_in = k_out - 1 - delta[(e.src, e.dst)]
                         if k_in >= 0:
                             coeffs.append((m.var("F", s, c, e.src, e.dst, k_in), -1.0))
-                    rhs += float((switch_q or {}).get((s, c, n, k_out), 0.0))
+                    rhs += float(arrivals.get((s, c, n, k_out), 0))
                     m.add_eq(coeffs, rhs)
-                if switch_q is None:
+                if one_shot:
                     # Arrivals in the final epochs could never leave again.
                     for e in in_edges:
                         dlt = delta[(e.src, e.dst)]
@@ -219,11 +233,11 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                     rhs = 0.0
                     if not is_switch(n):
                         coeffs.append((m.var("B", s, c, n, max(k_out - 1, 0)), 1.0))
-                        # Prior-round arrivals landing at the start of k_out are
-                        # forwardable during it, like any in-round arrival.
-                        rhs -= float((delta_q or {}).get((s, c, n, k_out), 0.0))
-                    else:
-                        rhs -= float((switch_q or {}).get((s, c, n, k_out), 0.0))
+                    if k_out >= 1 or is_switch(n):
+                        # Carried arrivals usable from k_out are forwardable
+                        # during it, like any in-round arrival; a buffer's
+                        # epoch-0 arrivals are already in B[0].
+                        rhs -= float(arrivals.get((s, c, n, k_out), 0))
                     if k_out >= 1:
                         for e in in_edges:
                             k_in = k_out - 1 - delta[(e.src, e.dst)]
@@ -248,8 +262,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                     k_in = (k - 1) - delta[(e.src, e.dst)]
                     if k_in >= 0:
                         coeffs.append((m.var("F", s, c, e.src, e.dst, k_in), -1.0))
-                rhs = float((delta_q or {}).get((s, c, n, k), 0.0))
-                m.add_eq(coeffs, rhs)
+                m.add_eq(coeffs, float(arrivals.get((s, c, n, k), 0)))
 
     # Destination reads: R is capped by demand (declared R vars only) and by
     # what the buffer holds at the next boundary; monotone so a read is never

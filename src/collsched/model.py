@@ -19,8 +19,7 @@ class Model:
     maximize.
     """
 
-    def __init__(self, name: str = "model"):
-        self.name = name
+    def __init__(self):
         self.kinds: list[str] = []
         self.lb: list[float] = []
         self.ub: list[float] = []

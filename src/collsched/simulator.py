@@ -29,12 +29,12 @@ from .schedule import Schedule
 from .topology import Topology, hyper_edge_transform, require_valid
 
 WHOLE = 1.0 - 1e-9
+TOL = 1e-6  # slack on capacities, fractions and delivered mass
 
 
 @dataclass(frozen=True)
 class SimOptions:
     switch_mode: str = COPY
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.switch_mode not in (COPY, NO_COPY, HYPER_EDGE):
@@ -97,7 +97,6 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
     hyper_groups = {}
     if opts.switch_mode == HYPER_EDGE:
         t_eff, hyper_groups = hyper_edge_transform(t)
-    tol = opts.tolerance
 
     tau = _frac(sched.tau)
     if tau <= 0:
@@ -112,7 +111,7 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
             raise ScheduleError(f"event references unknown edge ({ev.src!r},{ev.dst!r})")
         if ev.epoch < 0:
             raise ScheduleError(f"event at negative epoch {ev.epoch}")
-        if not (0.0 < ev.fraction <= 1.0 + tol):
+        if not (0.0 < ev.fraction <= 1.0 + TOL):
             raise ScheduleError(f"event fraction {ev.fraction} outside (0, 1]")
 
     commodities = {(s, c) for s, c, _ in d.entries}
@@ -127,12 +126,12 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
         arr = ev.epoch + delta[(ev.src, ev.dst)]
         scheduled.arrive(ev.source, ev.chunk, ev.dst, arr, ev.fraction)
 
-    _check_capacity(events, caps, kap, tol, violations)
-    _check_switch_rest(scheduled.sw_arrivals, opts, tol, violations)
-    _check_hyper_budgets(events, hyper_groups, tol, violations)
+    _check_capacity(events, caps, kap, TOL, violations)
+    _check_switch_rest(scheduled.sw_arrivals, opts, TOL, violations)
+    _check_hyper_budgets(events, hyper_groups, TOL, violations)
 
     deliveries = _execute(events, _Holdings(t_eff, commodities, opts), delta, kap,
-                          _window_limits(caps, kap, tol), entry_index)
+                          _window_limits(caps, kap, TOL), entry_index)
 
     per_entry: dict[tuple, int] = {}
     for (s, c, dst) in sorted(entry_index, key=str):
@@ -141,7 +140,7 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
         done = None
         for arr, qty in got:
             acc += qty
-            if acc >= 1.0 - tol:
+            if acc >= 1.0 - TOL:
                 done = arr
                 break
         if done is None:
@@ -199,7 +198,6 @@ class _Holdings:
     def __init__(self, t_eff: Topology, commodities, opts: SimOptions):
         self.t_eff = t_eff
         self.switch_mode = opts.switch_mode
-        self.tol = opts.tolerance
         self.copy_from: dict[tuple, int] = {(s, c, s): 0 for s, c in commodities}
         self.frac_pool: dict[tuple, list[list]] = {}
         self.sw_arrivals: dict[tuple, list[dict]] = {}
@@ -222,7 +220,6 @@ class _Holdings:
         With `commit` false nothing is deducted; the result still says
         whether the draw would succeed.
         """
-        tol = self.tol
         if self.t_eff.is_switch(node):
             records = [r for r in self.sw_arrivals.get((s, c, node), ()) if r["usable"] == k]
             if self.switch_mode != NO_COPY:
@@ -234,27 +231,27 @@ class _Holdings:
             remaining = qty
             for r in records:
                 free = r["qty"] - r["used"]
-                if free > tol:
+                if free > TOL:
                     take = min(free, remaining)
                     if commit:
                         r["used"] += take
                     remaining -= take
-                    if remaining <= tol:
+                    if remaining <= TOL:
                         return True
-            return remaining <= tol
+            return remaining <= TOL
         ready = self.copy_from.get((s, c, node))
         if ready is not None and ready <= k:
             return True
         remaining = qty
         for rec in self.frac_pool.get((s, c, node), ()):
-            if rec[0] <= k and rec[1] > tol:
+            if rec[0] <= k and rec[1] > TOL:
                 take = min(rec[1], remaining)
                 if commit:
                     rec[1] -= take
                 remaining -= take
-                if remaining <= tol:
+                if remaining <= TOL:
                     return True
-        return remaining <= tol
+        return remaining <= TOL
 
     def next_usable(self, s, c, node, k) -> int | None:
         """First epoch after k at which an arrival already registered makes

@@ -31,7 +31,6 @@ _GAP_EPS = 1e-9
 class SolverOptions:
     time_limit: float = 300.0
     relative_gap: float = 0.0  # early-stop when the primal-dual gap falls below
-    verbosity: int = 0
     backend: str | None = None  # None: $COLLSCHED_SOLVER or "highs"
 
     def __post_init__(self):
@@ -82,8 +81,7 @@ def _backend_name(opts: SolverOptions) -> str:
     return opts.backend or os.environ.get(ENV_BACKEND, "highs")
 
 
-def solve(m: Model, opts: SolverOptions | None = None,
-          relax_integrality: bool = False) -> Solution:
+def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     """Solve the model; integer variables come back integral within 1e-6.
 
     HiGHS runs single-threaded here, so results are deterministic for a fixed
@@ -99,10 +97,9 @@ def solve(m: Model, opts: SolverOptions | None = None,
     for idx, coef in m.objective.items():
         c[idx] = -coef  # maximize
     integrality = np.zeros(m.num_vars, dtype=np.uint8)
-    if not relax_integrality:
-        for i, kind in enumerate(m.kinds):
-            if kind in (BINARY, INTEGER):
-                integrality[i] = 1
+    for i, kind in enumerate(m.kinds):
+        if kind in (BINARY, INTEGER):
+            integrality[i] = 1
     lb = np.array(m.lb, dtype=float)
     ub = np.array([np.inf if b is INF or b == INF else b for b in m.ub], dtype=float)
     constraints = None
@@ -120,7 +117,6 @@ def solve(m: Model, opts: SolverOptions | None = None,
     options = {
         "time_limit": float(opts.time_limit),
         "mip_rel_gap": float(opts.relative_gap),
-        "disp": opts.verbosity > 1,
     }
     start = time.perf_counter()
     res = milp(c=c, integrality=integrality, bounds=Bounds(lb, ub),

@@ -1,17 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collsched.astar import (DistanceTable, astar_solve, build_round_model,
                              floyd_warshall_alpha, initial_state,
                              max_future_epochs, round_distance_table)
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig
-from collsched.errors import ValidationError
-from collsched.milp import ModelOptions
+from collsched.errors import RoundLimitError, SolverBackendError, ValidationError
+from collsched.milp import COPY, HYPER_EDGE, NO_COPY, Carry, ModelOptions
 from collsched.simulator import SimOptions, simulate
 from collsched.solver import solve
-from collsched.topology import line, ring, star
+from collsched.topology import Edge, Topology, line, ring, star
 
 
 class TestFloydWarshall:
@@ -73,7 +74,7 @@ class TestRoundModel:
         d = Demand(frozenset({(0, 0, 1)}), 1, 1)
         cfg = EpochConfig(1.0, 2)
         state = initial_state(d)
-        state = state.__class__(1, frozenset(), {(0, 0, 0, 0): 1},
+        state = state.__class__(1, frozenset(), Carry({(0, 0, 0, 0): 1}),
                                 demand_proto=d)
         m = build_round_model(t, state, cfg, round_distance_table(t, cfg))
         sol = solve(m, solver_opts)
@@ -122,14 +123,6 @@ class TestAstarSolve:
         with pytest.raises(ValidationError, match="unreachable"):
             astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
 
-    def test_strict_demand_update_matches_default(self, solver_opts):
-        t = ring(6)
-        d = generate_demand("allgather", t, 1, 1)
-        a = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
-        b = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts,
-                        strict_appendix_d=True)
-        assert a.completion_epoch == b.completion_epoch
-
     def test_residual_demand_never_grows(self, solver_opts):
         from collsched.astar import advance_state
         from collsched.astar import build_round_model as brm
@@ -138,14 +131,14 @@ class TestAstarSolve:
         d = generate_demand("allgather", t, 1, 1)
         cfg = EpochConfig(1.0, 3)
         fw = round_distance_table(t, cfg)
-        max_kp = link_timing(t, cfg).max_delta
+        timing = link_timing(t, cfg)
         state = initial_state(d)
         sizes = [len(state.residual)]
         for _ in range(12):
             if not state.residual:
                 break
             sol = solve(brm(t, state, cfg, fw), solver_opts)
-            state = advance_state(state, sol, t, cfg, max_kp)
+            state = advance_state(state, sol, t, cfg, timing)
             sizes.append(len(state.residual))
         assert sizes[-1] == 0
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))
@@ -160,6 +153,17 @@ class TestAstarSolve:
         rep = simulate(sched, t, d, SimOptions())
         assert rep.violations == []
         assert rep.completion_epoch == sched.completion_epoch
+
+    def test_round_boundary_keeps_slow_link_windows(self, solver_opts):
+        # (0,1) holds a chunk for 3 epochs, so a send in a round's last epoch
+        # still fills the link's window in the next round's first two.
+        t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 1 / 3), Edge(1, 0, 1 / 3),
+                                              Edge(1, 2, 1.0), Edge(2, 1, 1.0)))
+        d = generate_demand("alltoall", t, 1, 1)
+        sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
+        rep = simulate(sched, t, d, SimOptions())
+        assert rep.violations == []
+        assert rep.completion_epoch == sched.completion_epoch == 8
 
     def test_never_beats_one_shot_optimum(self, solver_opts):
         from collsched.milp import build_general_model
@@ -185,3 +189,42 @@ def test_max_future_epochs():
     t = line(3, alpha=2.5)
     assert max_future_epochs(t, EpochConfig(1.0, 4)) == 3
     assert max_future_epochs(line(3, alpha=0.0), EpochConfig(1.0, 4)) == 0
+
+
+@st.composite
+def _astar_inputs(draw):
+    """A small line, ring or star (around a switch) with per-edge capacities
+    of 2 to 1/3 chunks per epoch and alphas of 0 to 2 epochs, a collective on
+    it, a switch mode, and epochs per round no fewer than the largest delay."""
+    shape = draw(st.sampled_from(["line", "ring", "star"]))
+    n = draw(st.integers(3 if shape == "ring" else 2, 4))
+
+    def link(i, j):
+        return Edge(i, j, draw(st.sampled_from([2.0, 1.0, 0.5, 1 / 3])),
+                    draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+
+    if shape == "star":
+        nodes, switches = tuple(range(n)) + ("h",), frozenset({"h"})
+        pairs = [(i, "h") for i in range(n)]
+    else:
+        nodes, switches = tuple(range(n)), frozenset()
+        pairs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * (shape == "ring")
+    t = Topology(nodes, switches, tuple(e for i, j in pairs for e in (link(i, j), link(j, i))))
+    d = generate_demand(draw(st.sampled_from(["allgather", "alltoall"])), t,
+                        draw(st.integers(1, 2)))
+    opts = ModelOptions(switch_mode=draw(st.sampled_from([COPY, NO_COPY, HYPER_EDGE])))
+    k = max(draw(st.integers(1, 4)), max_future_epochs(t, EpochConfig(1.0, 1), opts))
+    return t, d, opts, EpochConfig(1.0, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_astar_inputs())
+def test_returned_schedules_replay_as_claimed(case):
+    t, d, opts, cfg = case
+    try:
+        sched = astar_solve(t, d, cfg, opts=opts)
+    except (RoundLimitError, SolverBackendError):
+        return  # no schedule came back, so nothing is claimed
+    rep = simulate(sched, t, d, SimOptions(opts.switch_mode))
+    assert rep.violations == []
+    assert rep.completion_epoch == sched.completion_epoch

@@ -9,7 +9,7 @@ from collsched.solver import (INFEASIBLE, OPTIMAL, SolverOptions,
 
 
 def test_trivial_binary_max(solver_opts):
-    m = Model("t")
+    m = Model()
     x = m.add_var("x", (0,), BINARY)
     m.add_le([(x, 1.0)], 1.0)
     m.add_objective_term(x, 1.0)
@@ -20,7 +20,7 @@ def test_trivial_binary_max(solver_opts):
 
 
 def test_contradiction_is_infeasible(solver_opts):
-    m = Model("t")
+    m = Model()
     x = m.add_var("x", (0,))
     m.add_ge([(x, 1.0)], 1.0)
     m.add_le([(x, 1.0)], 0.0)
@@ -30,7 +30,7 @@ def test_contradiction_is_infeasible(solver_opts):
 
 
 def test_integrality_of_integer_vars(solver_opts):
-    m = Model("t")
+    m = Model()
     x = m.add_var("x", (0,), BINARY)
     y = m.add_var("y", (0,), lb=0.0, ub=10.0)
     m.add_le([(x, 3.0), (y, 2.0)], 7.5)
@@ -89,7 +89,7 @@ def test_gap_honesty(star3, solver_opts):
 
 
 def test_unknown_backend_rejected():
-    m = Model("t")
+    m = Model()
     m.add_var("x", (0,))
     with pytest.raises(SolverBackendError):
         solve(m, SolverOptions(backend="torchlp"))

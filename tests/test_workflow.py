@@ -1,7 +1,7 @@
 import pytest
 
 from collsched.demand import generate_demand
-from collsched.topology import dgx1
+from collsched.topology import dgx1, ndv2
 from collsched.workflow import synthesize
 
 
@@ -23,3 +23,14 @@ def test_sub_chunk_epochs_replay_clean(dgx1_odd_chunks, method, kwargs, completi
     result = synthesize(t, d, method, epoch_mode="slowest", time_limit=120.0, **kwargs)
     assert result.report.ok
     assert result.report.completion_epoch == result.schedule.completion_epoch == completion
+
+
+def test_astar_rounds_respect_windows_of_sub_chunk_links():
+    # The 25 GB/s NVLinks and 12.5 GB/s switch links hold a 1 MiB chunk for
+    # two and four of the fastest link's epochs, so a round's last sends on
+    # them still fill their windows at the start of the next round.
+    t = ndv2(chassis=2)
+    d = generate_demand("allgather", t, 1, 1 << 20)
+    result = synthesize(t, d, "astar", switch_mode="hyper-edge", time_limit=120.0)
+    assert result.report.ok
+    assert result.report.completion_epoch == result.schedule.completion_epoch
