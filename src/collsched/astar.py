@@ -20,56 +20,27 @@ from .milp import Carry, ModelOptions, build_time_expanded, model_topology
 from .model import Model
 from .schedule import Schedule, schedule_from_flows
 from .solver import SolverOptions, solve
-from .topology import NodeId, Topology, require_valid
+from .topology import NodeId, Topology, require_valid, shortest_distances
 
 
-@dataclass(frozen=True)
-class DistanceTable:
-    """All-pairs shortest distances; dist[s][d] in the weights' units."""
-
-    nodes: tuple[NodeId, ...]
-    dist: dict
-
-    def __getitem__(self, pair):
-        return self.dist[pair[0]][pair[1]]
-
-
-def _all_pairs(t: Topology, weight) -> DistanceTable:
-    nodes = t.nodes
-    dist = {a: {b: (0.0 if a == b else math.inf) for b in nodes} for a in nodes}
-    for e in t.edges:
-        w = weight(e)
-        if w < dist[e.src][e.dst]:
-            dist[e.src][e.dst] = w
-    for mid in nodes:
-        dmid = dist[mid]
-        for a in nodes:
-            da = dist[a]
-            through = da[mid]
-            if through == math.inf:
-                continue
-            for b in nodes:
-                alt = through + dmid[b]
-                if alt < da[b]:
-                    da[b] = alt
-    return DistanceTable(nodes, dist)
-
-
-def floyd_warshall_alpha(t: Topology) -> DistanceTable:
-    """Shortest latency (seconds) between all node pairs over edge alphas."""
+def floyd_warshall_alpha(t: Topology) -> dict:
+    """Shortest latency (seconds) between all node pairs over edge alphas,
+    as {(a, b): seconds}."""
     require_valid(t)
-    return _all_pairs(t, lambda e: e.alpha)
+    hop = lambda e: e.alpha
+    return {(a, b): w for a in t.nodes for b, w in shortest_distances(t, hop, {a: 0.0}).items()}
 
 
-def round_distance_table(t: Topology, cfg: EpochConfig) -> DistanceTable:
-    """Distance used to weight round progress, in epochs.
+def round_distance_table(t: Topology, cfg: EpochConfig) -> dict:
+    """Distance used to weight round progress, in epochs, as {(a, b): epochs}.
 
     Every hop costs at least one epoch of transmission on top of its latency,
     so the weight is 1 + alpha/tau per edge. A pure-alpha table would be flat
     on zero-latency fixtures and give the solver no reason to move chunks.
     """
     require_valid(t)
-    return _all_pairs(t, lambda e: 1.0 + e.alpha / cfg.tau)
+    hop = lambda e: 1.0 + e.alpha / cfg.tau
+    return {(a, b): w for a in t.nodes for b, w in shortest_distances(t, hop, {a: 0.0}).items()}
 
 
 @dataclass
@@ -80,7 +51,7 @@ class RoundState:
     round_index: int
     residual: frozenset  # demanded (s, c, d) entries still unmet
     carry: Carry
-    demand_proto: Demand | None = None  # chunk-id space and chunk size
+    demand_proto: Demand  # chunk-id space and chunk size
 
 
 def max_future_epochs(t: Topology, cfg: EpochConfig, opts: ModelOptions | None = None) -> int:
@@ -90,7 +61,7 @@ def max_future_epochs(t: Topology, cfg: EpochConfig, opts: ModelOptions | None =
 
 
 def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
-                      fw: DistanceTable, gamma: float = 0.5,
+                      fw: dict, gamma: float = 0.5,
                       opts: ModelOptions | None = None) -> Model:
     """One round: the general model seeded with the state's carry, plus
     look-ahead accounting (Q), progress counters (P), and the distance reward.
@@ -111,7 +82,11 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     commodities = dem.commodities
     kk = cfg.K - 1
 
-    m = build_time_expanded(t, dem, cfg, opts, state.carry)
+    # The round sees each capacity override at its own epochs, k0 on.
+    k0 = state.round_index * cfg.K
+    shifted = {(i, j, k - k0): c for (i, j, k), c in t.capacity_overrides.items() if k >= k0}
+    m = build_time_expanded(Topology(t.nodes, t.switches, t.edges, shifted), dem, cfg, opts,
+                            state.carry)
 
     # Look-ahead: what sits in each buffer at the start of the next round's
     # epoch k'. k'=0 is the terminal buffer itself; switches only ever hold
@@ -170,8 +145,6 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
 
 
 def state_demand(state: RoundState) -> Demand:
-    if state.demand_proto is None:
-        raise ValidationError("round state missing demand prototype")
     return Demand(frozenset(state.residual), state.demand_proto.chunk_count,
                   state.demand_proto.chunk_size)
 
@@ -209,7 +182,7 @@ def advance_state(state: RoundState, sol, t_eff: Topology, cfg: EpochConfig,
 def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
                 max_rounds: int = 64, *, opts: ModelOptions | None = None,
                 solver_opts: SolverOptions | None = None,
-                fw: DistanceTable | None = None) -> Schedule:
+                fw: dict | None = None) -> Schedule:
     """Solve round after round until every demand entry is met, then stitch
     the per-round flows into one schedule on the global epoch axis."""
     require_valid(t)
@@ -224,12 +197,9 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
 
     state = initial_state(d)
     flows: dict = {}
-    rounds_used = 0
     while state.residual:
         if state.round_index >= max_rounds:
-            raise RoundLimitError(
-                f"residual demand after {max_rounds} rounds", list(flows),
-                len(state.residual))
+            raise RoundLimitError(f"residual demand after {max_rounds} rounds")
         m = build_round_model(t, state, cfg, fw, gamma, opts)
         sol = solve(m, solver_opts)
         if not sol.feasible:
@@ -237,17 +207,15 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
         offset = state.round_index * cfg.K
         for (s, c, i, j, k), v in sol.family_values("F", 0.5).items():
             flows[(s, c, i, j, offset + k)] = 1.0
-        prev_residual = state.residual
+        prev = state
         state = advance_state(state, sol, t_eff, cfg, timing)
-        rounds_used = state.round_index
-        if state.residual == prev_residual and not sol.family_values("F", 0.5):
-            raise RoundLimitError(
-                f"no progress in round {state.round_index - 1}", list(flows),
-                len(state.residual))
+        # A round that changes neither hands the next one its own state.
+        if state.residual == prev.residual and state.carry == prev.carry:
+            raise RoundLimitError(f"no progress in round {prev.round_index}")
 
     meta = {"eff_topology": t_eff, "delta": timing.delta, "opts": opts,
             "entries": set(d.entries)}
-    horizon = max(1, rounds_used * cfg.K)
+    horizon = max(1, state.round_index * cfg.K)
     sched = schedule_from_flows(flows, meta, cfg.with_horizon(horizon), d.chunk_size)
-    sched.meta.update({"rounds": rounds_used, "epochs_per_round": cfg.K, "gamma": gamma})
+    sched.meta.update({"rounds": state.round_index, "epochs_per_round": cfg.K, "gamma": gamma})
     return sched

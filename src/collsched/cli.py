@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max-rounds", type=int, default=64)
     g.add_argument("--out", default=None, help="schedule JSON path")
     g.add_argument("--steps-out", default=None, help="also emit a step-list export")
-    g.add_argument("--dump-model", default=None, help="write the model in LP format")
+    g.add_argument("--dump-model", default=None,
+                   help="write the model in LP format (milp and lp only)")
     g.set_defaults(func=cmd_solve)
 
     g = sub.add_parser(

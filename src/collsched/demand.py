@@ -36,9 +36,6 @@ class Demand:
         """Demanded (source, chunk) pairs, sorted for determinism."""
         return sorted({(s, c) for s, c, _ in self.entries}, key=lambda x: (str(x[0]), x[1]))
 
-    def wanted_by(self, d: NodeId) -> list[tuple[NodeId, int]]:
-        return sorted(((s, c) for s, c, d2 in self.entries if d2 == d), key=str)
-
     def total_bytes(self) -> int:
         return len(self.entries) * self.chunk_size
 

@@ -39,12 +39,5 @@ class ScheduleError(CollschedError):
 
 
 class RoundLimitError(CollschedError):
-    """Round-decomposed solve ran out of rounds with demand left over.
-
-    Carries the partial schedule accumulated so far.
-    """
-
-    def __init__(self, message: str, partial_events, residual_count: int):
-        super().__init__(message)
-        self.partial_events = partial_events
-        self.residual_count = residual_count
+    """Round-decomposed solve ran out of rounds, or stopped progressing, with
+    demand left over."""

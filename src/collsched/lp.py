@@ -153,42 +153,26 @@ def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
                          cfg: EpochConfig) -> Schedule:
     """Decompose per-source link rates into per-chunk fractional path events.
 
-    Works backward from each read through the time-expanded flow, preferring
-    mass that arrived earliest and breaking ties by lowest node id, so the
-    emitted schedule is deterministic. Every demanded chunk's fractions sum
-    to 1; residue above tolerance means the solution is corrupt.
+    Reads F, B and Rd once. Each demanded chunk peels paths (`_peel`) from
+    its pair's earliest unconsumed reads until its fractions sum to 1; the
+    fractions of one (source, chunk, edge, epoch) are summed as peeled, so
+    the schedule is deterministic. Residue above tolerance means the solution
+    is corrupt.
     """
     if not sol.feasible:
         raise ValidationError(f"cannot schedule a solution with status {sol.status}")
     delta = sol.model.meta["delta"]
-    K = cfg.K
-    events: list[ScheduleEvent] = []
-
-    sources = sol.model.meta["sources"]
+    fres, bres, rres = (_above_tol(sol, family) for family in ("F", "B", "Rd"))
     by_pair: dict[tuple, list[int]] = {}
     for s, c, dst in sorted(d.entries, key=lambda e: (str(e[0]), e[1], str(e[2]))):
         by_pair.setdefault((s, dst), []).append(c)
 
-    for s in sources:
-        fres = {}
-        for (s2, i, j, k), v in sol.model.family_items("F"):
-            if s2 == s:
-                val = float(sol.x[v])
-                if val > TOL:
-                    fres[(i, j, k)] = val
-        bres = {}
-        for (s2, n, k), v in sol.model.family_items("B"):
-            if s2 == s:
-                val = float(sol.x[v])
-                if val > TOL:
-                    bres[(n, k)] = val
-        rres = {}
-        for (s2, dst, k), v in sol.model.family_items("Rd"):
-            if s2 == s:
-                val = float(sol.x[v])
-                if val > TOL:
-                    rres[(dst, k)] = val
-
+    fractions: dict[tuple, float] = {}
+    for s in sol.model.meta["sources"]:
+        flows, held, reads = fres.get(s, {}), bres.get(s, {}), rres.get(s, {})
+        arriving: dict[tuple, list] = {}  # (node, arrival epoch) -> sends, lowest sender first
+        for i, j, k in sorted(flows, key=lambda f: (str(f[0]), f[2])):
+            arriving.setdefault((j, k + delta[(i, j)]), []).append((i, j, k))
         for (s2, dst), chunk_ids in sorted(by_pair.items(), key=str):
             if s2 != s:
                 continue
@@ -199,99 +183,72 @@ def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
                     guard += 1
                     if guard > 10000:
                         raise ConservationError("path peeling did not converge")
-                    k_read = _earliest_read(rres, dst, K)
+                    k_read = next((k for k in range(cfg.K) if (dst, k) in reads), None)
                     if k_read is None:
                         raise ConservationError(
                             f"conservation residue: chunk {c} of {s!r} short by {need:.2e} at {dst!r}")
-                    got, path_events = _peel(s, dst, k_read, min(need, rres[(dst, k_read)]),
-                                             fres, bres, delta)
+                    got, path = _peel(s, dst, k_read, min(need, reads[(dst, k_read)]),
+                                      flows, held, arriving)
                     if got <= TOL:
                         raise ConservationError(
                             f"conservation residue: no backing path for read at epoch {k_read}")
-                    rres[(dst, k_read)] -= got
-                    if rres[(dst, k_read)] <= TOL:
-                        del rres[(dst, k_read)]
+                    reads[(dst, k_read)] -= got
+                    if reads[(dst, k_read)] <= TOL:
+                        del reads[(dst, k_read)]
                     need -= got
-                    for (i, j, k, frac) in path_events:
-                        events.append(ScheduleEvent(s, c, i, j, k, frac))
-    events.sort(key=lambda e: (e.epoch, str(e.source), str(e.src), str(e.dst), e.chunk))
-    merged = _merge_events(events)
-    comp = lp_completion_epoch(sol)
-    return Schedule(tau=cfg.tau, events=tuple(merged), completion_epoch=comp,
+                    for i, j, k in path:
+                        key = (s, c, i, j, k)
+                        fractions[key] = fractions.get(key, 0.0) + got
+    events = [ScheduleEvent(*key, f) for key, f in sorted(fractions.items(), key=lambda kv: (
+        kv[0][4], str(kv[0][0]), str(kv[0][2]), str(kv[0][3]), kv[0][1]))]
+    return Schedule(tau=cfg.tau, events=tuple(events), completion_epoch=lp_completion_epoch(sol),
                     chunk_size=d.chunk_size)
 
 
-def _earliest_read(rres, dst, K):
-    for k in range(K):
-        if rres.get((dst, k), 0.0) > TOL:
-            return k
-    return None
+def _above_tol(sol: Solution, family: str) -> dict:
+    """source -> {rest of key: value} for the family's values above TOL."""
+    out: dict = {}
+    for (s, *rest), idx in sol.model.family_items(family):
+        val = float(sol.x[idx])
+        if val > TOL:
+            out.setdefault(s, {})[tuple(rest)] = val
+    return out
 
 
-def _peel(s, dst, k_read, amount, fres, bres, delta):
-    """Peel one backward path from a read event to the source's initial pool.
+def _peel(s, dst, k_read, amount, flows, held, arriving):
+    """Trace a read at (dst, k_read) back to the source and take the path's
+    bottleneck off every arc on it.
 
-    Returns (fraction peeled, [(i, j, send_epoch, fraction)]).
+    Pool (n, k), what n has in epoch k, is fed by buffer B[n, k] from pool
+    (n, k - 1) and by sends landing then. The walk takes the buffer while it
+    holds mass, else the first live send in `arriving` (lowest sender id); a
+    send from i at epoch t leaves pool (i, t - 1), or the source at t == 0.
+    Returns (fraction, [(i, j, send epoch)] in path order), or (0, []).
     """
-    # Walk backward through pool states (node, epoch) collecting arcs:
-    # ('carry', n, k): buffer B[n,k] linking pool(n,k-1) -> pool(n,k)
-    # ('flow', i, j, t): link send F[i,j,t] from pool(i,t-1) (or the source
-    # init when t == 0) arriving into pool(j, t + delta).
-    arcs = []
+    arcs = []  # (residual table, key), from the read back to the source
     node, k = dst, k_read
-    while True:
-        if node == s and k == 0:
-            break
-        carry = bres.get((node, k), 0.0)
-        if carry > TOL:
-            arcs.append(("carry", node, k))
+    while not (node == s and k == 0):
+        if (node, k) in held:
+            arcs.append((held, (node, k)))
             k -= 1
             if k < 0:
                 raise ConservationError(f"buffer at {node!r} traces past epoch 0")
             continue
-        found = None
-        for (i, j, t), val in sorted(fres.items(), key=lambda kv: (str(kv[0][1]), str(kv[0][0]), kv[0][2])):
-            if j == node and t + delta[(i, j)] == k and val > TOL:
-                found = (i, j, t)
-                break
-        if found is None:
+        send = next((f for f in arriving.get((node, k), ()) if f in flows), None)
+        if send is None:
             return 0.0, []
-        arcs.append(("flow", *found))
-        i, j, t = found
+        arcs.append((flows, send))
+        i, _, t = send
         if t == 0:
             if i != s:
                 return 0.0, []
             break
         node, k = i, t - 1
-    bottleneck = amount
-    for arc in arcs:
-        if arc[0] == "carry":
-            bottleneck = min(bottleneck, bres[(arc[1], arc[2])])
-        else:
-            bottleneck = min(bottleneck, fres[(arc[1], arc[2], arc[3])])
+    bottleneck = min([amount] + [table[key] for table, key in arcs])
     if bottleneck <= TOL:
         return 0.0, []
-    evs = []
-    for arc in arcs:
-        if arc[0] == "carry":
-            key = (arc[1], arc[2])
-            bres[key] -= bottleneck
-            if bres[key] <= TOL:
-                del bres[key]
-        else:
-            key = (arc[1], arc[2], arc[3])
-            fres[key] -= bottleneck
-            if fres[key] <= TOL:
-                del fres[key]
-            evs.append((arc[1], arc[2], arc[3], bottleneck))
-    return bottleneck, evs
-
-
-def _merge_events(events):
-    merged: dict[tuple, float] = {}
-    for e in events:
-        key = (e.source, e.chunk, e.src, e.dst, e.epoch)
-        merged[key] = merged.get(key, 0.0) + e.fraction
-    return [ScheduleEvent(s, c, i, j, k, f)
-            for (s, c, i, j, k), f in sorted(merged.items(), key=lambda kv: (
-                kv[0][4], str(kv[0][0]), str(kv[0][2]), str(kv[0][3]), kv[0][1]))]
+    for table, key in arcs:
+        table[key] -= bottleneck
+        if table[key] <= TOL:
+            del table[key]
+    return bottleneck, [key for table, key in arcs if table is flows]

@@ -9,14 +9,13 @@ delivery objective that rewards finishing early.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .demand import Demand, check_demand_nodes
 from .epochs import EpochConfig, link_timing
 from .errors import ValidationError
 from .model import BINARY, Model
-from .topology import Topology, hyper_edge_transform, require_valid
+from .topology import Topology, hyper_edge_transform, require_valid, shortest_distances
 
 COPY = "copy"
 NO_COPY = "no-copy"
@@ -50,31 +49,6 @@ def build_general_model(t: Topology, d: Demand, cfg: EpochConfig,
     """The general whole-chunk model; infeasible at too-short horizons."""
     opts = opts or ModelOptions()
     return build_time_expanded(t, d, cfg, opts)
-
-
-def _earliest_send(t_eff: Topology, delta: dict, seeds: dict) -> dict:
-    """Earliest epoch a chunk could be forwarded from each node.
-
-    seeds: node -> epoch at which the chunk is first sendable there. One hop
-    over edge e costs delta(e) + 1 epochs. Unreachable nodes map to a large
-    sentinel, which fixes their flow variables to zero.
-    """
-    dist = {n: float("inf") for n in t_eff.nodes}
-    heap = []
-    for n, k0 in seeds.items():
-        if k0 < dist[n]:
-            dist[n] = k0
-            heapq.heappush(heap, (k0, str(n), n))
-    while heap:
-        d0, _, n = heapq.heappop(heap)
-        if d0 > dist[n]:
-            continue
-        for e in t_eff.out_edges(n):
-            alt = d0 + delta[(e.src, e.dst)] + 1
-            if alt < dist[e.dst]:
-                dist[e.dst] = alt
-                heapq.heappush(heap, (alt, str(e.dst), e.dst))
-    return dist
 
 
 @dataclass(frozen=True)
@@ -141,22 +115,24 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
 
     is_switch = t_eff.is_switch  # hyper-edge mode leaves no switches
 
-    # Earliest epoch each chunk could be forwarded from each node; flows,
-    # buffers, and reads before that are fixed to zero up front, which trims
-    # the search space considerably on multi-chassis horizons. One walk per
-    # distinct set of starting holdings: once per source in a one-shot model.
+    # Earliest epoch each chunk could be forwarded from each node (a hop costs
+    # delta + 1 epochs; inf where unreachable); flows, buffers, and reads
+    # before that are fixed to zero up front, which trims the search space
+    # considerably on multi-chassis horizons. One walk per distinct set of
+    # starting holdings: once per source in a one-shot model.
     seeds: dict[tuple, dict] = {}
     for (s, c, n, k), v in arrivals.items():
         if v:
             held = seeds.setdefault((s, c), {})
             held[n] = min(held.get(n, k), k)
+    hop = lambda e: delta[(e.src, e.dst)] + 1
     walks: dict[frozenset, dict] = {}
     reach: dict[tuple, dict] = {}
     for s, c in commodities:
         start = seeds.get((s, c), {})
         key = frozenset(start.items())
         if key not in walks:
-            walks[key] = _earliest_send(t_eff, delta, start)
+            walks[key] = shortest_distances(t_eff, hop, start)
         reach[(s, c)] = walks[key]
 
     # Variables. Buffers and reads stay continuous: integrality propagates

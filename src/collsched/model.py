@@ -6,7 +6,6 @@ import re
 
 CONTINUOUS = "C"
 BINARY = "B"
-INTEGER = "I"
 
 INF = float("inf")
 
@@ -117,13 +116,9 @@ class Model:
             hi_text = "+inf" if hi is INF or hi == INF else str(hi)
             out.append(f" {lo} <= {names[i]} <= {hi_text}")
         binaries = [names[i] for i in range(self.num_vars) if self.kinds[i] == BINARY]
-        integers = [names[i] for i in range(self.num_vars) if self.kinds[i] == INTEGER]
         if binaries:
             out.append("Binaries")
             out.append(" " + " ".join(binaries))
-        if integers:
-            out.append("Generals")
-            out.append(" " + " ".join(integers))
         out.append("End")
         return "\n".join(out) + "\n"
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import HorizonInfeasibleError, SolverBackendError, ValidationError
-from .model import BINARY, INF, INTEGER, Model
+from .model import BINARY, INF, Model
 
 OPTIMAL = "optimal"
 FEASIBLE_GAP = "feasible-gap"
@@ -48,7 +48,6 @@ class Solution:
     objective: float | None = None
     achieved_gap: float = 0.0
     solve_wall_time: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
@@ -74,7 +73,7 @@ class Solution:
         for idx, v in updates.items():
             x[idx] = v
         return Solution(self.status, self.model, x, self.objective,
-                        self.achieved_gap, self.solve_wall_time, dict(self.meta))
+                        self.achieved_gap, self.solve_wall_time)
 
 
 def _backend_name(opts: SolverOptions) -> str:
@@ -98,7 +97,7 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
         c[idx] = -coef  # maximize
     integrality = np.zeros(m.num_vars, dtype=np.uint8)
     for i, kind in enumerate(m.kinds):
-        if kind in (BINARY, INTEGER):
+        if kind == BINARY:
             integrality[i] = 1
     lb = np.array(m.lb, dtype=float)
     ub = np.array([np.inf if b is INF or b == INF else b for b in m.ub], dtype=float)

@@ -7,7 +7,9 @@ bytes/sec reads as chunks/sec.
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -114,6 +116,32 @@ def require_valid(t: Topology) -> None:
     violations = validate_topology(t)
     if violations:
         raise ValidationError("; ".join(violations))
+
+
+def shortest_distances(t: Topology, weight, seeds: dict) -> dict:
+    """Dijkstra from several starting nodes at once.
+
+    weight(e) is the non-negative cost of crossing edge e; seeds maps each
+    starting node to the distance it starts at. Returns every node's
+    distance from the nearest seed, inf where no seed reaches it. Equal
+    distances pop in node-name order.
+    """
+    dist = dict.fromkeys(t.nodes, math.inf)
+    heap = []
+    for n, d0 in seeds.items():
+        if d0 < dist[n]:
+            dist[n] = d0
+            heapq.heappush(heap, (d0, str(n), n))
+    while heap:
+        d0, _, n = heapq.heappop(heap)
+        if d0 > dist[n]:
+            continue
+        for e in t.out_edges(n):
+            alt = d0 + weight(e)
+            if alt < dist[e.dst]:
+                dist[e.dst] = alt
+                heapq.heappush(heap, (alt, str(e.dst), e.dst))
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +354,9 @@ def hyper_edge_transform(t: Topology) -> tuple[Topology, dict[NodeId, HyperEdgeG
     A pair (i, j) becomes an edge when i feeds the switch and the switch feeds
     j and no direct (i, j) edge exists. Crossing pays a single transmission:
     the new edge takes the tighter of the two link capacities and the summed
-    latency. Pairs reachable through several switches are attached to the
+    latency, and at every epoch where either link's capacity is overridden,
+    the tighter of the two capacities then. Direct edges keep their
+    overrides. Pairs reachable through several switches are attached to the
     first switch in node order.
     """
     if not t.switches:
@@ -335,6 +365,7 @@ def hyper_edge_transform(t: Topology) -> tuple[Topology, dict[NodeId, HyperEdgeG
     new_edges: list[Edge] = [e for e in t.edges
                              if e.src not in t.switches and e.dst not in t.switches]
     claimed = {(e.src, e.dst) for e in new_edges}
+    overrides = {key: cap for key, cap in t.capacity_overrides.items() if key[:2] in claimed}
     for sw in sorted(t.switches, key=str):
         ins = [e for e in t.in_edges(sw) if e.src not in t.switches]
         outs = [e for e in t.out_edges(sw) if e.dst not in t.switches]
@@ -351,6 +382,10 @@ def hyper_edge_transform(t: Topology) -> tuple[Topology, dict[NodeId, HyperEdgeG
                     claimed.add((i, j))
                     new_edges.append(Edge(i, j, min(ein.capacity, eout.capacity),
                                           ein.alpha + eout.alpha))
+                    for (a, b, k) in t.capacity_overrides:
+                        if (a, b) in ((i, sw), (sw, j)):
+                            overrides[(i, j, k)] = min(t.capacity_at(ein, k),
+                                                       t.capacity_at(eout, k))
         groups[sw] = HyperEdgeGroup(sw, tuple(pairs), min(len(ins), len(outs)))
     nodes = tuple(n for n in t.nodes if n not in t.switches)
-    return Topology(nodes, frozenset(), tuple(new_edges)), groups
+    return Topology(nodes, frozenset(), tuple(new_edges), overrides), groups

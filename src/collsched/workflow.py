@@ -57,6 +57,8 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
     solver_opts = SolverOptions(time_limit=time_limit, relative_gap=gap)
 
     if method == "astar":
+        if dump_model_path:
+            raise ValidationError("cannot dump the model of an A* solve: it builds one per round")
         kpr = epochs_per_round
         if kpr is None:
             cfg_probe = EpochConfig(tau, 1, d.chunk_size)

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collsched.astar import (DistanceTable, astar_solve, build_round_model,
+from collsched.astar import (astar_solve, build_round_model,
                              floyd_warshall_alpha, initial_state,
                              max_future_epochs, round_distance_table)
 from collsched.demand import Demand, generate_demand
@@ -45,6 +46,25 @@ class TestFloydWarshall:
             for b in t.nodes:
                 for c in t.nodes:
                     assert fw[a, c] <= fw[a, b] + fw[b, c] + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), data=st.data())
+def test_distances_match_floyd_warshall(n, data):
+    # Random directed graphs, some pairs unreachable. Paths are summed in
+    # another order than Floyd-Warshall's, so equal up to rounding.
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda p: p[0] != p[1]), max_size=n * (n - 1)))
+    t = Topology(tuple(range(n)), frozenset(), tuple(
+        Edge(a, b, 1.0, data.draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]))) for a, b in sorted(pairs)))
+    ref = {(a, b): 0.0 if a == b else math.inf for a in t.nodes for b in t.nodes}
+    for e in t.edges:
+        ref[e.src, e.dst] = e.alpha
+    for mid in t.nodes:
+        for a in t.nodes:
+            for b in t.nodes:
+                ref[a, b] = min(ref[a, b], ref[a, mid] + ref[mid, b])
+    assert floyd_warshall_alpha(t) == pytest.approx(ref, rel=1e-12)
 
 
 def test_round_distance_counts_hops_at_zero_alpha():
@@ -165,6 +185,31 @@ class TestAstarSolve:
         assert rep.violations == []
         assert rep.completion_epoch == sched.completion_epoch == 8
 
+    def test_round_waiting_on_a_carried_arrival_is_progress(self, solver_opts):
+        # Round 2's last chunk lands at node 1 usable from epoch 4 = K: the
+        # round places no flow and meets no demand, but its carry changes
+        # (the arrival becomes a held chunk), and round 3 delivers it.
+        t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 1 / 3, 2.0), Edge(1, 0, 1 / 3, 2.0),
+                                              Edge(1, 2, 2.0), Edge(2, 1, 2.0)))
+        d = generate_demand("alltoall", t, 1, 1)
+        sched = astar_solve(t, d, EpochConfig(1.0, 4), solver_opts=solver_opts)
+        rep = simulate(sched, t, d, SimOptions())
+        assert rep.violations == []
+        assert rep.completion_epoch == sched.completion_epoch == 14
+        assert sched.meta["rounds"] == 4
+
+    def test_rounds_see_overrides_at_their_own_epochs(self, solver_opts):
+        # Only global epoch 1 carries 3 chunks; round 1 (epochs 2-3) must not
+        # reuse the override at its local epoch 1.
+        t = Topology((0, 1), frozenset(), (Edge(0, 1, 1.0), Edge(1, 0, 1.0)),
+                     {(0, 1, 1): 3.0})
+        d = Demand(frozenset((0, c, 1) for c in range(8)), 8, 1)
+        sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
+        per_epoch = Counter(e.epoch for e in sched.events)
+        assert per_epoch[1] == 3
+        assert all(n <= 1 for k, n in per_epoch.items() if k != 1)
+        assert sum(per_epoch.values()) == 8
+
     def test_never_beats_one_shot_optimum(self, solver_opts):
         from collsched.milp import build_general_model
         from collsched.solver import min_feasible_horizon
@@ -179,8 +224,7 @@ class TestAstarSolve:
     def test_custom_distance_table_accepted(self, solver_opts):
         t = line(3)
         d = Demand(frozenset({(0, 0, 2)}), 1, 1)
-        flat = DistanceTable(t.nodes, {a: {b: 1.0 * (a != b) for b in t.nodes}
-                                       for a in t.nodes})
+        flat = {(a, b): 1.0 * (a != b) for a in t.nodes for b in t.nodes}
         sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts, fw=flat)
         assert sched.completion_epoch >= 1
 

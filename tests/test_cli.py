@@ -1,0 +1,113 @@
+"""The command-line front end, run in-process on a 4-node ring with an
+all-to-all demand (12 one-chunk entries, finished by epoch 2)."""
+
+import csv
+import json
+
+import pytest
+
+from collsched import cli
+
+
+def _run(capsys, *argv):
+    """Exit code and the JSON document printed on stdout (None if nothing)."""
+    code = cli.main([str(a) for a in argv])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out.strip() else None
+
+
+@pytest.fixture
+def ring4(tmp_path, capsys):
+    topo, dem = tmp_path / "topology.json", tmp_path / "demand.json"
+    assert _run(capsys, "gen-topology", "ring", "--nodes", 4, "--out", topo) == (0, None)
+    assert _run(capsys, "gen-demand", "alltoall", "--topology", topo, "--out", dem) == (0, None)
+    return topo, dem
+
+
+def _solve(capsys, ring4, tmp_path, method, *extra):
+    topo, dem = ring4
+    out = tmp_path / f"{method}.json"
+    code, summary = _run(capsys, "solve", "--topology", topo, "--demand", dem,
+                         "--method", method, "--out", out, *extra)
+    return code, summary, out
+
+
+def test_generators(ring4, tmp_path, capsys):
+    topo, dem = ring4
+    t = json.loads(topo.read_text())
+    assert len(t["nodes"]) == 4 and len(t["edges"]) == 8
+    assert len(json.loads(dem.read_text())["entries"]) == 12
+    merged = tmp_path / "merged.json"
+    assert _run(capsys, "gen-demand", "alltoall", "--topology", topo,
+                "--merge-with", dem, "--out", merged) == (0, None)
+    doc = json.loads(merged.read_text())
+    assert len(doc["entries"]) == 24 and doc["chunk_count"] == 24
+
+
+def test_estimate_epochs(ring4, capsys):
+    topo, dem = ring4
+    code, doc = _run(capsys, "estimate-epochs", "--topology", topo, "--demand", dem)
+    assert code == 0
+    assert doc["tau_sec"] == 1.0
+    assert doc["epochs_upper_bound"] >= 3  # epochs 0..2 are needed
+
+
+@pytest.mark.parametrize("method", ["milp", "lp", "astar"])
+def test_solve_writes_schedule_and_steps(ring4, tmp_path, capsys, method):
+    steps = tmp_path / "steps.json"
+    code, summary, out = _solve(capsys, ring4, tmp_path, method, "--steps-out", steps)
+    assert code == 0
+    assert summary["method"] == method and summary["violations"] == 0
+    assert summary["completion_epoch"] == 2 and summary["events"] == 16
+    sched = json.loads(out.read_text())
+    assert len(sched["events"]) == 16 and sched["meta"]["method"] == method
+    assert json.loads(steps.read_text())["steps"]
+
+
+def test_solve_dumps_milp_model(ring4, tmp_path, capsys):
+    model = tmp_path / "model.lp"
+    code, _, _ = _solve(capsys, ring4, tmp_path, "milp", "--epochs", 3, "--dump-model", model)
+    assert code == 0
+    assert model.read_text().startswith("Maximize")
+
+
+def test_simulate_and_compare(ring4, tmp_path, capsys):
+    topo, dem = ring4
+    _, _, milp = _solve(capsys, ring4, tmp_path, "milp", "--epochs", 3)
+    _, _, lp = _solve(capsys, ring4, tmp_path, "lp", "--epochs", 3)
+    table = tmp_path / "metrics.csv"
+    code, report = _run(capsys, "simulate", "--topology", topo, "--demand", dem,
+                        "--schedule", milp, "--csv", table)
+    assert code == 0
+    assert report["violations"] == [] and report["completion_epoch"] == 2
+    rows = list(csv.reader(table.open()))
+    assert rows[0][0] == "schedule" and rows[1][:3] == [str(milp), "0", "2"]
+    code, doc = _run(capsys, "compare", "--topology", topo, "--demand", dem,
+                     "--schedule", milp, "--against", lp)
+    assert code == 0
+    assert [r["schedule"] for r in doc["comparison"]] == [str(milp), str(lp)]
+    assert all(r["violations"] == 0 for r in doc["comparison"])
+
+
+@pytest.mark.parametrize("method, extra, code, kind", [
+    ("milp", ["--epochs", 1], 2, "infeasible"),
+    ("lp", ["--epochs", 3, "--switch", "hyper-edge"], 4, "validation"),
+    ("astar", ["--dump-model", "model.lp"], 4, "validation"),
+])
+def test_solve_exit_codes(ring4, tmp_path, capsys, method, extra, code, kind):
+    extra = [tmp_path / a if a == "model.lp" else a for a in extra]
+    got, doc, _ = _solve(capsys, ring4, tmp_path, method, *extra)
+    assert got == code
+    assert doc["error"]["type"] == kind and doc["error"]["message"]
+
+
+def test_simulate_flags_an_incomplete_schedule(ring4, tmp_path, capsys):
+    topo, dem = ring4
+    _, _, out = _solve(capsys, ring4, tmp_path, "milp", "--epochs", 3)
+    sched = json.loads(out.read_text())
+    sched["events"] = sched["events"][1:]
+    out.write_text(json.dumps(sched))
+    code, report = _run(capsys, "simulate", "--topology", topo, "--demand", dem,
+                        "--schedule", out)
+    assert code == 4
+    assert "unmet-demand" in {v["kind"] for v in report["violations"]}

@@ -3,7 +3,7 @@ import pytest
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig
 from collsched.errors import ConservationError
-from collsched.lp import build_lp_model, lp_completion_epoch, lp_rates_to_schedule
+from collsched.lp import TOL, build_lp_model, lp_completion_epoch, lp_rates_to_schedule
 from collsched.milp import ModelOptions, build_general_model
 from collsched.simulator import SimOptions, simulate
 from collsched.solver import min_feasible_horizon, solve
@@ -105,3 +105,68 @@ def test_relaxation_dominance_small_rings(n, solver_opts):
         1, 8, solver_opts)
     assert lp_k <= milp_k
     assert lp_k == milp_k  # exact on these fixtures
+
+
+def _reference_rates_to_schedule(sol, d, K):
+    """The decomposition as first written: per source, three scans of the
+    model and a sort of every positive flow at every hop; events merged after
+    a stable sort. Kept as the reference the one-pass version must match."""
+    delta = sol.model.meta["delta"]
+    by_pair = {}
+    for s, c, dst in sorted(d.entries, key=lambda e: (str(e[0]), e[1], str(e[2]))):
+        by_pair.setdefault((s, dst), []).append(c)
+    events = []
+    for s in sol.model.meta["sources"]:
+        res = {}
+        for fam in ("F", "B", "Rd"):
+            res[fam] = {key[1:]: float(sol.x[v]) for key, v in sol.model.family_items(fam)
+                        if key[0] == s and float(sol.x[v]) > TOL}
+        fres, bres, rres = res["F"], res["B"], res["Rd"]
+        for (s2, dst), chunk_ids in sorted(by_pair.items(), key=str):
+            for c in chunk_ids if s2 == s else ():
+                need = 1.0
+                while need > TOL:
+                    k_read = next(k for k in range(K) if rres.get((dst, k), 0.0) > TOL)
+                    arcs, node, k = [], dst, k_read
+                    while not (node == s and k == 0):
+                        if bres.get((node, k), 0.0) > TOL:
+                            arcs.append((bres, (node, k)))
+                            k -= 1
+                            continue
+                        i, j, t = next(f for f, _ in sorted(fres.items(), key=lambda kv: (
+                            str(kv[0][1]), str(kv[0][0]), kv[0][2]))
+                            if f[1] == node and f[2] + delta[(f[0], f[1])] == k)
+                        arcs.append((fres, (i, j, t)))
+                        if t == 0:
+                            break
+                        node, k = i, t - 1
+                    got = min(need, rres[(dst, k_read)])
+                    for table, key in arcs:
+                        got = min(got, table[key])
+                    for table, key in arcs + [(rres, (dst, k_read))]:
+                        table[key] -= got
+                        if table[key] <= TOL:
+                            del table[key]
+                    need -= got
+                    events += [(s, c, *key, got) for table, key in arcs if table is fres]
+    events.sort(key=lambda e: (e[4], str(e[0]), str(e[2]), str(e[3]), e[1]))
+    merged = {}
+    for *key, frac in events:
+        merged[tuple(key)] = merged.get(tuple(key), 0.0) + frac
+    return sorted(((*key, f) for key, f in merged.items()),
+                  key=lambda e: (e[4], str(e[0]), str(e[2]), str(e[3]), e[1]))
+
+
+@pytest.mark.parametrize("t, kind, chunks", [
+    (ring(6), "alltoall", 1),
+    (ring(4), "alltoall", 2),
+    (ring(4), "allgather", 1),
+    (line(4, capacity=0.5, alpha=1.0), "alltoall", 1),
+])
+def test_decomposition_matches_reference(t, kind, chunks, solver_opts):
+    d = generate_demand(kind, t, chunks, 1)
+    builder = lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions())
+    k, sol = min_feasible_horizon(builder, 1, 16, solver_opts)
+    sched = lp_rates_to_schedule(sol, t, d, EpochConfig(1.0, k))
+    got = [(e.source, e.chunk, e.src, e.dst, e.epoch, e.fraction) for e in sched.events]
+    assert got == _reference_rates_to_schedule(sol, d, k)

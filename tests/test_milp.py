@@ -3,7 +3,7 @@ import pytest
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig, link_timing
 from collsched.errors import ValidationError
-from collsched.milp import ModelOptions, build_general_model
+from collsched.milp import ModelOptions, build_general_model, model_topology
 from collsched.model import INF
 from collsched.schedule import extract_schedule, prune_unused_flows
 from collsched.simulator import simulate
@@ -157,6 +157,19 @@ class TestHyperEdgeConstraints:
             by_epoch.setdefault(kk, []).append((i, j))
         for kk, uses in by_epoch.items():
             assert len(uses) <= 2
+
+    def test_overrides_reach_pair_and_direct_edges(self):
+        # (a,b) is direct; (a,c) crosses switch h over (a,h) and (h,c).
+        t = Topology(("a", "b", "c", "h"), frozenset({"h"}),
+                     (Edge("a", "b", 1.0), Edge("b", "a", 1.0), Edge("a", "h", 1.0),
+                      Edge("h", "a", 1.0), Edge("h", "c", 1.0), Edge("c", "h", 1.0)),
+                     {("a", "b", 1): 2.0, ("a", "h", 2): 0.5})
+        cfg = EpochConfig(1.0, 3)
+        copy = link_timing(model_topology(t, ModelOptions())[0], cfg)
+        hyper = link_timing(model_topology(t, ModelOptions(switch_mode="hyper-edge"))[0], cfg)
+        assert copy.budget[("a", "b")] == hyper.budget[("a", "b")] == [1.0, 2.0, 1.0]
+        assert hyper.budget[("a", "c")] == [1.0, 1.0, 0.5]  # the tighter leg at epoch 2
+        assert hyper.budget[("c", "a")] == [1.0, 1.0, 1.0]
 
 
 class TestModelInvariants:

@@ -1,7 +1,8 @@
 import pytest
 
 from collsched.demand import generate_demand
-from collsched.topology import dgx1, ndv2
+from collsched.errors import ValidationError
+from collsched.topology import dgx1, ndv2, ring
 from collsched.workflow import synthesize
 
 
@@ -34,3 +35,12 @@ def test_astar_rounds_respect_windows_of_sub_chunk_links():
     result = synthesize(t, d, "astar", switch_mode="hyper-edge", time_limit=120.0)
     assert result.report.ok
     assert result.report.completion_epoch == result.schedule.completion_epoch
+
+
+def test_astar_refuses_to_dump_a_model(tmp_path):
+    # A* builds one model per round, so there is no single model to write.
+    t = ring(4)
+    path = tmp_path / "model.lp"
+    with pytest.raises(ValidationError, match="dump"):
+        synthesize(t, generate_demand("alltoall", t), "astar", dump_model_path=path)
+    assert not path.exists()
