@@ -13,14 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .demand import Demand, check_demand_nodes
 from .epochs import EpochConfig, LinkTiming, link_timing
 from .errors import RoundLimitError, SolverBackendError, ValidationError
-from .milp import Carry, ModelOptions, build_time_expanded, model_topology
-from .model import Model
+from .milp import Carry, ModelOptions, Net, build_time_expanded, model_topology
+from .model import INF, Axis, Model
 from .schedule import Schedule, schedule_from_flows
-from .solver import SolverOptions, solve
-from .topology import NodeId, Topology, require_valid, shortest_distances
+from .solver import FEASIBLE_GAP, SolverOptions, solve
+from .topology import Topology, require_valid, shortest_distances
+
+# Status of an A* solve whose every round was solved to optimality; a round
+# stopped by its time limit with an incumbent makes it FEASIBLE_GAP.
+OPTIMAL_PER_ROUND = "optimal-per-round"
 
 
 def floyd_warshall_alpha(t: Topology) -> dict:
@@ -62,85 +68,94 @@ def max_future_epochs(t: Topology, cfg: EpochConfig, opts: ModelOptions | None =
 
 def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
                       fw: dict, gamma: float = 0.5,
-                      opts: ModelOptions | None = None) -> Model:
+                      opts: ModelOptions | None = None, *,
+                      timing: LinkTiming | None = None) -> Model:
     """One round: the general model seeded with the state's carry, plus
     look-ahead accounting (Q), progress counters (P), and the distance reward.
 
     gamma < 1 keeps any in-transit reward below the payoff of a chunk sitting
-    at its destination.
+    at its destination. `timing` is the link timing of the whole solve (the
+    model topology at cfg, epochs counted from the first round's start); it
+    is derived when not given.
     """
     if not (0 < gamma < 1):
         raise ValidationError("gamma must lie in (0, 1)")
     opts = opts or ModelOptions()
-    t_eff, _ = model_topology(t, opts)
-    timing = link_timing(t_eff, cfg)
-    delta, max_kp = timing.delta, timing.max_delta
+    timing = timing or link_timing(model_topology(t, opts)[0], cfg)
+    max_kp = timing.max_delta
     if cfg.K < max_kp:
         raise ValidationError(f"epochs per round {cfg.K} < max link delay {max_kp}")
 
     dem = state_demand(state)
     commodities = dem.commodities
-    kk = cfg.K - 1
-
+    K, kk, M = cfg.K, cfg.K - 1, max_kp + 1
     # The round sees each capacity override at its own epochs, k0 on.
-    k0 = state.round_index * cfg.K
-    shifted = {(i, j, k - k0): c for (i, j, k), c in t.capacity_overrides.items() if k >= k0}
-    m = build_time_expanded(Topology(t.nodes, t.switches, t.edges, shifted), dem, cfg, opts,
-                            state.carry)
+    m = build_time_expanded(t, dem, cfg, opts, state.carry,
+                            timing=timing.from_epoch(state.round_index * K, K))
+    net = Net(m.meta["eff_topology"], timing.delta)
+    C, N = len(commodities), len(net.nodes)
+    F, B = m.families["F"].index, m.families["B"].index
+    ar = np.arange
+    cc = ar(C)[:, None, None]
 
     # Look-ahead: what sits in each buffer at the start of the next round's
     # epoch k'. k'=0 is the terminal buffer itself; switches only ever hold
-    # flows still on the wire.
-    for s, c in commodities:
-        for n in t_eff.nodes:
-            in_edges = t_eff.in_edges(n)
-            if t_eff.is_switch(n):
-                for kp in range(0, max_kp + 1):
-                    coeffs = [(m.add_var("Q", (s, c, n, kp)), 1.0)]
-                    for e in in_edges:
-                        dlt = delta[(e.src, e.dst)]
-                        k_send = kk + kp - dlt
-                        if dlt >= kp and k_send >= 0:
-                            coeffs.append((m.var("F", s, c, e.src, e.dst, k_send), -1.0))
-                    m.add_eq(coeffs, 0.0)
-            else:
-                for kp in range(1, max_kp + 1):
-                    coeffs = [(m.add_var("Q", (s, c, n, kp)), 1.0)]
-                    prev = m.var("Q", s, c, n, kp - 1) if kp > 1 else m.var("B", s, c, n, cfg.K)
-                    coeffs.append((prev, -1.0))
-                    for e in in_edges:
-                        dlt = delta[(e.src, e.dst)]
-                        k_send = kk + kp - dlt
-                        if dlt >= kp and k_send >= 0:
-                            coeffs.append((m.var("F", s, c, e.src, e.dst, k_send), -1.0))
-                    m.add_eq(coeffs, 0.0)
-
-    def q_ref(s, c, n, kp):
-        if kp == 0 and not t_eff.is_switch(n):
-            return m.var("B", s, c, n, cfg.K)
-        return m.var("Q", s, c, n, kp)
+    # flows still on the wire. One row per Q, in Q's column order.
+    q_at = net.switch[:, None] | (ar(M) >= 1)[None, :]  # (node, k')
+    has_q = np.broadcast_to(q_at, (C, N, M))
+    count = int(has_q.sum())
+    Q = np.full((C, N, M), -1, dtype=np.int64)
+    Q[has_q] = m.columns(count) + ar(count)
+    m.add_family("Q", [Axis(commodities, 2), Axis(net.nodes), Axis(range(M))], Q)
+    rq = np.full((C, N, M), -1, dtype=np.int64)
+    rq[has_q] = ar(count)
+    # A buffering node's Q[k'] follows Q[k'-1], and Q[1] the terminal buffer.
+    qref = Q.copy()
+    buffering = ~net.switch
+    qref[:, buffering, 0] = B[:, net.bpos[buffering], K]
+    prev = np.broadcast_to(buffering[None, :, None] & (ar(M) >= 1)[None, None, :], (C, N, M))
+    pn, pe = net.edges_in(ar(N))
+    dlt = net.delta[pe][:, None]
+    k_send = kk + ar(M)[None, :] - dlt
+    ok = np.broadcast_to(((dlt >= ar(M)[None, :]) & (k_send >= 0) & q_at[pn])[None],
+                         (C, len(pn), M))
+    m.add_rows(np.zeros(count), np.zeros(count),
+               (rq[has_q], Q[has_q], 1.0),
+               (rq[prev], qref[:, :, :-1][prev[:, :, 1:]], -1.0),
+               (rq[:, pn, :][ok], F[cc, pe[None, :, None], np.clip(k_send, 0, kk)[None]][ok], -1.0))
 
     # Progress counters: how many still-wanted chunks sit at (or move through)
-    # each location, rewarded by closeness to the wanting destination.
-    wanted_by: dict[NodeId, list] = {}
-    for (s, c, dst) in sorted(state.residual, key=lambda e: (str(e[0]), e[1], str(e[2]))):
-        wanted_by.setdefault(dst, []).append((s, c))
-    cap = float(dem.chunk_count)
-    for dst, pairs in sorted(wanted_by.items(), key=lambda kv: str(kv[0])):
-        for kp in range(0, max_kp + 1):
-            total = []
-            for loc in t_eff.nodes:
-                p = m.add_var("P", (loc, dst, kp), lb=0.0, ub=cap)
-                coeffs = [(p, 1.0)] + [(q_ref(s, c, loc, kp), -1.0) for (s, c) in pairs]
-                m.add_le(coeffs, 0.0)
-                total.append((p, 1.0))
-                if loc == dst:
-                    m.add_objective_term(p, 1.0 / (kp + 1))
-                else:
-                    w = fw[loc, dst]
-                    if math.isfinite(w):
-                        m.add_objective_term(p, gamma / ((kp + 1) * (1.0 + w)))
-            m.add_eq(total, float(len(pairs)))
+    # each location, rewarded by closeness to the wanting destination. Per
+    # (destination, k'): one cap row per location, then their sum.
+    wanted = sorted(state.residual, key=lambda e: (str(e[0]), e[1], str(e[2])))
+    dsts = sorted({dst for _, _, dst in wanted}, key=str)
+    D = len(dsts)
+    dpos = {dst: i for i, dst in enumerate(dsts)}
+    w_dst = np.array([dpos[dst] for _, _, dst in wanted], dtype=np.int64)
+    cpos = {sc: i for i, sc in enumerate(commodities)}
+    w_com = np.array([cpos[(s, c)] for s, c, _ in wanted], dtype=np.int64)
+    dk = ar(D)[None, :, None] * M + ar(M)[None, None, :]  # (1, D, M)
+    P = m.columns(N * D * M) + dk * N + ar(N)[:, None, None]  # (loc, dst, k')
+    m.add_family("P", [Axis(net.nodes), Axis(dsts), Axis(range(M))], P,
+                 lb=0.0, ub=float(dem.chunk_count))
+    per = N + 1
+    cap_row = dk * per + ar(N)[:, None, None]
+    lo = np.full((D, M, per), -INF)
+    hi = np.zeros((D, M, per))
+    lo[:, :, N] = hi[:, :, N] = np.bincount(w_dst, minlength=D)[:, None]
+    q_row = ((w_dst[:, None, None] * M + ar(M)[None, :, None]) * per
+             + ar(N)[None, None, :])  # (wanted entry, k', loc)
+    m.add_rows(lo.ravel(), hi.ravel(),
+               (cap_row, P, 1.0),
+               (q_row, qref[w_com].transpose(0, 2, 1), -1.0),
+               (np.broadcast_to(dk * per + N, P.shape), P, 1.0))
+    dist = np.array([[fw[loc, dst] for dst in dsts] for loc in net.nodes],
+                    dtype=float).reshape(N, D)[:, :, None]
+    kp1 = ar(M)[None, None, :] + 1
+    at_dst = ar(N)[:, None, None] == np.array([net.pos[dst] for dst in dsts])[None, :, None]
+    with np.errstate(invalid="ignore"):
+        reward = np.where(np.isfinite(dist), gamma / (kp1 * (1.0 + dist)), 0.0)
+    m.add_objective(P, np.where(at_dst, 1.0 / kp1, reward))
     return m
 
 
@@ -166,12 +181,11 @@ def advance_state(state: RoundState, sol, t_eff: Topology, cfg: EpochConfig,
             arrivals[(s, c, j, kp)] = arrivals.get((s, c, j, kp), 0) + 1
         for kn in range(k + timing.kappa[(i, j)] - cfg.K):
             link_load[(i, j, kn)] = link_load.get((i, j, kn), 0) + 1
-    for s, c in state_demand(state).commodities:
-        for n in t_eff.nodes:
-            if not t_eff.is_switch(n):
-                held = int(round(sol.value("B", s, c, n, cfg.K)))
-                if held:
-                    arrivals[(s, c, n, 0)] = held
+    buffers = sol.model.families["B"]
+    held = np.rint(sol.x[buffers.index[:, :, cfg.K]]).astype(np.int64)
+    commodities, nodes = buffers.axes[0].labels, buffers.axes[1].labels
+    for ci, b in np.argwhere(held).tolist():
+        arrivals[(*commodities[ci], nodes[b], 0)] = held[ci, b].item()
     residual = state.residual - {key[:3] for key in arrivals}
     kept = {(s, c) for (s, c, _) in residual}
     arrivals = {key: v for key, v in arrivals.items() if key[:2] in kept}
@@ -197,13 +211,17 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
 
     state = initial_state(d)
     flows: dict = {}
+    status, highs_s = OPTIMAL_PER_ROUND, 0.0
     while state.residual:
         if state.round_index >= max_rounds:
             raise RoundLimitError(f"residual demand after {max_rounds} rounds")
-        m = build_round_model(t, state, cfg, fw, gamma, opts)
+        m = build_round_model(t, state, cfg, fw, gamma, opts, timing=timing)
         sol = solve(m, solver_opts)
         if not sol.feasible:
             raise SolverBackendError(f"round {state.round_index} came back {sol.status}")
+        highs_s += sol.solve_wall_time
+        if sol.status == FEASIBLE_GAP:
+            status = FEASIBLE_GAP
         offset = state.round_index * cfg.K
         for (s, c, i, j, k), v in sol.family_values("F", 0.5).items():
             flows[(s, c, i, j, offset + k)] = 1.0
@@ -217,5 +235,6 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
             "entries": set(d.entries)}
     horizon = max(1, state.round_index * cfg.K)
     sched = schedule_from_flows(flows, meta, cfg.with_horizon(horizon), d.chunk_size)
-    sched.meta.update({"rounds": state.round_index, "epochs_per_round": cfg.K, "gamma": gamma})
+    sched.meta.update({"rounds": state.round_index, "epochs_per_round": cfg.K, "gamma": gamma,
+                       "status": status, "solver_wall_time_sec": highs_s})
     return sched

@@ -14,7 +14,7 @@ integer multiple of the epoch) never fall on the wrong side of a ceiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -63,9 +63,14 @@ def compute_delta(edge: Edge, tau: float) -> int:
     return _ceil(_frac(edge.alpha) / _frac(tau))
 
 
-def cap_chunks(t: Topology, edge: Edge, k: int, cfg: EpochConfig) -> Fraction:
-    """Capacity of an edge during epoch k, in chunks per epoch."""
-    return _chunks_per_epoch(t.capacity_at(edge, k), cfg)
+def cap_chunks(t: Topology, cfg: EpochConfig) -> dict:
+    """Capacity of every edge (src, dst) during each epoch k < K, in chunks
+    per epoch."""
+    cap = {(e.src, e.dst): [float(_chunks_per_epoch(e.capacity, cfg))] * cfg.K for e in t.edges}
+    for (i, j, k), c in t.capacity_overrides.items():
+        if (i, j) in cap and 0 <= k < cfg.K:
+            cap[(i, j)][k] = float(_chunks_per_epoch(c, cfg))
+    return cap
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,18 @@ class LinkTiming:
     kappa: dict  # epochs one chunk occupies the edge
     delta: dict  # epochs from a send to its arrival at the far end
     budget: dict  # per epoch k < K: chunks the kappa-epoch window ending at k may carry
+    rate: dict  # chunks per epoch at the edge's base capacity
+    overrides: dict  # (src, dst, epoch) -> chunks per epoch, every override of the topology
 
     @property
     def max_delta(self) -> int:
         return max(self.delta.values(), default=0)
+
+    def from_epoch(self, k0: int, K: int) -> "LinkTiming":
+        """The timing of a K-epoch model whose epoch 0 is epoch k0 here: the
+        same kappa and delays, budgets from the overrides of epochs k0 on,
+        epochs before k0 counting at k0's capacity."""
+        return replace(self, budget=_budgets(self.kappa, self.rate, self.overrides, k0, K))
 
 
 def link_timing(t: Topology, cfg: EpochConfig) -> LinkTiming:
@@ -91,29 +104,38 @@ def link_timing(t: Topology, cfg: EpochConfig) -> LinkTiming:
     epochs before 0 counting at epoch 0's. With every kappa 1 this is plain
     per-epoch capacity and latency.
     """
-    kap, cap = {}, {}
+    kap, rate = {}, {}
     for e in t.edges:
         pair = (e.src, e.dst)
-        base = _chunks_per_epoch(e.capacity, cfg)
-        if base <= 0:
+        rate[pair] = _chunks_per_epoch(e.capacity, cfg)
+        if rate[pair] <= 0:
             raise ValidationError(f"edge ({e.src!r},{e.dst!r}) has no capacity")
-        kap[pair] = max(1, _ceil(1 / base))
-        cap[pair] = [base] * cfg.K
-    for (i, j, k), c in t.capacity_overrides.items():
-        if (i, j) in cap and 0 <= k < cfg.K:
-            cap[(i, j)][k] = _chunks_per_epoch(c, cfg)
-
+        kap[pair] = max(1, _ceil(1 / rate[pair]))
+    overrides = {key: _chunks_per_epoch(c, cfg) for key, c in t.capacity_overrides.items()
+                 if key[:2] in rate}
     widen = max(kap.values(), default=1) - 1
     delta = {(e.src, e.dst): compute_delta(e, cfg.tau) + widen for e in t.edges}
+    return LinkTiming(kap, delta, _budgets(kap, rate, overrides, 0, cfg.K), rate, overrides)
+
+
+def _budgets(kap: dict, rate: dict, overrides: dict, k0: int, K: int) -> dict:
+    """Window budgets of epochs k0..k0+K-1, epochs before k0 at k0's capacity."""
+    cap: dict = {}
+    for (i, j, k), c in overrides.items():
+        if 0 <= k - k0 < K:
+            cap.setdefault((i, j), [rate[(i, j)]] * K)[k - k0] = c
     budget = {}
-    for pair, per_epoch in cap.items():
-        w = kap[pair]
+    for pair, w in kap.items():
+        per_epoch = cap.get(pair)
+        if per_epoch is None:
+            budget[pair] = [float(w * rate[pair])] * K
+            continue
         window = w * per_epoch[0]
         budget[pair] = [float(window)]
-        for k in range(1, cfg.K):
+        for k in range(1, K):
             window += per_epoch[k] - per_epoch[max(k - w, 0)]
             budget[pair].append(float(window))
-    return LinkTiming(kap, delta, budget)
+    return budget
 
 
 def _chunks_per_epoch(capacity: float, cfg: EpochConfig) -> Fraction:

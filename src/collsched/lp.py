@@ -3,15 +3,22 @@
 Suited to demands where every destination wants distinct data; for multicast
 demands it stays valid but models each (source, destination) unit separately,
 so it only bounds what copy-capable schedules achieve.
+
+The model is built in family blocks: F, B, Rd and Rc are index arrays over
+(source or (source, destination) pair, edge or node, epoch), and each
+constraint family is one block of rows computed from them; the solution is
+read back through the same arrays.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .demand import Demand, check_demand_nodes
 from .epochs import EpochConfig, cap_chunks, compute_delta
 from .errors import ConservationError, ValidationError
-from .milp import ModelOptions
-from .model import Model
+from .milp import ModelOptions, Net
+from .model import INF, Axis, Model
 from .schedule import Schedule, ScheduleEvent
 from .solver import Solution
 from .topology import Topology, require_valid
@@ -23,130 +30,122 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
                    opts: ModelOptions | None = None) -> Model:
     """Continuous flows without chunk identity: F and B are indexed by source
     only, a node consumes via per-epoch reads, and switches forward exactly
-    what they receive."""
+    what they receive.
+
+    Columns run source by source (F over (edge, epoch), then B over
+    (buffering node, epoch 0..K)), then the reads of each (source,
+    destination) pair, Rd and Rc alternating epoch by epoch. Each constraint
+    family is one block of rows built by index arithmetic over (source,
+    edge, epoch).
+    """
     opts = opts or ModelOptions()
     require_valid(t)
     check_demand_nodes(d, t)
     K = cfg.K
     kk = K - 1
     delta = {(e.src, e.dst): compute_delta(e, cfg.tau) for e in t.edges}
+    net = Net(t, delta)
+    N, E, NB = len(net.nodes), len(net.pairs), len(net.buffers)
 
     sources = sorted({s for s, _, _ in d.entries}, key=str)
     units = {}  # (s, d) -> demanded chunk units
     for s, _, dst in d.entries:
         units[(s, dst)] = units.get((s, dst), 0) + 1
-    out_units = {s: sum(v for (s2, _), v in units.items() if s2 == s) for s in sources}
+    out_units = [float(sum(v for (s2, _), v in units.items() if s2 == s)) for s in sources]
+    pairs = [pair for pair, _ in sorted(units.items(), key=str)]
+    S, U = len(sources), len(pairs)
+    spos = np.array([net.pos[s] for s in sources], dtype=np.int64)
+    p_src = np.array([sources.index(s) for s, _ in pairs], dtype=np.int64)
+    p_dst = np.array([net.pos[dst] for _, dst in pairs], dtype=np.int64)
+    u = np.array([units[pair] for pair in pairs], dtype=float)
 
     m = Model()
     m.meta.update({"cfg": cfg, "delta": delta, "units": units, "sources": sources})
 
-    for s in sources:
-        for e in t.edges:
-            for k in range(K):
-                idx = m.add_var("F", (s, e.src, e.dst, k))
-                if k == 0 and e.src != s:
-                    m.fix(idx, 0.0)  # only the source holds anything yet
-        for n in t.nodes:
-            if t.is_switch(n):
-                continue
-            for k in range(K + 1):
-                idx = m.add_var("B", (s, n, k))
-                if k == 0 and n != s:
-                    m.fix(idx, 0.0)
-    for (s, dst), u in sorted(units.items(), key=str):
-        for k in range(K):
-            idx = m.add_var("Rd", (s, dst, k), lb=0.0, ub=float(u))
-            idx = m.add_var("Rc", (s, dst, k), lb=0.0, ub=float(u))
-            if k == kk:
-                m.fix(idx, float(u))
+    ar = np.arange
+    per_s = E * K + NB * (K + 1)
+    first = m.columns(S * per_s + 2 * U * K)
+    off = first + ar(S)[:, None, None] * per_s
+    F = off + (ar(E)[:, None] * K + ar(K))[None]
+    B = off + E * K + (ar(NB)[:, None] * (K + 1) + ar(K + 1))[None]
+    Rd = first + S * per_s + (ar(U)[:, None] * K + ar(K)) * 2
+    Rc = Rd + 1
+    m.add_family("F", [Axis(sources), Axis(net.pairs, 2), Axis(range(K))], F)
+    m.add_family("B", [Axis(sources), Axis(net.buffers), Axis(range(K + 1))], B)
+    for family, index in (("Rd", Rd), ("Rc", Rc)):
+        m.add_family(family, [Axis(pairs, 2), Axis(range(K))], index, ub=u[:, None])
+    # Only the source holds anything yet.
+    m.fix(F[:, :, 0][net.src[None, :] != spos[:, None]], 0.0)
+    m.fix(B[:, :, 0][np.flatnonzero(~net.switch)[None, :] != spos[:, None]], 0.0)
+    m.fix(Rc[:, kk], u)
 
     # Source initialization: the source holds its full outgoing demand, less
     # whatever it already committed to epoch-0 sends.
-    for s in sources:
-        coeffs = [(m.var("B", s, s, 0), 1.0)]
-        coeffs += [(m.var("F", s, s, e.dst, 0), 1.0) for e in t.out_edges(s)]
-        m.add_eq(coeffs, float(out_units[s]))
+    out_s, out_e = net.edges_out(spos)
+    m.add_rows(out_units, out_units,
+               (ar(S), B[ar(S), net.bpos[spos], 0], 1.0),
+               (out_s, F[out_s, out_e, 0], 1.0))
 
-    for e in t.edges:
-        for k in range(K):
-            m.add_le([(m.var("F", s, e.src, e.dst, k), 1.0) for s in sources],
-                     float(cap_chunks(t, e, k, cfg)))
+    cap = cap_chunks(t, cfg)
+    rows = np.broadcast_to(ar(E * K).reshape(E, K, 1), (E, K, S))
+    m.add_rows(np.full(E * K, -INF), [c for pair in net.pairs for c in cap[pair]],
+               (rows, F.transpose(1, 2, 0), 1.0))
 
     # Conservation: buffer plus arrivals split into next buffer, reads, and
-    # next-epoch sends. Switches neither buffer nor read.
-    for s in sources:
-        for n in t.nodes:
-            in_edges = t.in_edges(n)
-            out_edges = t.out_edges(n)
-            if t.is_switch(n):
-                for k in range(K):
-                    coeffs = []
-                    for e in in_edges:
-                        k_in = k - delta[(e.src, e.dst)]
-                        if k_in >= 0:
-                            coeffs.append((m.var("F", s, e.src, n, k_in), 1.0))
-                    if k + 1 <= kk:
-                        coeffs += [(m.var("F", s, n, e.dst, k + 1), -1.0) for e in out_edges]
-                    m.add_eq(coeffs, 0.0)
-                continue
-            for k in range(K):
-                coeffs = [(m.var("B", s, n, k), 1.0), (m.var("B", s, n, k + 1), -1.0)]
-                for e in in_edges:
-                    k_in = k - delta[(e.src, e.dst)]
-                    if k_in >= 0:
-                        coeffs.append((m.var("F", s, e.src, n, k_in), 1.0))
-                if m.has_var("Rd", s, n, k):
-                    coeffs.append((m.var("Rd", s, n, k), -1.0))
-                if k + 1 <= kk:
-                    coeffs += [(m.var("F", s, n, e.dst, k + 1), -1.0) for e in out_edges]
-                m.add_eq(coeffs, 0.0)
-            if n != s:
-                # Last epoch: whatever still lands must be consumed on arrival.
-                coeffs = []
-                for e in in_edges:
-                    k_in = kk - delta[(e.src, e.dst)]
-                    if k_in >= 0:
-                        coeffs.append((m.var("F", s, e.src, n, k_in), 1.0))
-                if m.has_var("Rd", s, n, kk):
-                    coeffs.append((m.var("Rd", s, n, kk), -1.0))
-                m.add_eq(coeffs, 0.0)
+    # next-epoch sends. Switches neither buffer nor read. Rows run by source
+    # and node: one per epoch, and at a buffering node other than the source
+    # one more for the last epoch.
+    last = ~net.switch[None, :] & (ar(N)[None, :] != spos[:, None])  # (S, N)
+    count = (K + last).ravel()
+    base = (np.cumsum(count) - count).reshape(S, N)
+    kv = ar(K)
+    ss = ar(S)[:, None, None]
+    in_n, in_e = net.edges_in(ar(N))
+    out_n, out_e = net.edges_out(ar(N))
+    k_in = kv[None, :] - net.delta[in_e][:, None]  # (pair, k)
+    ok_in = np.broadcast_to((k_in >= 0)[None], (S,) + k_in.shape)
+    k_last = kk - net.delta[in_e]
+    ok_last = (k_last >= 0)[None, :] & last[:, in_n]
+    at = lambda n, k: base[:, n][..., None] + k  # (source, n, k) -> row
+    lp_last = last[p_src, p_dst]
+    terms = [
+        (at(np.flatnonzero(~net.switch), kv), B[:, :, :-1], 1.0),
+        (at(np.flatnonzero(~net.switch), kv), B[:, :, 1:], -1.0),
+        (at(in_n, kv)[ok_in], F[ss, in_e[None, :, None], np.maximum(k_in, 0)[None]][ok_in], 1.0),
+        (base[p_src, p_dst][:, None] + kv[None, :], Rd, -1.0),
+        (at(out_n, kv[:-1]), F[:, out_e, 1:], -1.0),
+        # Last epoch: whatever still lands must be consumed on arrival.
+        ((base[:, in_n] + K)[ok_last],
+         F[ar(S)[:, None], in_e[None, :], np.maximum(k_last, 0)[None, :]][ok_last], 1.0),
+        ((base[p_src, p_dst] + K)[lp_last], Rd[lp_last, kk], -1.0),
+    ]
+    total = int(count.sum())
+    m.add_rows(np.zeros(total), np.zeros(total), *terms)
 
-    for (s, dst), u in sorted(units.items(), key=str):
-        for k in range(K):
-            coeffs = [(m.var("Rc", s, dst, k), 1.0), (m.var("Rd", s, dst, k), -1.0)]
-            if k >= 1:
-                coeffs.append((m.var("Rc", s, dst, k - 1), -1.0))
-            m.add_eq(coeffs, 0.0)
+    rows = ar(U)[:, None] * K + kv
+    m.add_rows(np.zeros(U * K), np.zeros(U * K),
+               (rows, Rc, 1.0), (rows, Rd, -1.0), (rows[:, 1:], Rc[:, :-1], -1.0))
 
     if opts.buffer_limit is not None:
-        for n in t.nodes:
-            if t.is_switch(n):
-                continue
-            for k in range(K + 1):
-                m.add_le([(m.var("B", s, n, k), 1.0) for s in sources],
-                         float(opts.buffer_limit))
+        rows = np.broadcast_to(ar(NB * (K + 1)).reshape(NB, K + 1, 1), (NB, K + 1, S))
+        m.add_rows(np.full(NB * (K + 1), -INF), np.full(NB * (K + 1), float(opts.buffer_limit)),
+                   (rows, B.transpose(1, 2, 0), 1.0))
 
-    for (s, dst), u in units.items():
-        for k in range(K):
-            m.add_objective_term(m.var("Rc", s, dst, k), 1.0 / (k + 1))
+    m.add_objective(Rc, 1.0 / (kv + 1)[None, :])
     return m
 
 
 def lp_completion_epoch(sol: Solution) -> int:
     """Earliest epoch by which every pair's cumulative reads meet its demand."""
+    reads = sol.model.families["Rc"]
     units = sol.model.meta["units"]
-    K = sol.model.meta["cfg"].K
-    worst = 0
-    for (s, dst), u in units.items():
-        done = None
-        for k in range(K):
-            if sol.value("Rc", s, dst, k) >= u - TOL * max(1.0, u):
-                done = k
-                break
-        if done is None:
-            raise ConservationError(f"pair ({s!r},{dst!r}) never reaches its demand")
-        worst = max(worst, done)
-    return worst
+    u = np.array([units[pair] for pair in reads.axes[0].labels], dtype=float)[:, None]
+    met = sol.x[reads.index] >= u - TOL * np.maximum(1.0, u)
+    never = ~met.any(axis=1)
+    if never.any():
+        s, dst = reads.axes[0].labels[int(np.argmax(never))]
+        raise ConservationError(f"pair ({s!r},{dst!r}) never reaches its demand")
+    return int(met.argmax(axis=1).max(initial=0))
 
 
 def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
@@ -208,8 +207,7 @@ def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
 def _above_tol(sol: Solution, family: str) -> dict:
     """source -> {rest of key: value} for the family's values above TOL."""
     out: dict = {}
-    for (s, *rest), idx in sol.model.family_items(family):
-        val = float(sol.x[idx])
+    for (s, *rest), val in sol.family_values(family, TOL).items():
         if val > TOL:
             out.setdefault(s, {})[tuple(rest)] = val
     return out

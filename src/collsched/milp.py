@@ -5,16 +5,24 @@ edge (i,j) during epoch k. Buffers, per-edge capacity over each link's
 kappa-epoch window with delays from `epochs.link_timing`, copy-aware
 conservation, three switch treatments, optional buffer limits, and a
 delivery objective that rewards finishing early.
+
+Each variable family (F, B, R, X) is one block of the model, indexed by
+(commodity, edge or node, epoch) arrays, and each constraint family is one
+block of rows computed from those arrays by index arithmetic; `Net` holds
+the topology's node and edge positions the arithmetic needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .demand import Demand, check_demand_nodes
-from .epochs import EpochConfig, link_timing
+from .epochs import EpochConfig, LinkTiming, link_timing
 from .errors import ValidationError
-from .model import BINARY, Model
+from .model import BINARY, INF, Axis, Model
 from .topology import Topology, hyper_edge_transform, require_valid, shortest_distances
 
 COPY = "copy"
@@ -71,8 +79,54 @@ class Carry:
         return cls({(s, c, s, 0): 1 for s, c in d.commodities})
 
 
+
+
+class Net:
+    """Index tables of a model topology: node and edge positions, and each
+    node's incoming and outgoing edges, node by node in the topology's own
+    order (`edges_in(nodes)`, `edges_out(nodes)`)."""
+
+    def __init__(self, t: Topology, delta: dict):
+        self.nodes = list(t.nodes)
+        self.pos = {n: i for i, n in enumerate(self.nodes)}
+        self.switch = np.array([t.is_switch(n) for n in self.nodes], dtype=bool)
+        self.buffers = [n for n in self.nodes if not t.is_switch(n)]
+        self.bpos = np.full(len(self.nodes), -1, dtype=np.int64)
+        self.bpos[~self.switch] = np.arange(len(self.buffers))
+        self.pairs = [(e.src, e.dst) for e in t.edges]
+        self.epos = {pair: i for i, pair in enumerate(self.pairs)}
+        self.src = np.array([self.pos[i] for i, _ in self.pairs], dtype=np.int64)
+        self.dst = np.array([self.pos[j] for _, j in self.pairs], dtype=np.int64)
+        self.delta = np.array([delta[pair] for pair in self.pairs], dtype=np.int64)
+        self._in = self._adjacency(t.in_edges)
+        self._out = self._adjacency(t.out_edges)
+
+    def _adjacency(self, edges_of):
+        lists = [[self.epos[(e.src, e.dst)] for e in edges_of(n)] for n in self.nodes]
+        counts = np.array([len(es) for es in lists], dtype=np.int64)
+        return (np.cumsum(counts) - counts, counts,
+                np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(counts.sum())))
+
+    def edges_in(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, edge) for every edge into nodes[i], by i, then in-edge order."""
+        return _expand(nodes, *self._in)
+
+    def edges_out(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, edge) for every edge out of nodes[i], by i, then out-edge order."""
+        return _expand(nodes, *self._out)
+
+
+def _expand(nodes, starts, counts, edges):
+    """(i, edge) for every edge of nodes[i]'s slice edges[starts:starts+counts]."""
+    n = counts[nodes]
+    owner = np.repeat(np.arange(len(nodes)), n)
+    first = np.repeat(starts[nodes] - (np.cumsum(n) - n), n)
+    return owner, edges[first + np.arange(int(n.sum()))]
+
+
 def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOptions,
-                        carry: Carry | None = None) -> Model:
+                        carry: Carry | None = None, *,
+                        timing: LinkTiming | None = None) -> Model:
     """The time-expanded model behind the one-shot solve and every A* round.
 
     With carry None it is the one-shot model: sources hold their chunks at
@@ -80,7 +134,14 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     no-copy switches take no arrival they could not forward. With a carry it
     is one round: buffers and switches receive the carried arrivals, link
     windows start with the carried load, and delivery is rewarded but not
-    forced.
+    forced. `timing` is the link timing of the model topology at cfg, for a
+    caller that has derived it already; it is derived when not given.
+
+    Columns are laid out commodity by commodity: F over (edge, epoch), B
+    over (buffering node, epoch 0..K), R over (destination, epoch) and, with
+    a buffer limit, X over (buffering node, epoch). Each constraint family
+    is one block of rows built by index arithmetic over (commodity, edge,
+    epoch).
     """
     require_valid(t)
     check_demand_nodes(d, t)
@@ -92,13 +153,16 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
             raise ValidationError("buffer_limit below a source's initial chunk count")
 
     t_eff, hyper_groups = model_topology(t, opts)
-    timing = link_timing(t_eff, cfg)
-    kap, delta = timing.kappa, timing.delta
+    timing = timing or link_timing(t_eff, cfg)
+    delta = timing.delta
     K = cfg.K
     kk = K - 1  # last epoch index
-    edges = t_eff.edges
+    net = Net(t_eff, delta)
+    N, E, NB = len(net.nodes), len(net.pairs), len(net.buffers)
 
     commodities = d.commodities
+    C = len(commodities)
+    cpos = {sc: i for i, sc in enumerate(commodities)}
     one_shot = carry is None
     carry = carry or Carry.at_sources(d)
     arrivals = carry.arrivals
@@ -113,8 +177,6 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     # What extraction reads: schedule.trace_required_flows and delivery_epochs.
     m.meta.update({"eff_topology": t_eff, "delta": delta, "opts": opts, "entries": entries})
 
-    is_switch = t_eff.is_switch  # hyper-edge mode leaves no switches
-
     # Earliest epoch each chunk could be forwarded from each node (a hop costs
     # delta + 1 epochs; inf where unreachable); flows, buffers, and reads
     # before that are fixed to zero up front, which trims the search space
@@ -126,159 +188,200 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
             held = seeds.setdefault((s, c), {})
             held[n] = min(held.get(n, k), k)
     hop = lambda e: delta[(e.src, e.dst)] + 1
-    walks: dict[frozenset, dict] = {}
-    reach: dict[tuple, dict] = {}
-    for s, c in commodities:
-        start = seeds.get((s, c), {})
+    walks: dict[frozenset, np.ndarray] = {}
+    reach = np.zeros((C, N))
+    for i, sc in enumerate(commodities):
+        start = seeds.get(sc, {})
         key = frozenset(start.items())
         if key not in walks:
-            walks[key] = shortest_distances(t_eff, hop, start)
-        reach[(s, c)] = walks[key]
+            dist = shortest_distances(t_eff, hop, start)
+            walks[key] = np.array([dist[n] for n in net.nodes], dtype=float)
+        reach[i] = walks[key]
+
+    # Carried arrivals as (commodity, node, epoch 0..K).
+    arr = np.zeros((C, N, K + 1))
+    for (s, c, n, k), v in arrivals.items():
+        if (s, c) in cpos and n in net.pos and 0 <= k <= K:
+            arr[cpos[(s, c)], net.pos[n], k] = v
 
     # Variables. Buffers and reads stay continuous: integrality propagates
     # from the binary flows through the equalities that define them.
-    for s, c in commodities:
-        es = reach[(s, c)]
-        for e in edges:
-            for k in range(K):
-                idx = m.add_var("F", (s, c, e.src, e.dst, k), BINARY)
-                if k < es[e.src]:
-                    m.fix(idx, 0.0)
-        for n in t_eff.nodes:
-            if is_switch(n):
-                continue
-            for k in range(K + 1):
-                idx = m.add_var("B", (s, c, n, k))
-                if k == 0:
-                    m.fix(idx, float(arrivals.get((s, c, n, 0), 0)))
-                elif k < es[n]:
-                    m.fix(idx, 0.0)
-        for dst in dests.get((s, c), ()):
-            for k in range(K):
-                idx = m.add_var("R", (s, c, dst, k), lb=0.0, ub=1.0)
-                if one_shot and k == kk:
-                    m.fix(idx, 1.0)
-                elif k + 1 < es[dst]:
-                    m.fix(idx, 0.0)
-        if opts.buffer_limit is not None:
-            for n in t_eff.nodes:
-                if is_switch(n):
-                    continue
-                for k in range(K):
-                    m.add_var("X", (s, c, n, k), lb=0.0, ub=float(d.chunk_count))
+    ar = np.arange
+    ent = [(s, c, dst) for s, c in commodities for dst in dests[(s, c)]]
+    ent_c = np.array([cpos[(s, c)] for s, c, _ in ent], dtype=np.int64)
+    ent_j = np.array([j for s, c in commodities for j in range(len(dests[(s, c)]))],
+                     dtype=np.int64)
+    ent_dst = np.array([net.pos[dst] for _, _, dst in ent], dtype=np.int64)
+    nd = np.bincount(ent_c, minlength=C)
+    limited = opts.buffer_limit is not None
+    per_c = E * K + NB * (K + 1) + nd * K + (NB * K if limited else 0)
+    off = m.columns(int(per_c.sum())) + np.cumsum(per_c) - per_c
+    F = off[:, None, None] + (ar(E)[:, None] * K + ar(K))[None]
+    B = off[:, None, None] + E * K + (ar(NB)[:, None] * (K + 1) + ar(K + 1))[None]
+    R = off[ent_c][:, None] + E * K + NB * (K + 1) + ent_j[:, None] * K + ar(K)
+    com = Axis(commodities, 2)
+    m.add_family("F", [com, Axis(net.pairs, 2), Axis(range(K))], F, BINARY)
+    m.add_family("B", [com, Axis(net.buffers), Axis(range(K + 1))], B)
+    m.add_family("R", [Axis(ent, 3), Axis(range(K))], R, lb=0.0, ub=1.0)
+    if limited:
+        X = (off[:, None, None] + E * K + NB * (K + 1) + nd[:, None, None] * K
+             + (ar(NB)[:, None] * K + ar(K))[None])
+        m.add_family("X", [com, Axis(net.buffers), Axis(range(K))], X,
+                     lb=0.0, ub=float(d.chunk_count))
+
+    bnodes = np.flatnonzero(~net.switch)
+    m.fix(F[ar(K)[None, None, :] < reach[:, net.src][:, :, None]], 0.0)
+    late = ar(K + 1)[None, None, :] < reach[:, bnodes][:, :, None]
+    late[:, :, 0] = False
+    m.fix(B[late], 0.0)
+    m.fix(B[:, :, 0], arr[:, bnodes, 0])
+    early = ar(K)[None, :] + 1 < reach[ent_c, ent_dst][:, None]
+    if one_shot:
+        early[:, kk] = False
+        m.fix(R[:, kk], 1.0)
+    m.fix(R[early], 0.0)
 
     # Capacity, per edge and epoch; sliding windows where a chunk needs
-    # several epochs on the wire.
-    for e in edges:
-        pair = (e.src, e.dst)
-        w = kap[pair]
-        for k in range(K):
-            lo = max(0, k - w + 1)
-            coeffs = [(m.var("F", s, c, e.src, e.dst, k2), 1.0)
-                      for s, c in commodities for k2 in range(lo, k + 1)]
-            m.add_le(coeffs, timing.budget[pair][k] - carry.link_load.get((*pair, k), 0))
+    # several epochs on the wire. A row sums F over every commodity and the
+    # window's epochs.
+    kap = np.array([timing.kappa[pair] for pair in net.pairs], dtype=np.int64)
+    load = np.zeros((E, K))
+    for (i, j, k), v in carry.link_load.items():
+        if (i, j) in net.epos and 0 <= k < K:
+            load[net.epos[(i, j)], k] = v
+    budget = np.array([timing.budget[pair] for pair in net.pairs], dtype=float).reshape(E, K)
+    terms = []
+    for w in np.unique(kap).tolist():  # (edge, k, commodity, window epoch) per kappa
+        es = np.flatnonzero(kap == w)[:, None, None, None]
+        k = ar(K)[None, :, None, None]
+        k2 = k - w + 1 + ar(w)[None, None, None, :]
+        ok = np.broadcast_to(k2 >= 0, (len(es), K, C, w))
+        cols = F[ar(C)[None, None, :, None], es, np.maximum(k2, 0)]
+        terms.append((np.broadcast_to(es * K + k, ok.shape)[ok],
+                      np.broadcast_to(cols, ok.shape)[ok], 1.0))
+    m.add_rows(np.full(E * K, -INF), (budget - load).ravel(), *terms)
 
     # Conservation with copy: what a node holds at the start of an epoch plus
-    # what lands during it bounds each outgoing flow of the next epoch.
-    for s, c in commodities:
-        for n in t_eff.nodes:
-            in_edges = t_eff.in_edges(n)
-            out_edges = t_eff.out_edges(n)
-            if is_switch(n) and opts.switch_mode == NO_COPY:
-                # Legacy switch: every arrival leaves exactly once, next epoch.
-                for k_out in range(K):
-                    coeffs = [(m.var("F", s, c, e.src, e.dst, k_out), 1.0) for e in out_edges]
-                    rhs = 0.0
-                    for e in in_edges:
-                        k_in = k_out - 1 - delta[(e.src, e.dst)]
-                        if k_in >= 0:
-                            coeffs.append((m.var("F", s, c, e.src, e.dst, k_in), -1.0))
-                    rhs += float(arrivals.get((s, c, n, k_out), 0))
-                    m.add_eq(coeffs, rhs)
-                if one_shot:
-                    # Arrivals in the final epochs could never leave again.
-                    for e in in_edges:
-                        dlt = delta[(e.src, e.dst)]
-                        for k in range(max(0, kk - dlt), K):
-                            m.fix(m.var("F", s, c, e.src, e.dst, k), 0.0)
-                continue
-            for e_out in out_edges:
-                for k_out in range(K):
-                    f_out = m.var("F", s, c, n, e_out.dst, k_out)
-                    coeffs = [(f_out, -1.0)]
-                    rhs = 0.0
-                    if not is_switch(n):
-                        coeffs.append((m.var("B", s, c, n, max(k_out - 1, 0)), 1.0))
-                    if k_out >= 1 or is_switch(n):
-                        # Carried arrivals usable from k_out are forwardable
-                        # during it, like any in-round arrival; a buffer's
-                        # epoch-0 arrivals are already in B[0].
-                        rhs -= float(arrivals.get((s, c, n, k_out), 0))
-                    if k_out >= 1:
-                        for e in in_edges:
-                            k_in = k_out - 1 - delta[(e.src, e.dst)]
-                            if k_in >= 0:
-                                coeffs.append((m.var("F", s, c, e.src, e.dst, k_in), 1.0))
-                    if len(coeffs) == 1 and rhs == 0.0:
-                        m.fix(f_out, 0.0)
-                    else:
-                        m.add_ge(coeffs, rhs)
+    # what lands during it bounds each outgoing flow of the next epoch. A
+    # no-copy switch instead forwards every arrival exactly once, next epoch.
+    # Rows run by commodity, node, then out-edge and epoch (one row per epoch
+    # at a no-copy switch).
+    no_copy = net.switch & (opts.switch_mode == NO_COPY)
+    ge = np.flatnonzero(~no_copy[net.src])  # edges leaving a copying node
+    gn = np.flatnonzero(no_copy)  # no-copy switches
+    order = np.lexsort((np.concatenate([ge, np.full(len(gn), -1)]),
+                        np.concatenate([net.src[ge], gn])))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = ar(len(order))
+    S = len(order) * K  # candidate rows per commodity
+    slot_e = rank[:len(ge), None] * K + ar(K)  # (edge group, k_out)
+    slot_n = rank[len(ge):, None] * K + ar(K)  # (switch group, k_out)
+    cS = ar(C)[:, None, None] * S
+
+    n_of = net.src[ge]
+    sw_of = net.switch[n_of]
+    pair_g, pair_e = net.edges_in(n_of)  # each edge group with its node's in-edges
+    kin = ar(K)[None, :] - 1 - net.delta[pair_e][:, None]
+    has_in = kin >= 0  # implies k_out >= 1
+    n_in = np.zeros((len(ge), K), dtype=np.int64)
+    np.add.at(n_in, pair_g, has_in)
+    # Carried arrivals usable from k_out are forwardable during it, like any
+    # in-round arrival; a buffer's epoch-0 arrivals are already in B[0].
+    counted = (ar(K)[None, None, :] >= 1) | sw_of[None, :, None]
+    rhs_e = np.where(counted, 0.0 - arr[:, n_of, :K], 0.0)
+    drop = sw_of[None, :, None] & (n_in == 0)[None] & (rhs_e == 0.0)
+    m.fix(F[:, ge, :][drop], 0.0)
+
+    keep = np.ones((C, S), dtype=bool)
+    lo = np.zeros((C, S))
+    hi = np.full((C, S), INF)
+    keep[:, slot_e] = ~drop
+    lo[:, slot_e] = rhs_e
+    rhs_n = arr[:, gn, :K]
+    lo[:, slot_n] = rhs_n
+    hi[:, slot_n] = rhs_n
+    rid = np.cumsum(keep.ravel()) - 1
+    rows_e = rid[cS + slot_e[None]]  # (C, edge group, k_out)
+    kv = ar(K)[None, None, :]
+    cc = ar(C)[:, None, None]
+    bn = net.bpos[n_of]
+    buffered = np.broadcast_to(~sw_of[None, :, None], rows_e.shape)
+    held = B[cc, np.maximum(bn, 0)[None, :, None], np.maximum(kv - 1, 0)]
+    terms = [(rows_e[~drop], F[:, ge, :][~drop], -1.0),
+             (rows_e[buffered], np.broadcast_to(held, rows_e.shape)[buffered], 1.0)]
+    ok = np.broadcast_to(has_in[None], (C, len(pair_g), K))
+    terms.append((rows_e[:, pair_g, :][ok],
+                  F[cc, pair_e[None, :, None], np.maximum(kin, 0)[None]][ok], 1.0))
+    if len(gn):
+        rows_n = rid[cS + slot_n[None]]  # (C, switch group, k_out)
+        og, oe = net.edges_out(gn)
+        ig, ie = net.edges_in(gn)
+        terms.append((rows_n[:, og, :].ravel(), F[:, oe, :].ravel(), 1.0))
+        kin_n = ar(K)[None, :] - 1 - net.delta[ie][:, None]
+        ok = np.broadcast_to(kin_n >= 0, (C, len(ig), K))
+        terms.append((rows_n[:, ig, :][ok],
+                      F[cc, ie[None, :, None], np.maximum(kin_n, 0)[None]][ok], -1.0))
+        if one_shot:
+            # Arrivals in the final epochs could never leave again.
+            last = np.maximum(0, kk - net.delta)[:, None]
+            m.fix(F[:, no_copy[net.dst][:, None] & (ar(K)[None, :] >= last)], 0.0)
+    kept = keep.ravel()
+    m.add_rows(lo.ravel()[kept], hi.ravel()[kept], *terms)
 
     # Buffer recurrence: each start-of-epoch buffer accumulates last epoch's
     # arrivals (minus explicit removals when a limit is in force).
-    for s, c in commodities:
-        for n in t_eff.nodes:
-            if is_switch(n):
-                continue
-            for k in range(1, K + 1):
-                coeffs = [(m.var("B", s, c, n, k), 1.0), (m.var("B", s, c, n, k - 1), -1.0)]
-                if opts.buffer_limit is not None:
-                    coeffs.append((m.var("X", s, c, n, k - 1), 1.0))
-                for e in t_eff.in_edges(n):
-                    k_in = (k - 1) - delta[(e.src, e.dst)]
-                    if k_in >= 0:
-                        coeffs.append((m.var("F", s, c, e.src, e.dst, k_in), -1.0))
-                m.add_eq(coeffs, float(arrivals.get((s, c, n, k), 0)))
+    rb = (ar(C)[:, None, None] * NB + ar(NB)[None, :, None]) * K + ar(K)[None, None, :]
+    terms = [(rb, B[:, :, 1:], 1.0), (rb, B[:, :, :-1], -1.0)]
+    if limited:
+        terms.append((rb, X, 1.0))
+    ib, iedge = net.edges_in(bnodes)
+    kin_b = ar(K)[None, :] - net.delta[iedge][:, None]  # k - 1 - delta for k = 1..K
+    ok = np.broadcast_to(kin_b >= 0, (C, len(ib), K))
+    terms.append((rb[:, ib, :][ok],
+                  F[cc, iedge[None, :, None], np.maximum(kin_b, 0)[None]][ok], -1.0))
+    rhs_b = arr[:, bnodes, 1:].ravel()
+    m.add_rows(rhs_b, rhs_b, *terms)
 
     # Destination reads: R is capped by demand (declared R vars only) and by
     # what the buffer holds at the next boundary; monotone so a read is never
-    # retracted.
-    for (s, c), dlist in sorted(dests.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
-        for dst in dlist:
-            for k in range(K):
-                m.add_le([(m.var("R", s, c, dst, k), 1.0),
-                          (m.var("B", s, c, dst, k + 1), -1.0)], 0.0)
-                if k >= 1:
-                    m.add_ge([(m.var("R", s, c, dst, k), 1.0),
-                              (m.var("R", s, c, dst, k - 1), -1.0)], 0.0)
+    # retracted. Per entry: the cap at epoch 0, then cap and monotonicity at
+    # each later epoch.
+    NE = len(ent)
+    per = 2 * K - 1
+    cap_col, mono_col = np.maximum(2 * ar(K) - 1, 0), 2 * ar(1, K)
+    cap_row = ar(NE)[:, None] * per + cap_col
+    mono_row = ar(NE)[:, None] * per + mono_col
+    lo = np.zeros((NE, per))
+    hi = np.full((NE, per), INF)
+    lo[:, cap_col] = -INF
+    hi[:, cap_col] = 0.0
+    next_held = B[ent_c[:, None], net.bpos[ent_dst][:, None], ar(1, K + 1)[None, :]]
+    m.add_rows(lo.ravel(), hi.ravel(),
+               (cap_row, R, 1.0), (cap_row, next_held, -1.0),
+               (mono_row, R[:, 1:], 1.0), (mono_row, R[:, :-1], -1.0))
 
-    if opts.buffer_limit is not None:
-        for n in t_eff.nodes:
-            if is_switch(n):
-                continue
-            for k in range(K + 1):
-                coeffs = [(m.var("B", s, c, n, k), 1.0) for s, c in commodities]
-                m.add_le(coeffs, float(opts.buffer_limit))
+    if limited:
+        rl = ar(NB)[:, None, None] * (K + 1) + ar(K + 1)[None, :, None]
+        m.add_rows(np.full(NB * (K + 1), -INF), np.full(NB * (K + 1), float(opts.buffer_limit)),
+                   (np.broadcast_to(rl, (NB, K + 1, C)), B.transpose(1, 2, 0), 1.0))
 
     # Legacy-switch budgets: simultaneous pair uses are limited by the
     # physical switch degree, and each node drives or drains at most one
     # hyper-edge of a switch per epoch.
     for sw, group in sorted(hyper_groups.items(), key=lambda kv: str(kv[0])):
-        for k in range(K):
-            coeffs = [(m.var("F", s, c, i, j, k), 1.0)
-                      for s, c in commodities for (i, j) in group.pairs]
-            m.add_le(coeffs, float(group.budget))
-            for node in sorted({i for i, _ in group.pairs}, key=str):
-                coeffs = [(m.var("F", s, c, i, j, k), 1.0)
-                          for s, c in commodities for (i, j) in group.pairs if i == node]
-                m.add_le(coeffs, 1.0)
-            for node in sorted({j for _, j in group.pairs}, key=str):
-                coeffs = [(m.var("F", s, c, i, j, k), 1.0)
-                          for s, c in commodities for (i, j) in group.pairs if j == node]
-                m.add_le(coeffs, 1.0)
+        pe = np.array([net.epos[pair] for pair in group.pairs], dtype=np.int64)
+        srcs = sorted({i for i, _ in group.pairs}, key=str)
+        dsts = sorted({j for _, j in group.pairs}, key=str)
+        rs = np.array([srcs.index(i) for i, _ in group.pairs], dtype=np.int64)
+        rd = np.array([dsts.index(j) for _, j in group.pairs], dtype=np.int64)
+        per = 1 + len(srcs) + len(dsts)
+        base = ar(K)[:, None, None] * per
+        cols = F[ar(C)[None, :, None], pe[None, None, :], ar(K)[:, None, None]]  # (k, c, pair)
+        ub = np.tile(np.array([float(group.budget)] + [1.0] * (per - 1)), K)
+        at = lambda rows: np.broadcast_to(rows, cols.shape)
+        m.add_rows(np.full(K * per, -INF), ub, (at(base), cols, 1.0),
+                   (at(base + 1 + rs[None, None, :]), cols, 1.0),
+                   (at(base + 1 + len(srcs) + rd[None, None, :]), cols, 1.0))
 
-    for (s, c), dlist in dests.items():
-        for dst in dlist:
-            for k in range(K):
-                m.add_objective_term(m.var("R", s, c, dst, k), 1.0 / (k + 1))
+    m.add_objective(R, 1.0 / (ar(K) + 1)[None, :])
     return m

@@ -1,12 +1,12 @@
 """Thin wrapper over an open-source MILP/LP engine (HiGHS via scipy).
 
-The backend is selected by name so alternative engines can be slotted in
-behind the same four calls: build matrices, solve, read status, read values.
+`solve` assembles a model's blocks into one CSC matrix, bounds, integrality
+flags and objective with numpy, hands them to HiGHS and reads back status
+and values.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -16,14 +16,13 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import HorizonInfeasibleError, SolverBackendError, ValidationError
-from .model import BINARY, INF, Model
+from .model import Model
 
 OPTIMAL = "optimal"
 FEASIBLE_GAP = "feasible-gap"
 INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
 
-ENV_BACKEND = "COLLSCHED_SOLVER"
 _GAP_EPS = 1e-9
 
 
@@ -31,7 +30,6 @@ _GAP_EPS = 1e-9
 class SolverOptions:
     time_limit: float = 300.0
     relative_gap: float = 0.0  # early-stop when the primal-dual gap falls below
-    backend: str | None = None  # None: $COLLSCHED_SOLVER or "highs"
 
     def __post_init__(self):
         if not (0 <= self.relative_gap < 1):
@@ -54,19 +52,24 @@ class Solution:
         return self.status in (OPTIMAL, FEASIBLE_GAP)
 
     def value(self, family: str, *key) -> float:
-        if self.x is None:
-            raise ValueError(f"no values available (status={self.status})")
-        return float(self.x[self.model.var(family, *key)])
+        return float(self._values()[self.model.var(family, *key)])
 
     def family_values(self, family: str, threshold: float = 0.0) -> dict:
+        """{key: value} of the family's variables whose magnitude exceeds
+        threshold, in column order."""
+        x = self._values()
+        fam = self.model.families.get(family)
+        if fam is None:
+            return {}
+        flat = fam.index.ravel()
+        pos = np.flatnonzero(np.abs(x[flat]) > threshold)
+        pos = fam.declared(pos)
+        return dict(zip(fam.keys(pos), x[flat[pos]].tolist()))
+
+    def _values(self) -> np.ndarray:
         if self.x is None:
             raise ValueError(f"no values available (status={self.status})")
-        out = {}
-        for key, idx in self.model.family_items(family):
-            v = float(self.x[idx])
-            if abs(v) > threshold:
-                out[key] = v
-        return out
+        return self.x
 
     def replace_values(self, updates: dict[int, float]) -> "Solution":
         x = np.array(self.x, copy=True)
@@ -76,10 +79,6 @@ class Solution:
                         self.achieved_gap, self.solve_wall_time)
 
 
-def _backend_name(opts: SolverOptions) -> str:
-    return opts.backend or os.environ.get(ENV_BACKEND, "highs")
-
-
 def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     """Solve the model; integer variables come back integral within 1e-6.
 
@@ -87,38 +86,21 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     model.
     """
     opts = opts or SolverOptions()
-    name = _backend_name(opts)
-    if name != "highs":
-        raise SolverBackendError(f"unknown solver backend {name!r} (available: highs)")
     if m.num_vars == 0:
         return Solution(OPTIMAL, m, np.zeros(0), 0.0)
     c = np.zeros(m.num_vars)
-    for idx, coef in m.objective.items():
-        c[idx] = -coef  # maximize
-    integrality = np.zeros(m.num_vars, dtype=np.uint8)
-    for i, kind in enumerate(m.kinds):
-        if kind == BINARY:
-            integrality[i] = 1
-    lb = np.array(m.lb, dtype=float)
-    ub = np.array([np.inf if b is INF or b == INF else b for b in m.ub], dtype=float)
+    np.subtract.at(c, *m.objective_arrays())  # maximize
     constraints = None
-    if m.rows:
-        data, rows_idx, cols_idx, lo, hi = [], [], [], [], []
-        for r, (coeffs, rlo, rhi) in enumerate(m.rows):
-            for idx, coef in coeffs:
-                rows_idx.append(r)
-                cols_idx.append(idx)
-                data.append(coef)
-            lo.append(-np.inf if rlo == -INF else rlo)
-            hi.append(np.inf if rhi is INF or rhi == INF else rhi)
-        a = sp.csc_matrix((data, (rows_idx, cols_idx)), shape=(len(m.rows), m.num_vars))
-        constraints = LinearConstraint(a, np.array(lo), np.array(hi))
+    if m.num_rows:
+        rows, cols, coefs, lo, hi = m.row_arrays()
+        a = sp.csc_matrix((coefs, (rows, cols)), shape=(m.num_rows, m.num_vars))
+        constraints = LinearConstraint(a, lo, hi)
     options = {
         "time_limit": float(opts.time_limit),
         "mip_rel_gap": float(opts.relative_gap),
     }
     start = time.perf_counter()
-    res = milp(c=c, integrality=integrality, bounds=Bounds(lb, ub),
+    res = milp(c=c, integrality=m.binary.astype(np.uint8), bounds=Bounds(m.lb, m.ub),
                constraints=constraints, options=options)
     wall = time.perf_counter() - start
 

@@ -67,10 +67,9 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
         sched = astar_solve(t, d, cfg, gamma, max_rounds, opts=opts,
                             solver_opts=solver_opts)
         report = _checked_replay(sched, t, d, switch_mode)
-        wall = time.perf_counter() - start
-        return SynthesisResult(sched, report, method, "optimal-per-round",
-                               wall, wall, None, 0.0,
-                               sched.meta["rounds"] * kpr, tau, notes)
+        return SynthesisResult(sched, report, method, sched.meta["status"],
+                               sched.meta["solver_wall_time_sec"], time.perf_counter() - start,
+                               None, 0.0, sched.meta["rounds"] * kpr, tau, notes)
 
     if epochs is None:
         epochs = estimate_epoch_upper_bound(t, d, tau, opts=opts)

@@ -1,7 +1,7 @@
 import pytest
 
 from collsched.epochs import EpochConfig
-from collsched.errors import HorizonInfeasibleError, SolverBackendError, ValidationError
+from collsched.errors import HorizonInfeasibleError, ValidationError
 from collsched.milp import ModelOptions, build_general_model
 from collsched.model import BINARY, Model
 from collsched.solver import (INFEASIBLE, OPTIMAL, SolverOptions,
@@ -86,13 +86,6 @@ def test_gap_honesty(star3, solver_opts):
     sol = solve(build_general_model(t, d, EpochConfig(1.0, 4), ModelOptions()), opts)
     assert sol.feasible
     assert sol.achieved_gap <= 0.5 + 1e-9
-
-
-def test_unknown_backend_rejected():
-    m = Model()
-    m.add_var("x", (0,))
-    with pytest.raises(SolverBackendError):
-        solve(m, SolverOptions(backend="torchlp"))
 
 
 def test_solver_options_validation():

@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
+from collsched import astar
 from collsched.demand import generate_demand
 from collsched.errors import ValidationError
+from collsched.solver import FEASIBLE_GAP
 from collsched.topology import dgx1, ndv2, ring
 from collsched.workflow import synthesize
 
@@ -44,3 +48,24 @@ def test_astar_refuses_to_dump_a_model(tmp_path):
     with pytest.raises(ValidationError, match="dump"):
         synthesize(t, generate_demand("alltoall", t), "astar", dump_model_path=path)
     assert not path.exists()
+
+
+def test_astar_reports_highs_time_and_its_worst_round(monkeypatch):
+    t = ring(4)
+    d = generate_demand("alltoall", t)
+    result = synthesize(t, d, "astar")
+    assert result.status == "optimal-per-round"
+    assert 0 < result.solver_wall_time < result.total_wall_time
+
+    # A round stopped by its time limit with an incumbent makes the solve's
+    # status feasible-gap.
+    real = astar.solve
+    calls = []
+
+    def stopped_once(m, opts=None):
+        sol = real(m, opts)
+        calls.append(sol.status)
+        return dataclasses.replace(sol, status=FEASIBLE_GAP) if len(calls) == 1 else sol
+
+    monkeypatch.setattr(astar, "solve", stopped_once)
+    assert synthesize(t, d, "astar").status == FEASIBLE_GAP
