@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--buffer-limit", type=float, default=None)
     g.add_argument("--epochs", type=int, default=None)
     g.add_argument("--search-horizon", action="store_true",
-                   help="binary-search the smallest feasible horizon")
+                   help="search for the smallest feasible horizon")
     g.add_argument("--gap", type=float, default=0.0)
     g.add_argument("--time-limit", type=float, default=300.0)
     g.add_argument("--gamma", type=float, default=0.5)
@@ -108,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default=None, help="schedule JSON path")
     g.add_argument("--steps-out", default=None, help="also emit a step-list export")
     g.add_argument("--dump-model", default=None,
-                   help="write the model in LP format (milp and lp only)")
+                   help="write the solved model in LP format (milp and lp only); with "
+                        "--search-horizon it is the probe that proved the horizon, "
+                        "which may have more epochs than the one reported")
     g.set_defaults(func=cmd_solve)
 
     g = sub.add_parser(

@@ -16,10 +16,11 @@ class SolverBackendError(CollschedError):
 class HorizonInfeasibleError(CollschedError):
     """No feasible horizon exists in the searched range."""
 
-    def __init__(self, k_lo: int, k_hi: int):
+    def __init__(self, k_lo: int, k_hi: int, solver_seconds: float = 0.0):
         super().__init__(f"model infeasible for every horizon in [{k_lo}, {k_hi}]")
         self.k_lo = k_lo
         self.k_hi = k_hi
+        self.solver_seconds = solver_seconds  # summed solve time of the probes
 
 
 class EstimationError(CollschedError):

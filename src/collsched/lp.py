@@ -20,10 +20,8 @@ from .errors import ConservationError, ValidationError
 from .milp import ModelOptions, Net
 from .model import INF, Axis, Model
 from .schedule import Schedule, ScheduleEvent
-from .solver import Solution
+from .solver import TOL, Solution, completion_epoch
 from .topology import Topology, require_valid
-
-TOL = 1e-6  # relative feasibility slack solvers are allowed
 
 
 def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
@@ -60,7 +58,7 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     u = np.array([units[pair] for pair in pairs], dtype=float)
 
     m = Model()
-    m.meta.update({"cfg": cfg, "delta": delta, "units": units, "sources": sources})
+    m.meta.update({"cfg": cfg, "delta": delta, "sources": sources, "reads": "Rc"})
 
     ar = np.arange
     per_s = E * K + NB * (K + 1)
@@ -135,19 +133,6 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     return m
 
 
-def lp_completion_epoch(sol: Solution) -> int:
-    """Earliest epoch by which every pair's cumulative reads meet its demand."""
-    reads = sol.model.families["Rc"]
-    units = sol.model.meta["units"]
-    u = np.array([units[pair] for pair in reads.axes[0].labels], dtype=float)[:, None]
-    met = sol.x[reads.index] >= u - TOL * np.maximum(1.0, u)
-    never = ~met.any(axis=1)
-    if never.any():
-        s, dst = reads.axes[0].labels[int(np.argmax(never))]
-        raise ConservationError(f"pair ({s!r},{dst!r}) never reaches its demand")
-    return int(met.argmax(axis=1).max(initial=0))
-
-
 def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
                          cfg: EpochConfig) -> Schedule:
     """Decompose per-source link rates into per-chunk fractional path events.
@@ -200,7 +185,7 @@ def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
                         fractions[key] = fractions.get(key, 0.0) + got
     events = [ScheduleEvent(*key, f) for key, f in sorted(fractions.items(), key=lambda kv: (
         kv[0][4], str(kv[0][0]), str(kv[0][2]), str(kv[0][3]), kv[0][1]))]
-    return Schedule(tau=cfg.tau, events=tuple(events), completion_epoch=lp_completion_epoch(sol),
+    return Schedule(tau=cfg.tau, events=tuple(events), completion_epoch=completion_epoch(sol),
                     chunk_size=d.chunk_size)
 
 

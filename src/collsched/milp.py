@@ -174,8 +174,10 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         dests[key].sort(key=str)
 
     m = Model()
-    # What extraction reads: schedule.trace_required_flows and delivery_epochs.
-    m.meta.update({"eff_topology": t_eff, "delta": delta, "opts": opts, "entries": entries})
+    # What extraction reads (schedule.trace_required_flows and
+    # delivery_epochs) and what solver.completion_epoch reads.
+    m.meta.update({"eff_topology": t_eff, "delta": delta, "opts": opts, "entries": entries,
+                   "cfg": cfg, "reads": "R"})
 
     # Earliest epoch each chunk could be forwarded from each node (a hop costs
     # delta + 1 epochs; inf where unreachable); flows, buffers, and reads

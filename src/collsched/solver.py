@@ -15,7 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import HorizonInfeasibleError, SolverBackendError, ValidationError
+from .errors import (ConservationError, HorizonInfeasibleError, SolverBackendError,
+                     SolverTimeoutError, ValidationError)
 from .model import Model
 
 OPTIMAL = "optimal"
@@ -24,6 +25,7 @@ INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
 
 _GAP_EPS = 1e-9
+TOL = 1e-6  # relative feasibility slack solvers are allowed
 
 
 @dataclass(frozen=True)
@@ -118,27 +120,61 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     return Solution(status, m, np.asarray(res.x), float(-res.fun), gap, wall)
 
 
-def min_feasible_horizon(builder: Callable[[int], Model], k_lo: int, k_hi: int,
-                         opts: SolverOptions | None = None) -> tuple[int, Solution]:
-    """Binary-search the smallest horizon whose model is feasible.
+def completion_epoch(sol: Solution) -> int:
+    """Earliest epoch by which every cumulative read of a solved model meets
+    its demand.
 
-    Assumes monotonicity: a demand satisfiable in K epochs is satisfiable in
-    K+1. Returns the smallest feasible K with its solution.
+    The model names its cumulative-read family in `meta["reads"]` (`Rc` in
+    the copy-free LP, `R` in the whole-chunk model), one row of epochs per
+    demand; the one-shot models fix each row's last epoch to its demand.
     """
+    reads = sol.model.families[sol.model.meta["reads"]]
+    demand = sol.model.ub[reads.index[:, -1:]]
+    met = sol._values()[reads.index] >= demand - TOL * np.maximum(1.0, demand)
+    never = ~met.any(axis=1)
+    if never.any():
+        raise ConservationError(
+            f"reads of {reads.axes[0].labels[int(np.argmax(never))]!r} never reach the demand")
+    return int(met.argmax(axis=1).max(initial=0))
+
+
+def min_feasible_horizon(builder: Callable[[int], Model], k_lo: int, k_hi: int,
+                         opts: SolverOptions | None = None) -> tuple[int, Solution, float]:
+    """Smallest horizon in [k_lo, k_hi] whose model is feasible, the solution
+    that proves it, and the summed solve time of every probe.
+
+    Bisects on the assumption that feasibility is monotone: a demand met in
+    K epochs is met in K + 1, by idling the extra epoch. A feasible probe at
+    K whose reads complete at epoch e < K also proves K = e + 1 feasible:
+    its solution cut to e + 1 epochs meets every row once the sends no read
+    needs are dropped. In the copy-free LP there are none, since all mass is
+    read by then and every F and B after e is zero; in the whole-chunk model
+    they are the sends that pruning removes. So a horizon above e is known
+    feasible and never solved, and the search returns the probe with the
+    smallest e as it is, its model `sol.model` keeping the probe's own K.
+    With the early-delivery objective an optimum at K is also one at e + 1:
+    the objectives differ by the constant sum over rows of demand times
+    1/(k + 1) for k = e + 1..K - 1.
+    """
+    opts = opts or SolverOptions()
     if k_lo < 1 or k_hi < k_lo:
         raise ValidationError(f"bad horizon range [{k_lo}, {k_hi}]")
-    best: tuple[int, Solution] | None = None
-    lo, hi = k_lo, k_hi
+    best: Solution | None = None
+    known = k_hi + 1  # smallest horizon a probe has proved feasible
+    lo, hi, seconds = k_lo, k_hi, 0.0
     while lo <= hi:
         mid = (lo + hi) // 2
-        sol = solve(builder(mid), opts)
-        if sol.status == TIMEOUT:
-            raise SolverBackendError(f"horizon probe timed out at K={mid}")
-        if sol.feasible:
-            best = (mid, sol)
-            hi = mid - 1
-        else:
-            lo = mid + 1
+        if mid < known:
+            sol = solve(builder(mid), opts)
+            seconds += sol.solve_wall_time
+            if sol.status == TIMEOUT:
+                raise SolverTimeoutError(f"no incumbent within {opts.time_limit}s "
+                                         f"at horizon K={mid}")
+            if not sol.feasible:
+                lo = mid + 1
+                continue
+            best, known = sol, completion_epoch(sol) + 1
+        hi = mid - 1
     if best is None:
-        raise HorizonInfeasibleError(k_lo, k_hi)
-    return best
+        raise HorizonInfeasibleError(k_lo, k_hi, seconds)
+    return lo, best, seconds

@@ -9,13 +9,14 @@ from dataclasses import dataclass, field
 from .astar import astar_solve, max_future_epochs
 from .demand import Demand
 from .epochs import EpochConfig, FASTEST, epoch_duration
-from .errors import ValidationError
+from .errors import HorizonInfeasibleError, ValidationError
 from .estimator import estimate_epoch_upper_bound
 from .lp import build_lp_model, lp_rates_to_schedule
 from .milp import COPY, HYPER_EDGE, ModelOptions, build_general_model
 from .schedule import Schedule, extract_schedule, prune_unused_flows
 from .simulator import SimOptions, SimReport, simulate
-from .solver import SolverOptions, min_feasible_horizon, solve
+# bench/tracer.py wraps `workflow.solve` by name.
+from .solver import SolverOptions, min_feasible_horizon, solve  # noqa: F401
 from .topology import Topology
 
 METHODS = ("milp", "lp", "astar")
@@ -23,6 +24,17 @@ METHODS = ("milp", "lp", "astar")
 
 @dataclass
 class SynthesisResult:
+    """A replay-verified schedule and how it was found.
+
+    `epochs` is the horizon the result answers for: the smallest feasible
+    one when the horizon was searched. The schedule, `objective` and
+    `achieved_gap` come from the solved model that proved it, which may be a
+    longer probe whose reads complete by epoch `epochs` - 1; its objective
+    then includes each later epoch's reward for reads already complete.
+    `solver_wall_time` sums the solve time of every horizon probe; the
+    estimator's coarse solves are not in it.
+    """
+
     schedule: Schedule
     report: SimReport
     method: str
@@ -71,7 +83,8 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
                                sched.meta["solver_wall_time_sec"], time.perf_counter() - start,
                                None, 0.0, sched.meta["rounds"] * kpr, tau, notes)
 
-    if epochs is None:
+    estimated = epochs is None
+    if estimated:
         epochs = estimate_epoch_upper_bound(t, d, tau, opts=opts)
         notes.append(f"estimated epoch upper bound {epochs}")
     cfg = EpochConfig(tau, epochs, d.chunk_size)
@@ -87,21 +100,29 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
     else:
         builder = lambda K: build_general_model(t, d, cfg.with_horizon(K), opts)
 
-    if search_horizon:
-        k_star, sol = min_feasible_horizon(builder, 1, epochs, solver_opts)
-        cfg = cfg.with_horizon(k_star)
-    else:
-        sol = solve(builder(epochs), solver_opts)
-        k_star = epochs
-    if not sol.feasible:
-        from .errors import HorizonInfeasibleError, SolverTimeoutError
-        if sol.status == "infeasible":
-            raise HorizonInfeasibleError(k_star, k_star)
-        raise SolverTimeoutError(f"no incumbent within {time_limit}s")
+    # Without the search the range is the one horizon. The estimate is not a
+    # sound bound, so while the estimated range is infeasible the next one
+    # doubles its upper end, up to 8 times the estimate.
+    first = 1 if search_horizon else epochs
+    k_lo, k_hi, solver_s = first, epochs, 0.0
+    while True:
+        try:
+            k_star, sol, seconds = min_feasible_horizon(builder, k_lo, k_hi, solver_opts)
+            break
+        except HorizonInfeasibleError as exc:
+            solver_s += exc.solver_seconds
+            if not estimated:
+                raise
+            if k_hi >= 8 * epochs:
+                raise HorizonInfeasibleError(first, k_hi, solver_s) from None
+            notes.append(f"no feasible horizon up to {k_hi}: trying up to {2 * k_hi}")
+        k_lo, k_hi = (k_hi + 1 if search_horizon else 2 * k_hi), 2 * k_hi
+    solver_s += seconds
     if dump_model_path:
         with open(dump_model_path, "w") as f:
             f.write(sol.model.to_lp_text())
 
+    cfg = sol.model.meta["cfg"]
     if method == "lp":
         sched = lp_rates_to_schedule(sol, t, d, cfg)
     else:
@@ -109,7 +130,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
         sched = extract_schedule(pruned, t, d, cfg)
     report = _checked_replay(sched, t, d, switch_mode)
     wall = time.perf_counter() - start
-    return SynthesisResult(sched, report, method, sol.status, sol.solve_wall_time,
+    return SynthesisResult(sched, report, method, sol.status, solver_s,
                            wall, sol.objective, sol.achieved_gap, k_star, tau, notes)
 
 

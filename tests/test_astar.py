@@ -215,7 +215,7 @@ class TestAstarSolve:
         from collsched.solver import min_feasible_horizon
         t = ring(8)
         d = generate_demand("allgather", t, 1, 1)
-        k_opt, _ = min_feasible_horizon(
+        k_opt, _, _ = min_feasible_horizon(
             lambda k: build_general_model(t, d, EpochConfig(1.0, k), ModelOptions()),
             1, 10, solver_opts)
         sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from collsched import cli
+from collsched import cli, solver
 
 
 def _run(capsys, *argv):
@@ -69,6 +69,29 @@ def test_solve_dumps_milp_model(ring4, tmp_path, capsys):
     code, _, _ = _solve(capsys, ring4, tmp_path, "milp", "--epochs", 3, "--dump-model", model)
     assert code == 0
     assert model.read_text().startswith("Maximize")
+
+
+def test_search_dumps_the_model_it_returns(tmp_path, capsys, monkeypatch):
+    # Every horizon's LP optimum on a 5-node ring alltoall completes at epoch
+    # 2, so the first feasible probe proves K* = 3 and is the model written.
+    solved = []
+    real = solver.solve
+
+    def record(m, opts=None):
+        sol = real(m, opts)
+        solved.append((m, sol.feasible))
+        return sol
+
+    monkeypatch.setattr(solver, "solve", record)
+    topo, dem, model = tmp_path / "ring5.json", tmp_path / "demand.json", tmp_path / "model.lp"
+    _run(capsys, "gen-topology", "ring", "--nodes", 5, "--out", topo)
+    _run(capsys, "gen-demand", "alltoall", "--topology", topo, "--out", dem)
+    code, summary = _run(capsys, "solve", "--topology", topo, "--demand", dem, "--method", "lp",
+                         "--search-horizon", "--dump-model", model)
+    assert code == 0
+    returned = [m for m, feasible in solved if feasible][-1]
+    assert model.read_text() == returned.to_lp_text()
+    assert returned.meta["cfg"].K > summary["epochs"] == 3
 
 
 def test_simulate_and_compare(ring4, tmp_path, capsys):

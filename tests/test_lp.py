@@ -3,10 +3,10 @@ import pytest
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig
 from collsched.errors import ConservationError
-from collsched.lp import TOL, build_lp_model, lp_completion_epoch, lp_rates_to_schedule
+from collsched.lp import TOL, build_lp_model, lp_rates_to_schedule
 from collsched.milp import ModelOptions, build_general_model
 from collsched.simulator import SimOptions, simulate
-from collsched.solver import min_feasible_horizon, solve
+from collsched.solver import completion_epoch, min_feasible_horizon, solve
 from collsched.topology import Edge, Topology, line, ring
 
 
@@ -16,16 +16,16 @@ def test_two_node_ring_alltoall_single_epoch(solver_opts):
     cfg = EpochConfig(1.0, 1)
     sol = solve(build_lp_model(t, d, cfg, ModelOptions()), solver_opts)
     assert sol.feasible
-    assert lp_completion_epoch(sol) == 0
+    assert completion_epoch(sol) == 0
     assert sol.objective == pytest.approx(2.0)
 
 
 def test_latency_chain_completion(latency_chain, solver_opts):
     t, d = latency_chain
     builder = lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions())
-    k, sol = min_feasible_horizon(builder, 1, 12, solver_opts)
+    k, sol, _ = min_feasible_horizon(builder, 1, 12, solver_opts)
     assert k == 8
-    assert lp_completion_epoch(sol) == 7
+    assert completion_epoch(sol) == 7
 
 
 def test_single_path_decomposes_to_one_event(solver_opts):
@@ -72,7 +72,7 @@ def test_lp_schedule_respects_capacity(solver_opts):
     t = ring(4)
     d = generate_demand("alltoall", t, 1, 1)
     builder = lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions())
-    k, sol = min_feasible_horizon(builder, 1, 8, solver_opts)
+    k, sol, _ = min_feasible_horizon(builder, 1, 8, solver_opts)
     sched = lp_rates_to_schedule(sol, t, d, EpochConfig(1.0, k))
     load = {}
     for e in sched.events:
@@ -84,7 +84,7 @@ def test_mass_conservation_per_pair(solver_opts):
     t = ring(4)
     d = generate_demand("alltoall", t, 2, 1)
     builder = lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions())
-    k, sol = min_feasible_horizon(builder, 1, 8, solver_opts)
+    k, sol, _ = min_feasible_horizon(builder, 1, 8, solver_opts)
     sched = lp_rates_to_schedule(sol, t, d, EpochConfig(1.0, k))
     rep = simulate(sched, t, d, SimOptions())
     assert rep.violations == []
@@ -97,10 +97,10 @@ def test_mass_conservation_per_pair(solver_opts):
 def test_relaxation_dominance_small_rings(n, solver_opts):
     t = ring(n)
     d = generate_demand("alltoall", t, 1, 1)
-    lp_k, _ = min_feasible_horizon(
+    lp_k, _, _ = min_feasible_horizon(
         lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions()),
         1, 8, solver_opts)
-    milp_k, _ = min_feasible_horizon(
+    milp_k, _, _ = min_feasible_horizon(
         lambda k: build_general_model(t, d, EpochConfig(1.0, k), ModelOptions()),
         1, 8, solver_opts)
     assert lp_k <= milp_k
@@ -166,7 +166,7 @@ def _reference_rates_to_schedule(sol, d, K):
 def test_decomposition_matches_reference(t, kind, chunks, solver_opts):
     d = generate_demand(kind, t, chunks, 1)
     builder = lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions())
-    k, sol = min_feasible_horizon(builder, 1, 16, solver_opts)
+    k, sol, _ = min_feasible_horizon(builder, 1, 16, solver_opts)
     sched = lp_rates_to_schedule(sol, t, d, EpochConfig(1.0, k))
     got = [(e.source, e.chunk, e.src, e.dst, e.epoch, e.fraction) for e in sched.events]
     assert got == _reference_rates_to_schedule(sol, d, k)

@@ -14,7 +14,7 @@ from collsched.topology import Edge, Topology, dgx1, hyper_edge_transform, line
 def _min_horizon(t, d, opts, hi, solver_opts, cfg_kwargs=None):
     kw = cfg_kwargs or {}
     builder = lambda k: build_general_model(t, d, EpochConfig(K=k, **kw), opts)
-    return min_feasible_horizon(builder, 1, hi, solver_opts)
+    return min_feasible_horizon(builder, 1, hi, solver_opts)[:2]
 
 
 class TestSwitchModes:
@@ -110,7 +110,7 @@ class TestWindowedCapacity:
         opts = ModelOptions()
         builder = lambda k: build_general_model(
             t, d, EpochConfig(1.0, k, chunk_size=1), opts)
-        k, sol = min_feasible_horizon(builder, 1, 8, solver_opts)
+        k, sol, _ = min_feasible_horizon(builder, 1, 8, solver_opts)
         assert k == 4
         epochs = sorted(key[4] for key in sol.family_values("F", 0.5))
         assert epochs == [0, 2]
@@ -120,7 +120,7 @@ class TestWindowedCapacity:
         # window, and arrivals land one epoch later than plain latency says.
         t, d = diamond_multicast
         builder = lambda k: build_general_model(t, d, EpochConfig(1.0, k), ModelOptions())
-        k, sol = min_feasible_horizon(builder, 1, 12, solver_opts)
+        k, sol, _ = min_feasible_horizon(builder, 1, 12, solver_opts)
         assert k == 4
         cfg = EpochConfig(1.0, k)
         sched = extract_schedule(prune_unused_flows(sol, d, t), t, d, cfg)
@@ -149,7 +149,7 @@ class TestHyperEdgeConstraints:
                    2, 1)
         opts = ModelOptions(switch_mode="hyper-edge")
         builder = lambda k: build_general_model(t, d, EpochConfig(1.0, k), opts)
-        k, sol = min_feasible_horizon(builder, 1, 6, solver_opts)
+        k, sol, _ = min_feasible_horizon(builder, 1, 6, solver_opts)
         # per-node egress <= 1 pair per epoch forces two epochs of sends
         assert k == 2
         by_epoch = {}
@@ -208,5 +208,5 @@ class TestModelInvariants:
         d = generate_demand("allgather", t, 1, 25000)
         builder = lambda k: build_general_model(
             t, d, EpochConfig(1e-6, k, chunk_size=25000), ModelOptions())
-        k, _ = min_feasible_horizon(builder, 1, 4, solver_opts)
+        k, _, _ = min_feasible_horizon(builder, 1, 4, solver_opts)
         assert k == 2

@@ -187,7 +187,7 @@ class TestAlphaSensitivity:
         results = {}
         for label, t_model in (("blind", microtopo(0.0)), ("aware", microtopo(alpha))):
             from collsched.solver import min_feasible_horizon
-            k, sol = min_feasible_horizon(
+            k, sol, _ = min_feasible_horizon(
                 lambda kk: build_general_model(t_model, d, EpochConfig(1.0, kk),
                                                ModelOptions()),
                 1, 16, solver_opts)

@@ -1,11 +1,16 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from collsched.demand import generate_demand
 from collsched.epochs import EpochConfig
 from collsched.errors import HorizonInfeasibleError, ValidationError
+from collsched.lp import build_lp_model
 from collsched.milp import ModelOptions, build_general_model
-from collsched.model import BINARY, Model
-from collsched.solver import (INFEASIBLE, OPTIMAL, SolverOptions,
+from collsched.model import BINARY, INF, Axis, Model
+from collsched.solver import (INFEASIBLE, OPTIMAL, SolverOptions, completion_epoch,
                               min_feasible_horizon, solve)
+from collsched.topology import line, ring
 
 
 def test_trivial_binary_max(solver_opts):
@@ -51,7 +56,7 @@ def test_star3_objective_matches_hand_sum(star3, solver_opts):
 def test_min_feasible_horizon_star3(star3, solver_opts):
     t, d = star3
     builder = lambda k: build_general_model(t, d, EpochConfig(1.0, k), ModelOptions())
-    k, sol = min_feasible_horizon(builder, 1, 8, solver_opts)
+    k, sol, _ = min_feasible_horizon(builder, 1, 8, solver_opts)
     assert k == 2 and sol.feasible
 
 
@@ -59,7 +64,7 @@ def test_min_feasible_horizon_no_copy(star3, solver_opts):
     t, d = star3
     opts = ModelOptions(switch_mode="no-copy")
     builder = lambda k: build_general_model(t, d, EpochConfig(1.0, k), opts)
-    k, _ = min_feasible_horizon(builder, 1, 8, solver_opts)
+    k, _, _ = min_feasible_horizon(builder, 1, 8, solver_opts)
     assert k == 4
 
 
@@ -111,3 +116,103 @@ def test_deterministic_resolve(star3, solver_opts):
                     solver_opts)
         runs.append(sorted(sol.family_values("F", 0.5)))
     assert runs[0] == runs[1]
+
+
+def _reads_model(k: int, k_star: int, completion: int) -> Model:
+    """One demand's cumulative reads over k epochs: infeasible below k_star,
+    else complete from epoch `completion` on."""
+    m = Model()
+    reads = m.columns(k) + np.arange(k)[None, :]
+    m.add_family("R", [Axis([0]), Axis(range(k))], reads, ub=1.0)
+    m.meta["reads"] = "R"
+    m.fix(reads[0, :completion], 0.0)
+    m.fix(reads[0, completion:], 1.0)
+    if k < k_star:
+        m.add_rows([2.0], [INF], (0, reads[0, -1], 1.0))
+    m.add_objective(reads, 1.0 / (np.arange(k) + 1))
+    return m
+
+
+def _bisection_probes(k_lo: int, k_hi: int, k_star: int) -> int:
+    """Probes plain bisection makes on [k_lo, k_hi] for threshold k_star."""
+    probes, lo, hi = 0, k_lo, k_hi
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        lo, hi = (lo, mid - 1) if mid >= k_star else (mid + 1, hi)
+    return probes
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_star=st.integers(1, 30), below=st.integers(0, 30), above=st.integers(0, 30),
+       data=st.data())
+def test_search_ends_at_a_probe_completion(k_star, below, above, data):
+    # Each feasible probe completes at any epoch in [K* - 1, K - 1]: the
+    # search still returns K* with a solution complete at K* - 1, has proved
+    # K* - 1 infeasible, and never probes more than plain bisection.
+    k_lo, k_hi = max(1, k_star - below), k_star + above
+    probed = {}
+
+    def builder(k):
+        completion = data.draw(st.integers(k_star - 1, k - 1)) if k >= k_star else 0
+        probed[k] = k >= k_star
+        return _reads_model(k, k_star, completion)
+
+    k, sol, seconds = min_feasible_horizon(builder, k_lo, k_hi)
+    assert k == k_star
+    assert completion_epoch(sol) == k_star - 1
+    assert k_star == k_lo or probed.get(k_star - 1) is False
+    assert len(probed) <= _bisection_probes(k_lo, k_hi, k_star)
+    assert seconds >= 0
+
+
+def test_search_skips_horizons_a_probe_proved_feasible():
+    # The dgx2 alltoall LP's shape: K* = 18 in [1, 31], every feasible probe
+    # completing at epoch 17. Plain bisection solves 16, 24, 20, 18, 17.
+    probed = []
+
+    def builder(k):
+        probed.append(k)
+        return _reads_model(k, 18, 17)
+
+    k, _, _ = min_feasible_horizon(builder, 1, 31)
+    assert k == 18 and probed == [16, 24, 17]
+
+
+def _check_minimal(builder, k_hi, solver_opts):
+    k, sol, _ = min_feasible_horizon(builder, 1, k_hi, solver_opts)
+    assert completion_epoch(sol) == k - 1
+    assert solve(builder(k), solver_opts).status == OPTIMAL
+    if k > 1:
+        assert solve(builder(k - 1), solver_opts).status == INFEASIBLE
+    return k, sol
+
+
+@pytest.mark.parametrize("t, longer_probe", [(ring(6), False), (line(4), False), (ring(5), True)],
+                         ids=["ring6", "line4", "ring5"])
+def test_lp_search_returns_an_optimum_of_the_minimal_horizon(t, longer_probe, solver_opts):
+    # On ring(6) and line(4) alltoall a long horizon's optimum completes
+    # later than K* - 1, so the search solves K* itself; on ring(5) the
+    # probe at K = 8 completes at K* - 1 = 2 and is returned.
+    d = generate_demand("alltoall", t)
+    builder = lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions())
+    k, sol = _check_minimal(builder, 16, solver_opts)
+    probe_k = sol.model.meta["cfg"].K
+    assert (probe_k > k) == longer_probe
+    # Past K*, each epoch rewards every complete unit of demand by 1/(k+1).
+    constant = len(d.entries) * sum(1.0 / (e + 1) for e in range(k, probe_k))
+    own = solve(builder(k), solver_opts).objective
+    assert sol.objective - constant == pytest.approx(own, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["copy", "no-copy", "hyper-edge"])
+def test_milp_search_is_minimal_on_star3(star3, mode, solver_opts):
+    t, d = star3
+    opts = ModelOptions(switch_mode=mode)
+    _check_minimal(lambda k: build_general_model(t, d, EpochConfig(1.0, k), opts), 8, solver_opts)
+
+
+def test_milp_search_is_minimal_on_diamond(diamond_multicast, solver_opts):
+    t, d = diamond_multicast
+    _check_minimal(lambda k: build_general_model(t, d, EpochConfig(1.0, k), ModelOptions()),
+                   8, solver_opts)

@@ -2,11 +2,11 @@ import dataclasses
 
 import pytest
 
-from collsched import astar
-from collsched.demand import generate_demand
-from collsched.errors import ValidationError
+from collsched import astar, solver, workflow
+from collsched.demand import Demand, generate_demand
+from collsched.errors import HorizonInfeasibleError, ValidationError
 from collsched.solver import FEASIBLE_GAP
-from collsched.topology import dgx1, ndv2, ring
+from collsched.topology import Edge, Topology, dgx1, ndv2, ring
 from collsched.workflow import synthesize
 
 
@@ -28,6 +28,44 @@ def test_sub_chunk_epochs_replay_clean(dgx1_odd_chunks, method, kwargs, completi
     result = synthesize(t, d, method, epoch_mode="slowest", time_limit=120.0, **kwargs)
     assert result.report.ok
     assert result.report.completion_epoch == result.schedule.completion_epoch == completion
+
+
+@pytest.mark.parametrize("search, epochs", [(False, 10), (True, 6)])
+def test_horizon_grows_past_an_infeasible_estimate(dgx1_odd_chunks, search, epochs):
+    # The estimator bounds this input by 5 epochs, where the MILP needs 6:
+    # the estimated range is infeasible, so the next doubles it.
+    t, d = dgx1_odd_chunks
+    result = synthesize(t, d, "milp", epoch_mode="slowest", search_horizon=search)
+    assert result.warnings == ["estimated epoch upper bound 5",
+                               "no feasible horizon up to 5: trying up to 10"]
+    assert result.report.ok and result.epochs == epochs
+    assert result.report.completion_epoch == result.schedule.completion_epoch == 5
+
+
+@pytest.mark.parametrize("search, first", [(False, 2), (True, 1)])
+def test_horizon_growth_stops_at_eight_times_the_estimate(monkeypatch, search, first):
+    # 20 chunks over one link of a chunk per epoch need 20 epochs.
+    t = Topology((0, 1), frozenset(), (Edge(0, 1, 1.0),))
+    d = Demand(frozenset((0, c, 1) for c in range(20)), 20, 1)
+    monkeypatch.setattr(workflow, "estimate_epoch_upper_bound", lambda *a, **k: 2)
+    with pytest.raises(HorizonInfeasibleError, match=rf"\[{first}, 16\]"):
+        synthesize(t, d, "lp", search_horizon=search)
+
+
+def test_solver_time_sums_every_horizon_probe(monkeypatch):
+    real = solver.solve
+    probes = []
+
+    def timed(m, opts=None):
+        sol = real(m, opts)
+        probes.append(sol.solve_wall_time)
+        return sol
+
+    monkeypatch.setattr(solver, "solve", timed)
+    t = ring(4)
+    result = synthesize(t, generate_demand("alltoall", t), "lp", search_horizon=True)
+    assert len(probes) > 1
+    assert result.solver_wall_time == sum(probes)
 
 
 def test_astar_rounds_respect_windows_of_sub_chunk_links():
