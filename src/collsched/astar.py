@@ -195,8 +195,7 @@ def advance_state(state: RoundState, sol, t_eff: Topology, cfg: EpochConfig,
 
 def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
                 max_rounds: int = 64, *, opts: ModelOptions | None = None,
-                solver_opts: SolverOptions | None = None,
-                fw: dict | None = None) -> Schedule:
+                solver_opts: SolverOptions | None = None) -> Schedule:
     """Solve round after round until every demand entry is met, then stitch
     the per-round flows into one schedule on the global epoch axis."""
     require_valid(t)
@@ -204,7 +203,7 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
     opts = opts or ModelOptions()
     t_eff, _ = model_topology(t, opts)
     timing = link_timing(t_eff, cfg)
-    fw = fw or round_distance_table(t, cfg)
+    fw = round_distance_table(t, cfg)
     for s, c, dst in d.entries:
         if not math.isfinite(fw[s, dst]):
             raise ValidationError(f"demanded pair ({s!r},{dst!r}) unreachable")

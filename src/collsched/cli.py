@@ -97,9 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_model_flags(g)
     g.add_argument("--method", choices=["milp", "lp", "astar"], default="milp")
     g.add_argument("--buffer-limit", type=float, default=None)
-    g.add_argument("--epochs", type=int, default=None)
+    g.add_argument("--epochs", type=int, default=None, help="horizon in epochs (milp and lp only)")
     g.add_argument("--search-horizon", action="store_true",
-                   help="search for the smallest feasible horizon")
+                   help="search for the smallest feasible horizon (milp and lp only)")
     g.add_argument("--gap", type=float, default=0.0)
     g.add_argument("--time-limit", type=float, default=300.0)
     g.add_argument("--gamma", type=float, default=0.5)

@@ -1,26 +1,31 @@
 """Solver-agnostic linear model stored as numpy blocks: typed variables in
 families, rows in COO blocks, maximize objective.
 
-A family groups the variables of one role (chunk flows, buffers, reads, ...).
-Its keys are the cartesian product of its axes: each axis holds labels of
-one or more key parts, and a key is one label of every axis, concatenated.
-The family's index array, shaped like its axes, holds each key's column, or
--1 where the family declares no variable, so builders address whole families
-by index arithmetic and a key's column is found from the axes alone.
+A model is built one way, a block at a time. `columns` reserves a run of
+columns; `add_family` names them: a family groups the variables of one role
+(chunk flows, buffers, reads, ...), and its keys are the cartesian product of
+its axes. Each axis holds labels of one or more key parts, and a key is one
+label of every axis, concatenated. The family's index array, shaped like its
+axes, holds each key's column, or -1 where the family declares no variable,
+so builders address whole families by index arithmetic and `var` finds a
+key's column from the axes alone. `fix` pins columns to values.
 
-Rows are lb <= sum(coef * var) <= ub. They are added as blocks of
-(row, column, coefficient) triples with a bound pair per row; zero
-coefficients are dropped, and coefficients of one column within a row add
-up. The objective sense is always maximize.
+`add_rows` appends rows lb <= sum(coef * var) <= ub as (row, column,
+coefficient) triples with a bound pair per row, dropping zero coefficients;
+`add_objective` adds terms to the objective, whose sense is always maximize.
+
+The rows are read back one way too: `matrix` assembles them into the sparse
+matrix the solver gets, summing the coefficients of a repeated (row, column)
+entry, and `rows` lists each row's entries of that matrix.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
 CONTINUOUS = "C"
 BINARY = "B"
@@ -81,16 +86,16 @@ class Model:
     """A linear program over variables addressed by (family, key) tuples."""
 
     def __init__(self):
-        self._lb = np.zeros(0)
-        self._ub = np.zeros(0)
-        self._binary = np.zeros(0, dtype=bool)
+        self.lb = np.zeros(0)
+        self.ub = np.zeros(0)
+        self.binary = np.zeros(0, dtype=bool)
         self.families: dict[str, Family] = {}
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # global rows
         self._row_lb: list[np.ndarray] = []
         self._row_ub: list[np.ndarray] = []
         self.num_rows = 0
         self._objective: list[tuple[np.ndarray, np.ndarray]] = []
-        self._rows_cache = None
+        self._rows = None
         self.meta: dict = {}
 
     # -- variables ----------------------------------------------------------
@@ -98,9 +103,9 @@ class Model:
     def columns(self, n: int) -> int:
         """Reserve n continuous columns in [0, inf); returns the first."""
         start = self.num_vars
-        self._lb = np.concatenate([self._lb, np.zeros(n)])
-        self._ub = np.concatenate([self._ub, np.full(n, INF)])
-        self._binary = np.concatenate([self._binary, np.zeros(n, dtype=bool)])
+        self.lb = np.concatenate([self.lb, np.zeros(n)])
+        self.ub = np.concatenate([self.ub, np.full(n, INF)])
+        self.binary = np.concatenate([self.binary, np.zeros(n, dtype=bool)])
         return start
 
     def add_family(self, family: str, axes: list[Axis], index: np.ndarray,
@@ -118,48 +123,18 @@ class Model:
         cols = index[declared]
         if kind == BINARY and np.ndim(ub) == 0 and ub == INF:
             ub = 1.0
-        self._binary[cols] = kind == BINARY
-        self._lb[cols] = np.broadcast_to(lb, shape)[declared]
-        self._ub[cols] = np.broadcast_to(ub, shape)[declared]
+        self.binary[cols] = kind == BINARY
+        self.lb[cols] = np.broadcast_to(lb, shape)[declared]
+        self.ub[cols] = np.broadcast_to(ub, shape)[declared]
         self.families[family] = Family(axes, index)
-
-    def add_var(self, family: str, key: tuple, kind: str = CONTINUOUS,
-                lb: float = 0.0, ub: float = INF) -> int:
-        """One variable; its family is a plain list of keys."""
-        label = key[0] if len(key) == 1 else tuple(key)
-        fam = self.families.get(family)
-        if fam is None:
-            idx = self.columns(1)
-            self.add_family(family, [Axis([label], len(key))], np.array([idx]), kind, lb, ub)
-            return idx
-        if len(fam.axes) != 1 or fam.axes[0].width != len(key):
-            raise ValueError(f"family {family!r} is not a list of keys")
-        if label in fam.axes[0].position:
-            raise ValueError(f"variable {(family, *key)} declared twice")
-        idx = self.columns(1)
-        axis = fam.axes[0]
-        axis.position[label] = len(axis.labels)
-        axis.labels.append(label)
-        fam.index = np.append(fam.index, idx)
-        self._binary[idx] = kind == BINARY
-        self._lb[idx] = lb
-        self._ub[idx] = 1.0 if kind == BINARY and ub == INF else ub
-        return idx
 
     def var(self, family: str, *key) -> int:
         return self.families[family].column(key)
 
-    def has_var(self, family: str, *key) -> bool:
-        try:
-            self.var(family, *key)
-        except KeyError:
-            return False
-        return True
-
     def fix(self, idx, value) -> None:
         """Fix one column, or an array of them, to the value(s)."""
-        self._lb[idx] = value
-        self._ub[idx] = value
+        self.lb[idx] = value
+        self.ub[idx] = value
 
     def family_items(self, family: str):
         """Yield (key, index) for every variable of the family, in column order."""
@@ -171,31 +146,18 @@ class Model:
 
     @property
     def num_vars(self) -> int:
-        return len(self._lb)
-
-    @property
-    def lb(self) -> np.ndarray:
-        return self._lb
-
-    @property
-    def ub(self) -> np.ndarray:
-        return self._ub
-
-    @property
-    def binary(self) -> np.ndarray:
-        return self._binary
+        return len(self.lb)
 
     @property
     def kinds(self) -> list[str]:
-        return np.where(self._binary, BINARY, CONTINUOUS).tolist()
+        return np.where(self.binary, BINARY, CONTINUOUS).tolist()
 
     # -- rows and objective --------------------------------------------------
 
     def add_rows(self, lb, ub, *terms) -> None:
         """Append a block of rows. lb and ub give one bound per row; each term
         is (rows, columns, coefficients), rows numbered from 0 within the
-        block, arrays or scalars broadcast together. Within a row, entries
-        keep the order of the terms and of their arrays."""
+        block, arrays or scalars broadcast together."""
         lb, ub = np.broadcast_arrays(np.asarray(lb, dtype=float), np.asarray(ub, dtype=float))
         for r, c, v in terms:
             r, c, v = np.broadcast_arrays(np.asarray(r, dtype=np.int64),
@@ -206,20 +168,7 @@ class Model:
         self._row_lb.append(np.array(lb, dtype=float))
         self._row_ub.append(np.array(ub, dtype=float))
         self.num_rows += len(lb)
-        self._rows_cache = None
-
-    def add_row(self, coeffs, lb: float = -INF, ub: float = INF) -> None:
-        coeffs = list(coeffs)
-        self.add_rows([lb], [ub], (0, [i for i, _ in coeffs], [c for _, c in coeffs]))
-
-    def add_eq(self, coeffs, rhs: float) -> None:
-        self.add_row(coeffs, rhs, rhs)
-
-    def add_le(self, coeffs, rhs: float) -> None:
-        self.add_row(coeffs, -INF, rhs)
-
-    def add_ge(self, coeffs, rhs: float) -> None:
-        self.add_row(coeffs, rhs, INF)
+        self._rows = None
 
     def add_objective(self, idx, coef) -> None:
         """Add coef * var to the objective for each (idx, coef) pair."""
@@ -228,15 +177,10 @@ class Model:
         keep = coef != 0
         self._objective.append((idx[keep], coef[keep]))
 
-    def add_objective_term(self, idx: int, coef: float) -> None:
-        self.add_objective(idx, coef)
-
     def objective_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(columns, coefficients) of every objective term, in the order added."""
-        if not self._objective:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        return (np.concatenate([i for i, _ in self._objective]),
-                np.concatenate([c for _, c in self._objective]))
+        return (_cat([i for i, _ in self._objective], np.int64),
+                _cat([c for _, c in self._objective], float))
 
     @property
     def objective(self) -> dict[int, float]:
@@ -245,28 +189,31 @@ class Model:
             out[idx] = out.get(idx, 0.0) + coef
         return out
 
-    def row_arrays(self):
-        """(rows, columns, coefficients, row lb, row ub); entries are in the
-        order added, not grouped by row."""
-        cat = lambda parts, dtype: np.concatenate(parts) if parts else np.zeros(0, dtype)
-        rows, cols, coefs = (cat([b[i] for b in self._blocks], dtype)
+    def matrix(self) -> sp.csc_matrix:
+        """The constraint matrix, one row per model row and one column per
+        variable, as the solver gets it: the coefficients of a repeated
+        (row, column) entry are summed, and a sum of zero stays an entry."""
+        rows, cols, coefs = (_cat([b[i] for b in self._blocks], dtype)
                              for i, dtype in enumerate((np.int64, np.int64, float)))
-        return rows, cols, coefs, cat(self._row_lb, float), cat(self._row_ub, float)
+        return sp.csc_matrix((coefs, (rows, cols)), shape=(self.num_rows, self.num_vars))
+
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lb, ub) of every row."""
+        return _cat(self._row_lb, float), _cat(self._row_ub, float)
 
     @property
-    def rows(self) -> "Rows":
-        """Every row as (coeffs, lb, ub), coefficients of one column merged."""
-        if self._rows_cache is None:
-            self._rows_cache = Rows(*self.row_arrays(), self.num_rows)
-        return self._rows_cache
+    def rows(self) -> Rows:
+        """Every row as (coeffs, lb, ub), read from `matrix()`."""
+        if self._rows is None:
+            self._rows = Rows(self.matrix().tocsr(), *self.row_bounds())
+        return self._rows
 
     # -- debugging aids -------------------------------------------------------
 
     def _column_keys(self) -> list[tuple]:
         keys: list = [None] * self.num_vars
-        for family, fam in self.families.items():
-            pos = fam.declared()
-            for key, idx in zip(fam.keys(pos), fam.index.ravel()[pos].tolist()):
+        for family in self.families:
+            for key, idx in self.family_items(family):
                 keys[idx] = (family, *key)
         return keys
 
@@ -289,10 +236,10 @@ class Model:
                 if lb != -INF:
                     out.append(f" c{r}l: {expr} >= {lb}")
         out.append("Bounds")
-        for i, (lo, hi) in enumerate(zip(self._lb.tolist(), self._ub.tolist())):
+        for i, (lo, hi) in enumerate(zip(self.lb.tolist(), self.ub.tolist())):
             hi_text = "+inf" if hi == INF else str(hi)
             out.append(f" {lo} <= {names[i]} <= {hi_text}")
-        binaries = [names[i] for i in np.flatnonzero(self._binary).tolist()]
+        binaries = [names[i] for i in np.flatnonzero(self.binary).tolist()]
         if binaries:
             out.append("Binaries")
             out.append(" " + " ".join(binaries))
@@ -300,41 +247,25 @@ class Model:
         return "\n".join(out) + "\n"
 
 
-class Rows(Sequence):
-    """A model's rows as (coeffs, lb, ub) triples, each built when read:
-    coeffs lists (column, coefficient) pairs in the order added, with the
-    coefficients of one column summed."""
+class Rows:
+    """A model's rows as (coeffs, lb, ub) triples, each built when iterated:
+    coeffs lists the row's (column, coefficient) entries in column order."""
 
-    def __init__(self, rows, cols, coefs, lb, ub, count: int):
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        self._cols, self._coefs = cols[order].tolist(), coefs[order].tolist()
-        self._bounds = np.searchsorted(rows, np.arange(count + 1)).tolist()
+    def __init__(self, a: sp.csr_matrix, lb: np.ndarray, ub: np.ndarray):
+        self._ptr, self._cols, self._coefs = (v.tolist() for v in (a.indptr, a.indices, a.data))
         self._lb, self._ub = lb.tolist(), ub.tolist()
-        by_cell = np.lexsort((cols[order], rows))
-        twice = (np.diff(rows[by_cell]) == 0) & (np.diff(cols[order][by_cell]) == 0)
-        self._repeats = set(np.unique(rows[by_cell][1:][twice]).tolist())
 
     def __len__(self) -> int:
         return len(self._lb)
 
-    def __getitem__(self, row: int):
-        row = range(len(self))[row]
-        return self._coeffs(row), self._lb[row], self._ub[row]
-
     def __iter__(self):
-        for row in range(len(self)):
-            yield self._coeffs(row), self._lb[row], self._ub[row]
+        ptr, cols, coefs = self._ptr, self._cols, self._coefs
+        for a, b, lb, ub in zip(ptr, ptr[1:], self._lb, self._ub):
+            yield list(zip(cols[a:b], coefs[a:b])), lb, ub
 
-    def _coeffs(self, row: int) -> list[tuple[int, float]]:
-        a, b = self._bounds[row], self._bounds[row + 1]
-        coeffs = list(zip(self._cols[a:b], self._coefs[a:b]))
-        if row in self._repeats:
-            merged: dict[int, float] = {}
-            for i, coef in coeffs:
-                merged[i] = merged.get(i, 0.0) + coef
-            coeffs = list(merged.items())
-        return coeffs
+
+def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype)
 
 
 def _name(full: tuple) -> str:

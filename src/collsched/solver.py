@@ -1,8 +1,8 @@
 """Thin wrapper over an open-source MILP/LP engine (HiGHS via scipy).
 
-`solve` assembles a model's blocks into one CSC matrix, bounds, integrality
-flags and objective with numpy, hands them to HiGHS and reads back status
-and values.
+`solve` hands HiGHS a model's constraint matrix (`Model.matrix`), row and
+variable bounds, integrality flags and objective, and reads back status and
+values.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import (ConservationError, HorizonInfeasibleError, SolverBackendError,
@@ -53,9 +52,6 @@ class Solution:
     def feasible(self) -> bool:
         return self.status in (OPTIMAL, FEASIBLE_GAP)
 
-    def value(self, family: str, *key) -> float:
-        return float(self._values()[self.model.var(family, *key)])
-
     def family_values(self, family: str, threshold: float = 0.0) -> dict:
         """{key: value} of the family's variables whose magnitude exceeds
         threshold, in column order."""
@@ -92,11 +88,7 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
         return Solution(OPTIMAL, m, np.zeros(0), 0.0)
     c = np.zeros(m.num_vars)
     np.subtract.at(c, *m.objective_arrays())  # maximize
-    constraints = None
-    if m.num_rows:
-        rows, cols, coefs, lo, hi = m.row_arrays()
-        a = sp.csc_matrix((coefs, (rows, cols)), shape=(m.num_rows, m.num_vars))
-        constraints = LinearConstraint(a, lo, hi)
+    constraints = LinearConstraint(m.matrix(), *m.row_bounds()) if m.num_rows else None
     options = {
         "time_limit": float(opts.time_limit),
         "mip_rel_gap": float(opts.relative_gap),
@@ -110,10 +102,9 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     if res.status == 2:
         return Solution(INFEASIBLE, m, solve_wall_time=wall)
     if res.x is None:
-        status = TIMEOUT if res.status == 1 else INFEASIBLE
-        if res.status not in (1, 2):
+        if res.status != 1:
             raise SolverBackendError(f"solver failed: {res.message}")
-        return Solution(status, m, solve_wall_time=wall)
+        return Solution(TIMEOUT, m, solve_wall_time=wall)
     status = OPTIMAL if gap <= max(opts.relative_gap, _GAP_EPS) and res.status == 0 else FEASIBLE_GAP
     if res.status == 1:
         status = FEASIBLE_GAP
@@ -122,7 +113,7 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
 
 def completion_epoch(sol: Solution) -> int:
     """Earliest epoch by which every cumulative read of a solved model meets
-    its demand.
+    its demand; -1 if the model reads nothing.
 
     The model names its cumulative-read family in `meta["reads"]` (`Rc` in
     the copy-free LP, `R` in the whole-chunk model), one row of epochs per
@@ -135,7 +126,7 @@ def completion_epoch(sol: Solution) -> int:
     if never.any():
         raise ConservationError(
             f"reads of {reads.axes[0].labels[int(np.argmax(never))]!r} never reach the demand")
-    return int(met.argmax(axis=1).max(initial=0))
+    return int(met.argmax(axis=1).max(initial=-1))
 
 
 def min_feasible_horizon(builder: Callable[[int], Model], k_lo: int, k_hi: int,

@@ -71,6 +71,9 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
     if method == "astar":
         if dump_model_path:
             raise ValidationError("cannot dump the model of an A* solve: it builds one per round")
+        if epochs is not None or search_horizon:
+            raise ValidationError("A* sets its own horizon, round by round: use "
+                                  "epochs_per_round, not epochs or search_horizon")
         kpr = epochs_per_round
         if kpr is None:
             cfg_probe = EpochConfig(tau, 1, d.chunk_size)

@@ -221,13 +221,6 @@ class TestAstarSolve:
         sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
         assert sched.completion_epoch + 1 >= k_opt
 
-    def test_custom_distance_table_accepted(self, solver_opts):
-        t = line(3)
-        d = Demand(frozenset({(0, 0, 2)}), 1, 1)
-        flat = {(a, b): 1.0 * (a != b) for a in t.nodes for b in t.nodes}
-        sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts, fw=flat)
-        assert sched.completion_epoch >= 1
-
 
 def test_max_future_epochs():
     t = line(3, alpha=2.5)

@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps package functions by name and reads the
 models that `solve` receives; these tests run its wrapping test in the
 package's suite, so a change under src/ that drops one of those names fails
-here too, and check that what it counts of each model is what HiGHS gets."""
+here too, and check that what it counts of each model is what HiGHS gets.
+They also run the bench's checks of its two small inputs, which take the
+MILP and LP paths of `synthesize` traced, and of its output checks."""
 
 import sys
 from pathlib import Path
@@ -10,7 +12,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from test_bench import test_tracer_restores_every_wrapped_name  # noqa: E402,F401
+from test_bench import (SMALL_LP, SMALL_MILP, test_checks_reject_tampered_results,  # noqa: E402,F401
+                        test_tracer_restores_every_wrapped_name)
+# Aliased, so that pytest does not collect it with the bench's A* parameter.
+from test_bench import test_self_times_add_up_to_synth_time as self_times_add_up  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 from collsched import solver  # noqa: E402
@@ -42,3 +47,8 @@ def test_tracer_counts_what_highs_receives(method, kwargs, monkeypatch):
     assert (counts["model.vars"], counts["model.rows"], counts["model.nnz"],
             counts["model.binaries"]) == (vars_, rows, nnz, binaries)
     assert counts["model.max_nnz"] == max(h[2] for h in handed)
+
+
+@pytest.mark.parametrize("w", [SMALL_MILP, SMALL_LP], ids=lambda w: w.name)
+def test_self_times_add_up_on_the_small_paths(w):
+    self_times_add_up(w, astar_call=None)  # the A* call is read for the A* input only

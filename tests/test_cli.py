@@ -116,6 +116,8 @@ def test_simulate_and_compare(ring4, tmp_path, capsys):
     ("milp", ["--epochs", 1], 2, "infeasible"),
     ("lp", ["--epochs", 3, "--switch", "hyper-edge"], 4, "validation"),
     ("astar", ["--dump-model", "model.lp"], 4, "validation"),
+    ("astar", ["--epochs", 2], 4, "validation"),
+    ("astar", ["--search-horizon"], 4, "validation"),
 ])
 def test_solve_exit_codes(ring4, tmp_path, capsys, method, extra, code, kind):
     extra = [tmp_path / a if a == "model.lp" else a for a in extra]

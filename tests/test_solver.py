@@ -7,28 +7,35 @@ from collsched.epochs import EpochConfig
 from collsched.errors import HorizonInfeasibleError, ValidationError
 from collsched.lp import build_lp_model
 from collsched.milp import ModelOptions, build_general_model
-from collsched.model import BINARY, INF, Axis, Model
+from collsched.model import BINARY, CONTINUOUS, INF, Axis, Model
 from collsched.solver import (INFEASIBLE, OPTIMAL, SolverOptions, completion_epoch,
                               min_feasible_horizon, solve)
 from collsched.topology import line, ring
 
 
+def _scalars(m, *specs):
+    """One single-key family per (name, kind, ub) spec; their columns."""
+    first = m.columns(len(specs))
+    for i, (name, kind, ub) in enumerate(specs):
+        m.add_family(name, [Axis([0])], np.array([first + i]), kind, ub=ub)
+    return range(first, first + len(specs))
+
+
 def test_trivial_binary_max(solver_opts):
     m = Model()
-    x = m.add_var("x", (0,), BINARY)
-    m.add_le([(x, 1.0)], 1.0)
-    m.add_objective_term(x, 1.0)
+    [x] = _scalars(m, ("x", BINARY, INF))
+    m.add_rows([-INF], [1.0], (0, x, 1.0))
+    m.add_objective(x, 1.0)
     sol = solve(m, solver_opts)
     assert sol.status == OPTIMAL
-    assert sol.value("x", 0) == pytest.approx(1.0)
+    assert sol.x[x] == pytest.approx(1.0)
     assert sol.objective == pytest.approx(1.0)
 
 
 def test_contradiction_is_infeasible(solver_opts):
     m = Model()
-    x = m.add_var("x", (0,))
-    m.add_ge([(x, 1.0)], 1.0)
-    m.add_le([(x, 1.0)], 0.0)
+    [x] = _scalars(m, ("x", CONTINUOUS, INF))
+    m.add_rows([1.0, -INF], [INF, 0.0], ([0, 1], x, 1.0))
     sol = solve(m, solver_opts)
     assert sol.status == INFEASIBLE
     assert sol.x is None
@@ -36,13 +43,11 @@ def test_contradiction_is_infeasible(solver_opts):
 
 def test_integrality_of_integer_vars(solver_opts):
     m = Model()
-    x = m.add_var("x", (0,), BINARY)
-    y = m.add_var("y", (0,), lb=0.0, ub=10.0)
-    m.add_le([(x, 3.0), (y, 2.0)], 7.5)
-    m.add_objective_term(x, 5.0)
-    m.add_objective_term(y, 1.0)
+    x, y = _scalars(m, ("x", BINARY, INF), ("y", CONTINUOUS, 10.0))
+    m.add_rows([-INF], [7.5], (0, [x, y], [3.0, 2.0]))
+    m.add_objective([x, y], [5.0, 1.0])
     sol = solve(m, solver_opts)
-    assert abs(sol.value("x", 0) - round(sol.value("x", 0))) < 1e-6
+    assert abs(sol.x[x] - round(sol.x[x])) < 1e-6
 
 
 def test_star3_objective_matches_hand_sum(star3, solver_opts):

@@ -88,6 +88,13 @@ def test_astar_refuses_to_dump_a_model(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("search", [False, True])
+def test_lp_schedule_of_empty_demand_claims_no_epoch(search):
+    result = synthesize(ring(4), Demand(frozenset(), 1, 1), "lp", search_horizon=search)
+    assert result.schedule.completion_epoch == result.report.completion_epoch == -1
+    assert result.schedule.transfer_time == result.report.transfer_time == 0.0
+
+
 def test_astar_reports_highs_time_and_its_worst_round(monkeypatch):
     t = ring(4)
     d = generate_demand("alltoall", t)
