@@ -6,7 +6,7 @@ MILP/LP engine, decomposes them round by round when one shot is too large,
 and replays every schedule in a discrete-epoch simulator before emitting it.
 """
 
-from .astar import astar_solve, floyd_warshall_alpha
+from .astar import astar_solve
 from .demand import Demand, generate_demand, merge_demands
 from .epochs import EpochConfig, compute_delta, epoch_duration
 from .errors import (CollschedError, ConservationError, EstimationError,
@@ -26,8 +26,7 @@ __all__ = [
     "EpochConfig", "compute_delta", "epoch_duration",
     "ModelOptions", "build_general_model",
     "build_lp_model", "lp_rates_to_schedule",
-    "astar_solve", "floyd_warshall_alpha",
-    "estimate_epoch_upper_bound",
+    "astar_solve", "estimate_epoch_upper_bound",
     "Schedule", "extract_schedule", "prune_unused_flows",
     "SimOptions", "SimReport", "algorithmic_bandwidth", "simulate",
     "Solution", "SolverOptions", "min_feasible_horizon", "solve",

@@ -18,23 +18,15 @@ import numpy as np
 from .demand import Demand, check_demand_nodes
 from .epochs import EpochConfig, LinkTiming, link_timing
 from .errors import RoundLimitError, SolverBackendError, ValidationError
-from .milp import Carry, ModelOptions, Net, build_time_expanded, model_topology
+from .milp import Carry, ModelOptions, build_time_expanded, model_topology
 from .model import INF, Axis, Model
 from .schedule import Schedule, schedule_from_flows
 from .solver import FEASIBLE_GAP, SolverOptions, solve
-from .topology import Topology, require_valid, shortest_distances
+from .topology import Topology, all_pairs_distances
 
 # Status of an A* solve whose every round was solved to optimality; a round
 # stopped by its time limit with an incumbent makes it FEASIBLE_GAP.
 OPTIMAL_PER_ROUND = "optimal-per-round"
-
-
-def floyd_warshall_alpha(t: Topology) -> dict:
-    """Shortest latency (seconds) between all node pairs over edge alphas,
-    as {(a, b): seconds}."""
-    require_valid(t)
-    hop = lambda e: e.alpha
-    return {(a, b): w for a in t.nodes for b, w in shortest_distances(t, hop, {a: 0.0}).items()}
 
 
 def round_distance_table(t: Topology, cfg: EpochConfig) -> dict:
@@ -44,9 +36,7 @@ def round_distance_table(t: Topology, cfg: EpochConfig) -> dict:
     so the weight is 1 + alpha/tau per edge. A pure-alpha table would be flat
     on zero-latency fixtures and give the solver no reason to move chunks.
     """
-    require_valid(t)
-    hop = lambda e: 1.0 + e.alpha / cfg.tau
-    return {(a, b): w for a in t.nodes for b, w in shortest_distances(t, hop, {a: 0.0}).items()}
+    return all_pairs_distances(t, lambda e: 1.0 + e.alpha / cfg.tau)
 
 
 @dataclass
@@ -92,7 +82,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     # The round sees each capacity override at its own epochs, k0 on.
     m = build_time_expanded(t, dem, cfg, opts, state.carry,
                             timing=timing.from_epoch(state.round_index * K, K))
-    net = Net(m.meta["eff_topology"], timing.delta)
+    net = m.meta["net"]
     C, N = len(commodities), len(net.nodes)
     F, B = m.families["F"].index, m.families["B"].index
     ar = np.arange
@@ -198,7 +188,6 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
                 solver_opts: SolverOptions | None = None) -> Schedule:
     """Solve round after round until every demand entry is met, then stitch
     the per-round flows into one schedule on the global epoch axis."""
-    require_valid(t)
     check_demand_nodes(d, t)
     opts = opts or ModelOptions()
     t_eff, _ = model_topology(t, opts)

@@ -6,7 +6,8 @@ replay's whole-chunk rule: a link that moves less than one chunk per epoch
 holds a chunk for kappa epochs, so its capacity binds over windows of kappa
 epochs and every delay is widened by the slowest link's kappa - 1. The
 copy-free LP moves fractions, which the replay does not widen, and uses the
-plain `compute_delta` and `cap_chunks`.
+plain `compute_delta` and `cap_chunks`, which is `link_timing`'s `_budgets`
+over one-epoch windows, so both place capacity overrides one way.
 
 Ratios are computed with Fraction so that exact boundaries (a link that is an
 integer multiple of the epoch) never fall on the wrong side of a ceiling.
@@ -65,12 +66,9 @@ def compute_delta(edge: Edge, tau: float) -> int:
 
 def cap_chunks(t: Topology, cfg: EpochConfig) -> dict:
     """Capacity of every edge (src, dst) during each epoch k < K, in chunks
-    per epoch."""
-    cap = {(e.src, e.dst): [float(_chunks_per_epoch(e.capacity, cfg))] * cfg.K for e in t.edges}
-    for (i, j, k), c in t.capacity_overrides.items():
-        if (i, j) in cap and 0 <= k < cfg.K:
-            cap[(i, j)][k] = float(_chunks_per_epoch(c, cfg))
-    return cap
+    per epoch: `link_timing`'s budgets over one-epoch windows."""
+    timing = link_timing(t, cfg)
+    return _budgets(dict.fromkeys(timing.rate, 1), timing.rate, timing.overrides, 0, cfg.K)
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,7 @@ def link_timing(t: Topology, cfg: EpochConfig) -> LinkTiming:
         if rate[pair] <= 0:
             raise ValidationError(f"edge ({e.src!r},{e.dst!r}) has no capacity")
         kap[pair] = max(1, _ceil(1 / rate[pair]))
-    overrides = {key: _chunks_per_epoch(c, cfg) for key, c in t.capacity_overrides.items()
-                 if key[:2] in rate}
+    overrides = {key: _chunks_per_epoch(c, cfg) for key, c in t.capacity_overrides.items()}
     widen = max(kap.values(), default=1) - 1
     delta = {(e.src, e.dst): compute_delta(e, cfg.tau) + widen for e in t.edges}
     return LinkTiming(kap, delta, _budgets(kap, rate, overrides, 0, cfg.K), rate, overrides)

@@ -10,20 +10,19 @@ from __future__ import annotations
 
 import math
 
-from .astar import floyd_warshall_alpha
 from .demand import Demand
 from .epochs import EpochConfig, ceil_frac, _frac
 from .errors import EstimationError
 from .milp import ModelOptions, build_time_expanded
 from .solver import SolverOptions, solve
-from .topology import Topology
+from .topology import Topology, all_pairs_distances
 
 COARSE_EPOCH_COUNTS = (4, 8, 12)
 
 
 def default_candidates(t: Topology, d: Demand, count: int = 10) -> list[float]:
     """Geometric ladder seeded from a latency-plus-bisection heuristic."""
-    fw = floyd_warshall_alpha(t)
+    fw = all_pairs_distances(t, lambda e: e.alpha)
     worst_alpha = 0.0
     for s, c, dst in d.entries:
         w = fw[s, dst]

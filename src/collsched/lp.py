@@ -18,10 +18,10 @@ from .demand import Demand, check_demand_nodes
 from .epochs import EpochConfig, cap_chunks, compute_delta
 from .errors import ConservationError, ValidationError
 from .milp import ModelOptions, Net
-from .model import INF, Axis, Model
+from .model import INF, Axis, Model, check_columns
 from .schedule import Schedule, ScheduleEvent
 from .solver import TOL, Solution, completion_epoch
-from .topology import Topology, require_valid
+from .topology import Topology
 
 
 def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
@@ -37,7 +37,6 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     edge, epoch).
     """
     opts = opts or ModelOptions()
-    require_valid(t)
     check_demand_nodes(d, t)
     K = cfg.K
     kk = K - 1
@@ -56,12 +55,13 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     p_src = np.array([sources.index(s) for s, _ in pairs], dtype=np.int64)
     p_dst = np.array([net.pos[dst] for _, dst in pairs], dtype=np.int64)
     u = np.array([units[pair] for pair in pairs], dtype=float)
+    per_s = E * K + NB * (K + 1)
+    check_columns(K, S * per_s + 2 * U * K)
 
     m = Model()
     m.meta.update({"cfg": cfg, "delta": delta, "sources": sources, "reads": "Rc"})
 
     ar = np.arange
-    per_s = E * K + NB * (K + 1)
     first = m.columns(S * per_s + 2 * U * K)
     off = first + ar(S)[:, None, None] * per_s
     F = off + (ar(E)[:, None] * K + ar(K))[None]

@@ -22,12 +22,9 @@ import numpy as np
 from .demand import Demand, check_demand_nodes
 from .epochs import EpochConfig, LinkTiming, link_timing
 from .errors import ValidationError
-from .model import BINARY, INF, Axis, Model
-from .topology import Topology, hyper_edge_transform, require_valid, shortest_distances
-
-COPY = "copy"
-NO_COPY = "no-copy"
-HYPER_EDGE = "hyper-edge"
+from .model import BINARY, INF, Axis, Model, check_columns
+from .topology import (COPY, HYPER_EDGE, NO_COPY, Topology, check_switch_mode,
+                       hyper_edge_transform, shortest_distances)
 
 
 @dataclass(frozen=True)
@@ -39,8 +36,7 @@ class ModelOptions:
     buffer_limit: float | None = None  # chunks a node may hold at once
 
     def __post_init__(self):
-        if self.switch_mode not in (COPY, NO_COPY, HYPER_EDGE):
-            raise ValidationError(f"unknown switch mode {self.switch_mode!r}")
+        check_switch_mode(self.switch_mode)
         if self.buffer_limit is not None and self.buffer_limit <= 0:
             raise ValidationError("buffer_limit must be positive")
 
@@ -143,7 +139,6 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     is one block of rows built by index arithmetic over (commodity, edge,
     epoch).
     """
-    require_valid(t)
     check_demand_nodes(d, t)
     if opts.buffer_limit is not None:
         per_source = {}
@@ -153,9 +148,13 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
             raise ValidationError("buffer_limit below a source's initial chunk count")
 
     t_eff, hyper_groups = model_topology(t, opts)
+    K = cfg.K
+    # F, B and X of each commodity, R of each entry.
+    nb = len(t_eff.gpus) * (2 if opts.buffer_limit is not None else 1)
+    check_columns(K, len(d.commodities) * (len(t_eff.edges) * K + nb * K + len(t_eff.gpus))
+                  + len(d.entries) * K)
     timing = timing or link_timing(t_eff, cfg)
     delta = timing.delta
-    K = cfg.K
     kk = K - 1  # last epoch index
     net = Net(t_eff, delta)
     N, E, NB = len(net.nodes), len(net.pairs), len(net.buffers)
@@ -175,9 +174,10 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
 
     m = Model()
     # What extraction reads (schedule.trace_required_flows and
-    # delivery_epochs) and what solver.completion_epoch reads.
+    # delivery_epochs), what solver.completion_epoch reads, and the index
+    # tables a round model extends (astar.build_round_model).
     m.meta.update({"eff_topology": t_eff, "delta": delta, "opts": opts, "entries": entries,
-                   "cfg": cfg, "reads": "R"})
+                   "cfg": cfg, "reads": "R", "net": net})
 
     # Earliest epoch each chunk could be forwarded from each node (a hop costs
     # delta + 1 epochs; inf where unreachable); flows, buffers, and reads

@@ -27,10 +27,23 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import ValidationError
+
 CONTINUOUS = "C"
 BINARY = "B"
 
 INF = float("inf")
+# Most columns a builder will lay out. Far above any model the tests or the
+# benchmark solve (about 10^5), far below one that exhausts memory.
+MAX_COLUMNS = 10 ** 7
+
+
+def check_columns(K: int, count: int) -> None:
+    """Refuse a K-epoch model of `count` columns past MAX_COLUMNS; builders
+    call it before allocating anything that grows with K."""
+    if count > MAX_COLUMNS:
+        raise ValidationError(f"a {K}-epoch model needs {count:,} columns, more than "
+                              f"{MAX_COLUMNS:,}: use a longer epoch or fewer epochs")
 
 
 class Axis:

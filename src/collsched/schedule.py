@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from .demand import Demand
 from .epochs import EpochConfig
 from .errors import ConservationError
-from .milp import NO_COPY
 from .solver import Solution
-from .topology import NodeId, Topology
+from .topology import NO_COPY, NodeId, Topology
 
 
 @dataclass(frozen=True)

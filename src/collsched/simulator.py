@@ -1,10 +1,11 @@
 """Discrete-epoch replay of schedules under the alpha-beta cost model.
 
-Independent of the optimization path: availability and arrival arithmetic are
-rebuilt here from raw link parameters. A chunk sent on (i,j) at epoch k is
-available at j for forwarding from epoch k + delta + 1 and counts as
-delivered at epoch k + delta, where delta covers both the link latency and,
-for whole-chunk schedules on sub-epoch links, the extra transmission epochs.
+Independent of the optimization path: it imports no model, and availability
+and arrival arithmetic are rebuilt here from raw link parameters. A chunk
+sent on (i,j) at epoch k is available at j for forwarding from epoch
+k + delta + 1 and counts as delivered at epoch k + delta, where delta covers
+both the link latency and, for whole-chunk schedules on sub-epoch links, the
+extra transmission epochs.
 
 A replay reads a schedule twice. As scheduled, every send is checked at the
 epoch the schedule gives it; what cannot hold there is a violation. As
@@ -13,6 +14,9 @@ scheduled one, at which its sender holds the chunk and its link's capacity
 window has room; arrivals, deliveries and completion times follow these
 executed epochs, so a schedule is never credited for a send it could not
 make. For a schedule without violations both readings agree epoch by epoch.
+
+Each reading keeps what nodes hold in a `_Holdings`: a whole chunk at a GPU
+is a copy, and every other arrival is a lot whose mass sends use up.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from fractions import Fraction
 from .demand import Demand, check_demand_nodes
 from .epochs import ceil_frac, _frac
 from .errors import ScheduleError, ValidationError
-from .milp import COPY, HYPER_EDGE, NO_COPY
 from .schedule import Schedule
-from .topology import Topology, hyper_edge_transform, require_valid
+from .topology import (COPY, HYPER_EDGE, NO_COPY, Topology, check_switch_mode,
+                       hyper_edge_transform)
 
 WHOLE = 1.0 - 1e-9
 TOL = 1e-6  # slack on capacities, fractions and delivered mass
@@ -37,8 +41,7 @@ class SimOptions:
     switch_mode: str = COPY
 
     def __post_init__(self):
-        if self.switch_mode not in (COPY, NO_COPY, HYPER_EDGE):
-            raise ValidationError(f"unknown switch mode {self.switch_mode!r}")
+        check_switch_mode(self.switch_mode)
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,6 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
     group budgets are checked as scheduled only.
     """
     opts = opts or SimOptions()
-    require_valid(t)
     check_demand_nodes(d, t)
     t_eff = t
     hyper_groups = {}
@@ -127,7 +129,7 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
         scheduled.arrive(ev.source, ev.chunk, ev.dst, arr, ev.fraction)
 
     _check_capacity(events, caps, kap, TOL, violations)
-    _check_switch_rest(scheduled.sw_arrivals, opts, TOL, violations)
+    _check_switch_rest(scheduled, TOL, violations)
     _check_hyper_budgets(events, hyper_groups, TOL, violations)
 
     deliveries = _execute(events, _Holdings(t_eff, commodities, opts), delta, kap,
@@ -190,29 +192,27 @@ def _link_timing(t_eff: Topology, tau: Fraction, chunk_size: int,
 class _Holdings:
     """What each node holds of each (source, chunk), and from which epoch.
 
-    Whole arrivals at GPU nodes may be copied onto any number of later sends;
-    fractional mass is consumed. Switch arrivals are forwardable exactly one
-    epoch, then must be gone.
+    A whole arrival at a GPU is a copy any number of sends may use
+    (`copy_from`). Every other arrival is a lot [usable, qty, used, whole]
+    whose mass sends use up; a whole lot at a copying switch may be copied.
+    A lot at a switch is usable only in its one epoch, then must be gone.
     """
 
     def __init__(self, t_eff: Topology, commodities, opts: SimOptions):
         self.t_eff = t_eff
         self.switch_mode = opts.switch_mode
         self.copy_from: dict[tuple, int] = {(s, c, s): 0 for s, c in commodities}
-        self.frac_pool: dict[tuple, list[list]] = {}
-        self.sw_arrivals: dict[tuple, list[dict]] = {}
+        self.lots: dict[tuple, list[list]] = {}
 
     def arrive(self, s, c, node, arr_epoch, qty) -> None:
-        if self.t_eff.is_switch(node):
-            self.sw_arrivals.setdefault((s, c, node), []).append(
-                {"usable": arr_epoch + 1, "qty": qty, "used": 0.0,
-                 "whole": qty >= WHOLE})
-        elif qty >= WHOLE:
-            prev = self.copy_from.get((s, c, node))
+        key = (s, c, node)
+        whole = qty >= WHOLE
+        if whole and not self.t_eff.is_switch(node):
+            prev = self.copy_from.get(key)
             if prev is None or arr_epoch + 1 < prev:
-                self.copy_from[(s, c, node)] = arr_epoch + 1
+                self.copy_from[key] = arr_epoch + 1
         else:
-            self.frac_pool.setdefault((s, c, node), []).append([arr_epoch + 1, qty])
+            self.lots.setdefault(key, []).append([arr_epoch + 1, qty, 0.0, whole])
 
     def draw(self, s, c, node, k, qty, commit: bool = True) -> bool:
         """Deduct qty of (s,c) available at node for a send in epoch k.
@@ -220,34 +220,26 @@ class _Holdings:
         With `commit` false nothing is deducted; the result still says
         whether the draw would succeed.
         """
-        if self.t_eff.is_switch(node):
-            records = [r for r in self.sw_arrivals.get((s, c, node), ()) if r["usable"] == k]
-            if self.switch_mode != NO_COPY:
-                for r in records:
-                    if r["whole"]:
-                        if commit:
-                            r["used"] += qty
-                        return True
-            remaining = qty
-            for r in records:
-                free = r["qty"] - r["used"]
-                if free > TOL:
-                    take = min(free, remaining)
-                    if commit:
-                        r["used"] += take
-                    remaining -= take
-                    if remaining <= TOL:
-                        return True
-            return remaining <= TOL
-        ready = self.copy_from.get((s, c, node))
+        key = (s, c, node)
+        ready = self.copy_from.get(key)
         if ready is not None and ready <= k:
             return True
+        at_switch = self.t_eff.is_switch(node)
+        lots = [lot for lot in self.lots.get(key, ())
+                if lot[0] == k or lot[0] < k and not at_switch]
+        if self.switch_mode != NO_COPY:
+            for lot in lots:
+                if lot[3]:
+                    if commit:
+                        lot[2] += qty
+                    return True
         remaining = qty
-        for rec in self.frac_pool.get((s, c, node), ()):
-            if rec[0] <= k and rec[1] > TOL:
-                take = min(rec[1], remaining)
+        for lot in lots:
+            free = lot[1] - lot[2]
+            if free > TOL:
+                take = min(free, remaining)
                 if commit:
-                    rec[1] -= take
+                    lot[2] += take
                 remaining -= take
                 if remaining <= TOL:
                     return True
@@ -257,13 +249,10 @@ class _Holdings:
         """First epoch after k at which an arrival already registered makes
         (s,c) usable at node, or None."""
         key = (s, c, node)
-        if self.t_eff.is_switch(node):
-            epochs = [r["usable"] for r in self.sw_arrivals.get(key, ()) if r["usable"] > k]
-        else:
-            epochs = [rec[0] for rec in self.frac_pool.get(key, ()) if rec[0] > k]
-            ready = self.copy_from.get(key)
-            if ready is not None and ready > k:
-                epochs.append(ready)
+        epochs = [lot[0] for lot in self.lots.get(key, ()) if lot[0] > k]
+        ready = self.copy_from.get(key)
+        if ready is not None and ready > k:
+            epochs.append(ready)
         return min(epochs, default=None)
 
 
@@ -392,16 +381,17 @@ def _check_capacity(events, caps, kap, tol, violations):
                                   for k in range(mark, min(next_mark, max_epoch + 1)))
 
 
-def _check_switch_rest(sw_arrivals, opts, tol, violations):
-    for (s, c, sw), records in sorted(sw_arrivals.items(), key=str):
-        for r in records:
-            if opts.switch_mode == NO_COPY or not r["whole"]:
-                if r["qty"] - r["used"] > tol:
+def _check_switch_rest(held: _Holdings, tol, violations):
+    """Flag every lot at a switch not gone after its one usable epoch: mass
+    left over, or a whole lot at a copying switch that was never copied."""
+    copying = held.switch_mode != NO_COPY
+    for (s, c, sw) in sorted(held.lots, key=str):
+        if held.t_eff.is_switch(sw):
+            for usable, qty, used, whole in held.lots[(s, c, sw)]:
+                rests = used == 0.0 if whole and copying else qty - used > tol
+                if rests:
                     violations.append(Violation(
-                        "switch-buffer", f"chunk {c} of {s!r} rests at {sw!r}", r["usable"]))
-            elif r["used"] == 0.0:
-                violations.append(Violation(
-                    "switch-buffer", f"chunk {c} of {s!r} rests at {sw!r}", r["usable"]))
+                        "switch-buffer", f"chunk {c} of {s!r} rests at {sw!r}", usable))
 
 
 def _check_hyper_budgets(events, hyper_groups, tol, violations):
@@ -416,10 +406,10 @@ def _check_hyper_budgets(events, hyper_groups, tol, violations):
         for k, evs in sorted(by_epoch.items()):
             if sum(e.fraction for e in evs) > group.budget + tol:
                 violations.append(Violation("capacity", f"hyper-edges of {sw!r}", k))
-            for node in {e.src for e in evs}:
+            for node in sorted({e.src for e in evs}, key=str):
                 if sum(e.fraction for e in evs if e.src == node) > 1 + tol:
                     violations.append(Violation("capacity", f"{node!r} egress via {sw!r}", k))
-            for node in {e.dst for e in evs}:
+            for node in sorted({e.dst for e in evs}, key=str):
                 if sum(e.fraction for e in evs if e.dst == node) > 1 + tol:
                     violations.append(Violation("capacity", f"{node!r} ingress via {sw!r}", k))
 

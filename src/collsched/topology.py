@@ -3,6 +3,10 @@
 Capacities are bytes per second, alpha is seconds. A bidirectional link is
 represented as two edges. Unit-capacity test fixtures use chunk_size=1 so
 bytes/sec reads as chunks/sec.
+
+A `Topology` is valid once made: construction raises `ValidationError` listing
+every violation `validate_topology` finds. The switch modes live here too,
+beside `hyper_edge_transform`, the rewrite behind the hyper-edge mode.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ class Topology:
         object.__setattr__(self, "_out", _adjacency(self.edges, key="src"))
         object.__setattr__(self, "_in", _adjacency(self.edges, key="dst"))
         object.__setattr__(self, "_by_pair", {(e.src, e.dst): e for e in self.edges})
+        violations = validate_topology(self)
+        if violations:
+            raise ValidationError("; ".join(violations))
 
     @property
     def gpus(self) -> tuple[NodeId, ...]:
@@ -105,17 +112,11 @@ def validate_topology(t: Topology) -> list[str]:
             if not t.in_edges(s):
                 violations.append(f"switch {s!r} has no incoming edge")
     for (src, dst, k), cap in t.capacity_overrides.items():
-        if (src, dst) not in {(e.src, e.dst) for e in t.edges}:
+        if (src, dst) not in seen_pairs:
             violations.append(f"capacity override for unknown edge ({src!r},{dst!r})")
         if cap <= 0:
             violations.append(f"non-positive capacity override on ({src!r},{dst!r}) at epoch {k}")
     return violations
-
-
-def require_valid(t: Topology) -> None:
-    violations = validate_topology(t)
-    if violations:
-        raise ValidationError("; ".join(violations))
 
 
 def shortest_distances(t: Topology, weight, seeds: dict) -> dict:
@@ -142,6 +143,12 @@ def shortest_distances(t: Topology, weight, seeds: dict) -> dict:
                 dist[e.dst] = alt
                 heapq.heappush(heap, (alt, str(e.dst), e.dst))
     return dist
+
+
+def all_pairs_distances(t: Topology, weight) -> dict:
+    """Every node pair's distance over edge weights weight(e), as
+    {(a, b): distance}; inf where b is unreachable from a."""
+    return {(a, b): w for a in t.nodes for b, w in shortest_distances(t, weight, {a: 0.0}).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +344,18 @@ GENERATORS = {
 
 
 # ---------------------------------------------------------------------------
-# Legacy-switch rewrite
+# Switch modes, and the legacy-switch rewrite behind the hyper-edge mode
+
+COPY = "copy"  # a switch may forward copies of one arrival on several edges
+NO_COPY = "no-copy"  # a switch forwards each arrival exactly once
+HYPER_EDGE = "hyper-edge"  # switches are replaced by `hyper_edge_transform`
+SWITCH_MODES = (COPY, NO_COPY, HYPER_EDGE)
+
+
+def check_switch_mode(mode: str) -> None:
+    if mode not in SWITCH_MODES:
+        raise ValidationError(f"unknown switch mode {mode!r}")
+
 
 @dataclass(frozen=True)
 class HyperEdgeGroup:

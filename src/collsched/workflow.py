@@ -12,12 +12,12 @@ from .epochs import EpochConfig, FASTEST, epoch_duration
 from .errors import HorizonInfeasibleError, ValidationError
 from .estimator import estimate_epoch_upper_bound
 from .lp import build_lp_model, lp_rates_to_schedule
-from .milp import COPY, HYPER_EDGE, ModelOptions, build_general_model
+from .milp import ModelOptions, build_general_model
 from .schedule import Schedule, extract_schedule, prune_unused_flows
 from .simulator import SimOptions, SimReport, simulate
 # bench/tracer.py wraps `workflow.solve` by name.
 from .solver import SolverOptions, min_feasible_horizon, solve  # noqa: F401
-from .topology import Topology
+from .topology import COPY, HYPER_EDGE, Topology
 
 METHODS = ("milp", "lp", "astar")
 
@@ -147,10 +147,16 @@ def _benefits_from_copy(d: Demand) -> bool:
 
 
 def _checked_replay(sched: Schedule, t: Topology, d: Demand, switch_mode: str) -> SimReport:
+    """The schedule's replay report; raises unless the replay finds no
+    violation and completes at the epoch the schedule claims."""
     report = simulate(sched, t, d, SimOptions(switch_mode=switch_mode))
     if report.violations:
         kinds = sorted({v.kind for v in report.violations})
         raise ValidationError(
             f"refusing to emit schedule: replay found {len(report.violations)} "
             f"violations ({', '.join(kinds)})")
+    if report.completion_epoch != sched.completion_epoch:
+        raise ValidationError(
+            f"refusing to emit schedule: it claims completion at epoch "
+            f"{sched.completion_epoch}, its replay completes at epoch {report.completion_epoch}")
     return report

@@ -1,11 +1,11 @@
 import math
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collsched.astar import (astar_solve, build_round_model,
-                             floyd_warshall_alpha, initial_state,
+from collsched.astar import (astar_solve, build_round_model, initial_state,
                              max_future_epochs, round_distance_table)
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig
@@ -13,35 +13,37 @@ from collsched.errors import RoundLimitError, SolverBackendError, ValidationErro
 from collsched.milp import COPY, HYPER_EDGE, NO_COPY, Carry, ModelOptions
 from collsched.simulator import SimOptions, simulate
 from collsched.solver import solve
-from collsched.topology import Edge, Topology, line, ring, star
+from collsched.topology import Edge, Topology, all_pairs_distances, line, ring, star
+
+alpha = attrgetter("alpha")
 
 
 class TestFloydWarshall:
     def test_line_alpha_sums(self):
-        fw = floyd_warshall_alpha(line(3, alpha=1.0))
+        fw = all_pairs_distances(line(3, alpha=1.0), alpha)
         assert fw[0, 2] == 2.0
         assert fw[0, 1] == fw[1, 2] == 1.0
         assert fw[0, 0] == 0.0
 
     def test_zero_alpha_complete_graph(self):
-        fw = floyd_warshall_alpha(ring(4, alpha=0.0))
+        fw = all_pairs_distances(ring(4, alpha=0.0), alpha)
         assert all(fw[a, b] == 0.0 for a in range(4) for b in range(4))
 
     def test_latency_chain_prefers_direct_edge(self, latency_chain):
         t, _ = latency_chain
-        fw = floyd_warshall_alpha(t)
+        fw = all_pairs_distances(t, alpha)
         # s2 only reaches d through its single 5s edge plus the free hop
         assert fw["s2", "d"] == 5.0
         assert fw["s1", "d"] == 3.0
 
     def test_unreachable_is_infinite(self):
         t = star(3)  # no path back toward s
-        fw = floyd_warshall_alpha(t)
+        fw = all_pairs_distances(t, alpha)
         assert math.isinf(fw["d1", "s"])
 
     def test_triangle_inequality(self):
         t = ring(6, alpha=2.0)
-        fw = floyd_warshall_alpha(t)
+        fw = all_pairs_distances(t, alpha)
         for a in t.nodes:
             for b in t.nodes:
                 for c in t.nodes:
@@ -64,7 +66,7 @@ def test_distances_match_floyd_warshall(n, data):
         for a in t.nodes:
             for b in t.nodes:
                 ref[a, b] = min(ref[a, b], ref[a, mid] + ref[mid, b])
-    assert floyd_warshall_alpha(t) == pytest.approx(ref, rel=1e-12)
+    assert all_pairs_distances(t, alpha) == pytest.approx(ref, rel=1e-12)
 
 
 def test_round_distance_counts_hops_at_zero_alpha():

@@ -126,6 +126,16 @@ def test_solve_exit_codes(ring4, tmp_path, capsys, method, extra, code, kind):
     assert doc["error"]["type"] == kind and doc["error"]["message"]
 
 
+def test_solve_refuses_an_oversized_horizon(tmp_path, capsys):
+    # The default 1-byte chunks on dgx1 give an estimate of 140,019 epochs.
+    topo, dem = tmp_path / "topology.json", tmp_path / "demand.json"
+    assert _run(capsys, "gen-topology", "dgx1", "--out", topo) == (0, None)
+    assert _run(capsys, "gen-demand", "alltoall", "--topology", topo, "--out", dem) == (0, None)
+    code, doc = _run(capsys, "solve", "--topology", topo, "--demand", dem)
+    assert code == 4
+    assert doc["error"]["type"] == "validation" and "140019-epoch" in doc["error"]["message"]
+
+
 def test_simulate_flags_an_incomplete_schedule(ring4, tmp_path, capsys):
     topo, dem = ring4
     _, _, out = _solve(capsys, ring4, tmp_path, "milp", "--epochs", 3)

@@ -1,8 +1,12 @@
+import ast
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from collsched import simulator
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig, _frac, epoch_duration, link_timing
 from collsched.errors import ScheduleError, ValidationError
@@ -68,6 +72,32 @@ class TestReplayBasics:
         with pytest.raises(ScheduleError):
             simulate(_sched([ScheduleEvent(0, 0, 0, 5, 0)]), t, d, SimOptions())
 
+    @pytest.mark.parametrize("epoch, fraction, message", [
+        (-1, 1.0, "negative epoch"), (0, 0.0, "outside"), (0, 1.5, "outside")])
+    def test_malformed_event_rejected(self, epoch, fraction, message):
+        t = line(2)
+        d = Demand(frozenset({(0, 0, 1)}), 1, 1)
+        with pytest.raises(ScheduleError, match=message):
+            simulate(Schedule(1.0, (ScheduleEvent(0, 0, 0, 1, epoch, fraction),), 0, 1),
+                     t, d, SimOptions())
+
+    @pytest.mark.parametrize("mode, first, second, rests", [
+        # a whole arrival forwarded as half a chunk: copied at a copying
+        # switch, half of it left behind at a no-copy one
+        ("copy", 1.0, 0.5, False), ("no-copy", 1.0, 0.5, True),
+        # a fractional arrival is mass at any switch
+        ("copy", 0.5, 0.25, True), ("copy", 0.5, 0.5, False),
+    ])
+    def test_switch_arrival_left_unforwarded_flagged(self, mode, first, second, rests):
+        t = star(1)
+        d = Demand(frozenset({("s", 0, "d1")}), 1, 1)
+        events = [ScheduleEvent("s", 0, "s", "h", 0, first),
+                  ScheduleEvent("s", 0, "h", "d1", 1, second)]
+        rep = simulate(_sched(events), t, d, SimOptions(mode))
+        rest = [v for v in rep.violations if v.kind == "switch-buffer"]
+        assert rest == ([Violation("switch-buffer", "chunk 0 of 's' rests at 'h'", 1)]
+                        if rests else [])
+
     def test_no_copy_mode_flags_duplication(self, star3):
         t, d = star3
         events = [ScheduleEvent("s", 0, "s", "h", 0)] + [
@@ -117,6 +147,26 @@ class TestExecutedReplay:
         rep = simulate(_sched(late), t, d, SimOptions())
         assert sum(v.kind == "unmet-demand" for v in rep.violations) == 3
         assert rep.per_entry_completion == {}
+
+    @pytest.mark.parametrize("again", [False, True])
+    def test_switch_send_on_a_full_link_waits_for_a_later_arrival(self, again):
+        # Both chunks reach h for epoch 1, but (h, d1) takes one a epoch: the
+        # switch cannot hold chunk 1 for epoch 2, so its send is made only
+        # when chunk 1 lands at h again, or never.
+        t = Topology(("s", "h", "d1"), frozenset({"h"}),
+                     (Edge("s", "h", 2.0), Edge("h", "d1", 1.0)))
+        d = Demand(frozenset({("s", 0, "d1"), ("s", 1, "d1")}), 2, 1)
+        events = [ScheduleEvent("s", c, "s", "h", 0) for c in (0, 1)]
+        events += [ScheduleEvent("s", c, "h", "d1", 1) for c in (0, 1)]
+        if again:
+            events.append(ScheduleEvent("s", 1, "s", "h", 2))
+        rep = simulate(_sched(events), t, d, SimOptions())
+        assert Violation("capacity", "('h','d1')", 1) in rep.violations
+        if again:
+            assert rep.per_entry_completion == {("s", 0, "d1"): 1, ("s", 1, "d1"): 3}
+        else:
+            assert rep.per_entry_completion == {("s", 0, "d1"): 1}
+            assert Violation("unmet-demand", "chunk 1 of 's' at 'd1'", -1) in rep.violations
 
 
 def _capacity_reference(events, caps, kap, tol):
@@ -265,9 +315,44 @@ class TestMetrics:
         ]
         sched = Schedule(1.0, tuple(events), 1, 25000)
         rep = simulate(sched, t, d, SimOptions(switch_mode="hyper-edge"))
-        # budget is min(4 in, 4 out) = 2? No: 4 uplinks and 4 downlinks
+        # Two uplinks and two downlinks: the switch's two pairs may both
+        # carry a chunk in one epoch.
+        assert group.budget == 2
         assert not any(v.kind == "capacity" and "hyper" in v.location
                        for v in rep.violations)
+
+    def test_hyper_edge_group_egress_and_ingress_budgets(self):
+        # sw joins {0, 1} to {2, 3}: a budget of two pairs an epoch, and one
+        # pair an epoch out of each sender and into each receiver.
+        t = Topology((0, 1, 2, 3, "sw"), frozenset({"sw"}), tuple(
+            [Edge(g, "sw", 2.0) for g in (0, 1)] + [Edge("sw", g, 2.0) for g in (2, 3)]))
+        d = Demand(frozenset({(0, 0, 2), (0, 0, 3), (1, 1, 3)}), 2, 1)
+        events = [ScheduleEvent(0, 0, 0, 2, 0), ScheduleEvent(0, 0, 0, 3, 0),
+                  ScheduleEvent(1, 1, 1, 3, 0)]
+        rep = simulate(_sched(events), t, d, SimOptions(switch_mode="hyper-edge"))
+        assert set(rep.violations) == {Violation("capacity", "hyper-edges of 'sw'", 0),
+                                       Violation("capacity", "0 egress via 'sw'", 0),
+                                       Violation("capacity", "3 ingress via 'sw'", 0)}
+        assert len(rep.violations) == 3
+        assert rep.completion_epoch == 0  # group budgets are checked as scheduled only
+
+
+def test_replay_imports_no_model():
+    # The replay is the independent oracle: it shares the topology's rules,
+    # the demand and the schedule format, and derives link timing itself.
+    allowed = {"demand": None, "errors": None, "schedule": {"Schedule"}, "topology": None,
+               "epochs": {"ceil_frac", "_frac"}}
+    tree = ast.parse(Path(simulator.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in allowed, node.module
+            names = allowed[node.module]
+            assert names is None or {a.name for a in node.names} <= names, node.module
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
 
 
 @st.composite

@@ -1,35 +1,59 @@
+import dataclasses
 import json
 
 import pytest
 
 from collsched.errors import ValidationError
-from collsched.topology import (Edge, Topology, dgx1, dgx2, hyper_edge_transform,
-                                line, ndv2, ring, star, topology_from_json,
-                                topology_to_json, validate_topology)
+from collsched.milp import ModelOptions
+from collsched.simulator import SimOptions
+from collsched.topology import (SWITCH_MODES, Edge, Topology, dgx1, dgx2,
+                                hyper_edge_transform, line, ndv2, ring, star,
+                                topology_from_json, topology_to_json, validate_topology)
 
 
 def test_star3_is_valid():
     assert validate_topology(star(3)) == []
 
 
+def violations_of(*fields) -> list[str]:
+    """The violations a Topology built from `fields` is refused for."""
+    with pytest.raises(ValidationError) as exc:
+        Topology(*fields)
+    return str(exc.value).split("; ")
+
+
 def test_zero_capacity_flagged():
-    t = Topology(("a", "b"), frozenset(), (Edge("a", "b", 0.0),))
-    report = validate_topology(t)
+    report = violations_of(("a", "b"), frozenset(), (Edge("a", "b", 0.0),))
     assert len(report) == 1 and "non-positive capacity" in report[0]
 
 
 def test_dangling_switch_flagged():
-    t = Topology(("a", "b", "sw"), frozenset({"sw"}),
-                 (Edge("a", "sw", 1.0), Edge("a", "b", 1.0)))
-    assert any("no outgoing edge" in v for v in validate_topology(t))
+    report = violations_of(("a", "b", "sw"), frozenset({"sw"}),
+                           (Edge("a", "sw", 1.0), Edge("a", "b", 1.0)))
+    assert any("no outgoing edge" in v for v in report)
 
 
 def test_self_loop_and_duplicate_edges_flagged():
-    t = Topology(("a", "b"), frozenset(),
-                 (Edge("a", "a", 1.0), Edge("a", "b", 1.0), Edge("a", "b", 2.0)))
-    report = validate_topology(t)
+    report = violations_of(("a", "b"), frozenset(),
+                           (Edge("a", "a", 1.0), Edge("a", "b", 1.0), Edge("a", "b", 2.0)))
     assert any("self-loop" in v for v in report)
     assert any("duplicate edge" in v for v in report)
+
+
+def test_every_way_to_make_a_topology_validates():
+    with pytest.raises(ValidationError, match="override for unknown edge"):
+        dataclasses.replace(line(3), capacity_overrides={(0, 2, 1): 2.0})
+    doc = topology_to_json(line(2))
+    doc["edges"][0]["capacity_bytes_per_sec"] = -1.0
+    with pytest.raises(ValidationError, match="non-positive capacity"):
+        topology_from_json(doc)
+
+
+@pytest.mark.parametrize("options", [ModelOptions, SimOptions])
+def test_unknown_switch_mode_rejected(options):
+    assert SWITCH_MODES == ("copy", "no-copy", "hyper-edge")
+    with pytest.raises(ValidationError, match="unknown switch mode 'bogus'"):
+        options(switch_mode="bogus")
 
 
 def test_dgx1_shape():
@@ -128,6 +152,8 @@ class TestHyperEdgeTransform:
         assert t_eff is t and groups == {}
 
     def test_switch_without_egress_rejected(self):
-        t = Topology((0, "sw"), frozenset({"sw"}), (Edge(0, "sw", 1.0),))
+        # A valid topology: sw's only egress leads to another switch.
+        t = Topology((0, 1, "sw", "sw2"), frozenset({"sw", "sw2"}),
+                     (Edge(0, "sw", 1.0), Edge("sw", "sw2", 1.0), Edge("sw2", 1, 1.0)))
         with pytest.raises(ValidationError):
             hyper_edge_transform(t)

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -114,3 +115,28 @@ def test_astar_reports_highs_time_and_its_worst_round(monkeypatch):
 
     monkeypatch.setattr(astar, "solve", stopped_once)
     assert synthesize(t, d, "astar").status == FEASIBLE_GAP
+
+
+@pytest.mark.parametrize("search", [False, True])
+def test_claim_that_the_replay_misses_is_refused(search):
+    # At the fastest link's epoch (1,2) needs two epochs for a whole chunk,
+    # so the replay widens every delay by one; the LP plans plain delays and
+    # claims epoch 0, the whole-chunk MILP plans widened ones.
+    t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 2.0), Edge(1, 0, 2.0),
+                                          Edge(1, 2, 1.0), Edge(2, 1, 1.0)))
+    d = Demand(frozenset({(0, 0, 1)}), 1, 1)
+    with pytest.raises(ValidationError, match="claims completion at epoch 0, "
+                                              "its replay completes at epoch 1"):
+        synthesize(t, d, "lp", search_horizon=search)
+    result = synthesize(t, d, "milp", search_horizon=search)
+    assert result.schedule.completion_epoch == result.report.completion_epoch == 1
+
+
+def test_oversized_horizon_is_refused_before_it_is_built():
+    # With 1-byte chunks an epoch lasts 20 ps and the estimate is 140,019
+    # epochs: hundreds of millions of columns, which would exhaust memory.
+    t = dgx1()
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="140019-epoch model needs 321,484,072 columns"):
+        synthesize(t, generate_demand("alltoall", t), "milp", switch_mode="no-copy")
+    assert time.perf_counter() - start < 10
