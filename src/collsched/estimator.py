@@ -9,6 +9,7 @@ fewer epochs suffice.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .demand import Demand
 from .epochs import EpochConfig, ceil_frac, _frac
@@ -42,14 +43,16 @@ def estimate_epoch_upper_bound(t: Topology, d: Demand, tau_opt: float,
     """Epoch count at tau_opt that is sufficient to satisfy the demand.
 
     For each candidate total time, tries coarse models with 4, 8, then 12
-    epochs; the first feasible candidate wins outright.
+    epochs; the first feasible candidate wins outright. Only feasibility is
+    read, so each coarse solve stops at its first incumbent, whatever
+    `solver_opts` says.
     """
     if candidates is None:
         candidates = default_candidates(t, d)
     if sorted(candidates) != list(candidates):
         raise EstimationError("candidate completion times must be ascending")
     opts = opts or ModelOptions()
-    solver_opts = solver_opts or SolverOptions(time_limit=60.0)
+    solver_opts = replace(solver_opts or SolverOptions(time_limit=60.0), first_incumbent=True)
     for total_time in candidates:
         for n_e in COARSE_EPOCH_COUNTS:
             tau = total_time / n_e

@@ -1,8 +1,16 @@
-"""Thin wrapper over an open-source MILP/LP engine (HiGHS via scipy).
+"""Solve models with HiGHS, the MILP/LP engine that scipy bundles.
 
-`solve` hands HiGHS a model's constraint matrix (`Model.matrix`), row and
-variable bounds, integrality flags and objective, and reads back status and
-values.
+`milp` is the one call into HiGHS. It takes `scipy.optimize.milp`'s
+arguments, hands HiGHS the whole model in one `passModel` call (column-wise
+matrix, bounds, objective, integrality) and reads back only the model
+status, the column values, the objective, the MIP gap and the node count.
+It uses scipy's private binding `scipy.optimize._highspy._core._Highs`,
+which `tests/test_solver.py` pins and checks against `scipy.optimize.milp`.
+
+`solve` passes a `Model` (`Model.matrix`, `Model.row_bounds`, column bounds,
+binaries, the maximised objective negated) to `milp` and maps HiGHS's model
+status to `OPTIMAL`, `FEASIBLE_GAP`, `INFEASIBLE` or `TIMEOUT`.
+`min_feasible_horizon` searches for the smallest feasible horizon.
 """
 
 from __future__ import annotations
@@ -12,7 +20,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat,
+                                           ObjSense, _Highs, kHighsInf)
+from scipy.sparse import csc_array
 
 from .errors import (ConservationError, HorizonInfeasibleError, SolverBackendError,
                      SolverTimeoutError, ValidationError)
@@ -27,10 +38,16 @@ _GAP_EPS = 1e-9
 TOL = 1e-6  # relative feasibility slack solvers are allowed
 
 
+# A MILP stopped by one of these may still hold an incumbent.
+_STOPPED = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
+            HighsModelStatus.kSolutionLimit)
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     time_limit: float = 300.0
     relative_gap: float = 0.0  # early-stop when the primal-dual gap falls below
+    first_incumbent: bool = False  # stop a MILP at its first feasible solution
 
     def __post_init__(self):
         if not (0 <= self.relative_gap < 1):
@@ -77,6 +94,45 @@ class Solution:
                         self.achieved_gap, self.solve_wall_time)
 
 
+def milp(c, *, integrality, bounds, constraints, options) -> dict:
+    """Minimise c @ x within `bounds` and `constraints` (a `LinearConstraint`,
+    or None for no rows), with the columns where `integrality` is 1 integral.
+    `c`, `integrality` and the bounds hold one entry per column.
+
+    `options` maps HiGHS option names to values. Returns a dict: `status`,
+    HiGHS's model status, then `x`, `fun`, `mip_gap` and `mip_node_count`,
+    each None where `scipy.optimize.milp` gives None. An LP has values only
+    when optimal; a MILP also when stopped with an incumbent; the `mip_`
+    pair is set for a MILP with values only.
+    """
+    if constraints is None:
+        constraints = LinearConstraint(csc_array((0, len(c))), np.zeros(0), np.zeros(0))
+    a = csc_array(constraints.A)
+    highs = _Highs()
+    for name, value in {"log_to_console": False, **options}.items():
+        if highs.setOptionValue(name, value) != HighsStatus.kOk:
+            raise SolverBackendError(f"HiGHS refused option {name}={value!r}")
+    # The binding converts each array to the dtype HiGHS stores (float64 or int32).
+    loaded = highs.passModel(
+        len(c), a.shape[0], a.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        c, bounds.lb, bounds.ub, constraints.lb, constraints.ub,
+        a.indptr, a.indices, a.data, integrality)
+    if loaded == HighsStatus.kError:
+        raise SolverBackendError("HiGHS refused the model")
+    ran = highs.run() != HighsStatus.kError
+    status = highs.getModelStatus()
+    res = {"status": status, "x": None, "fun": None, "mip_gap": None, "mip_node_count": None}
+    info = highs.getInfo()
+    mip = bool(np.any(integrality))
+    if ran and (status == HighsModelStatus.kOptimal or (
+            mip and status in _STOPPED and info.objective_function_value != kHighsInf)):
+        res["x"] = np.array(highs.getSolution().col_value)
+        res["fun"] = info.objective_function_value
+        if mip:
+            res["mip_gap"], res["mip_node_count"] = info.mip_gap, info.mip_node_count
+    return res
+
+
 def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     """Solve the model; integer variables come back integral within 1e-6.
 
@@ -93,22 +149,31 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
         "time_limit": float(opts.time_limit),
         "mip_rel_gap": float(opts.relative_gap),
     }
+    if opts.first_incumbent:
+        options["mip_max_improving_sols"] = 1
     start = time.perf_counter()
     res = milp(c=c, integrality=m.binary.astype(np.uint8), bounds=Bounds(m.lb, m.ub),
                constraints=constraints, options=options)
     wall = time.perf_counter() - start
+    status = _outcome(res, opts.relative_gap)
+    if res["x"] is None:
+        return Solution(status, m, solve_wall_time=wall)
+    return Solution(status, m, res["x"], float(-res["fun"]), res["mip_gap"] or 0.0, wall)
 
-    gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
-    if res.status == 2:
-        return Solution(INFEASIBLE, m, solve_wall_time=wall)
-    if res.x is None:
-        if res.status != 1:
-            raise SolverBackendError(f"solver failed: {res.message}")
-        return Solution(TIMEOUT, m, solve_wall_time=wall)
-    status = OPTIMAL if gap <= max(opts.relative_gap, _GAP_EPS) and res.status == 0 else FEASIBLE_GAP
-    if res.status == 1:
-        status = FEASIBLE_GAP
-    return Solution(status, m, np.asarray(res.x), float(-res.fun), gap, wall)
+
+def _outcome(res: dict, relative_gap: float) -> str:
+    """The package's status for a `milp` result."""
+    status = res["status"]
+    if status == HighsModelStatus.kInfeasible:
+        return INFEASIBLE
+    if res["x"] is None:
+        if status in (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit):
+            return TIMEOUT
+        raise SolverBackendError(f"solver failed: HiGHS model status {status.name}")
+    gap = res["mip_gap"] or 0.0
+    if status == HighsModelStatus.kOptimal and gap <= max(relative_gap, _GAP_EPS):
+        return OPTIMAL
+    return FEASIBLE_GAP
 
 
 def completion_epoch(sol: Solution) -> int:

@@ -27,10 +27,12 @@ class SynthesisResult:
     """A replay-verified schedule and how it was found.
 
     `epochs` is the horizon the result answers for: the smallest feasible
-    one when the horizon was searched. The schedule, `objective` and
-    `achieved_gap` come from the solved model that proved it, which may be a
-    longer probe whose reads complete by epoch `epochs` - 1; its objective
-    then includes each later epoch's reward for reads already complete.
+    one when the horizon was searched, and for A* the schedule's completion
+    epoch + 1, since carried arrivals may land after its last round. The
+    schedule, `objective` and `achieved_gap` come from the solved model that
+    proved it, which may be a longer probe whose reads complete by epoch
+    `epochs` - 1; its objective then includes each later epoch's reward for
+    reads already complete.
     `solver_wall_time` sums the solve time of every horizon probe; the
     estimator's coarse solves are not in it.
     """
@@ -84,7 +86,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
         report = _checked_replay(sched, t, d, switch_mode)
         return SynthesisResult(sched, report, method, sched.meta["status"],
                                sched.meta["solver_wall_time_sec"], time.perf_counter() - start,
-                               None, 0.0, sched.meta["rounds"] * kpr, tau, notes)
+                               None, 0.0, sched.completion_epoch + 1, tau, notes)
 
     estimated = epochs is None
     if estimated:

@@ -1,12 +1,14 @@
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus
 
+from collsched import solver
 from collsched.demand import Demand, generate_demand
-from collsched.epochs import EpochConfig
+from collsched.epochs import EpochConfig, epoch_duration
 from collsched.errors import EstimationError
 from collsched.estimator import default_candidates, estimate_epoch_upper_bound
 from collsched.milp import ModelOptions, build_general_model
-from collsched.solver import solve
-from collsched.topology import line, star
+from collsched.solver import SolverOptions, solve
+from collsched.topology import dgx1, line, ring, star
 
 
 def test_star3_candidate_ladder(star3, solver_opts):
@@ -56,3 +58,32 @@ def test_default_ladder_covers_line(solver_opts):
     sol = solve(build_general_model(t, d, EpochConfig(1.0, n_e), ModelOptions()),
                 solver_opts)
     assert sol.feasible
+
+
+@pytest.mark.parametrize("t, coll, chunk, bound, stops", [
+    (ring(4), "alltoall", 1, 6, HighsModelStatus.kOptimal),
+    (ring(8), "alltoall", 1, 14, HighsModelStatus.kSolutionLimit),
+    (dgx1(), "alltoall", 1 << 20, 10, HighsModelStatus.kOptimal),
+], ids=["ring4", "ring8", "dgx1"])
+def test_coarse_solves_stop_at_their_first_incumbent(t, coll, chunk, bound, stops, monkeypatch):
+    # The bounds the estimator gave when it solved every coarse MILP to
+    # optimality. The first feasible coarse model ends the estimate, so HiGHS
+    # is asked to stop at its first incumbent, also when given options that
+    # do not say so; on ring(8) it does stop there, before proving that
+    # incumbent optimal.
+    handed = []
+    real = solver.milp
+
+    def record(c, *, integrality, bounds, constraints, options):
+        res = real(c, integrality=integrality, bounds=bounds, constraints=constraints,
+                   options=options)
+        handed.append((options.get("mip_max_improving_sols"), res["status"]))
+        return res
+
+    monkeypatch.setattr(solver, "milp", record)
+    d = generate_demand(coll, t, chunk_size=chunk)
+    n_e = estimate_epoch_upper_bound(t, d, epoch_duration(t, chunk),
+                                     solver_opts=SolverOptions(time_limit=60.0))
+    assert n_e == bound
+    assert [limit for limit, _ in handed] == [1] * len(handed)
+    assert handed[-1][1] == stops

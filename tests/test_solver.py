@@ -1,15 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
+from scipy.optimize._highspy import _core
 
+from collsched import solver
 from collsched.demand import generate_demand
 from collsched.epochs import EpochConfig
-from collsched.errors import HorizonInfeasibleError, ValidationError
+from collsched.errors import HorizonInfeasibleError, SolverBackendError, ValidationError
 from collsched.lp import build_lp_model
 from collsched.milp import ModelOptions, build_general_model
 from collsched.model import BINARY, CONTINUOUS, INF, Axis, Model
-from collsched.solver import (INFEASIBLE, OPTIMAL, SolverOptions, completion_epoch,
-                              min_feasible_horizon, solve)
+from collsched.solver import (FEASIBLE_GAP, INFEASIBLE, OPTIMAL, TIMEOUT, SolverOptions,
+                              completion_epoch, min_feasible_horizon, solve)
 from collsched.topology import line, ring
 
 
@@ -221,3 +226,168 @@ def test_milp_search_is_minimal_on_diamond(diamond_multicast, solver_opts):
     t, d = diamond_multicast
     _check_minimal(lambda k: build_general_model(t, d, EpochConfig(1.0, k), ModelOptions()),
                    8, solver_opts)
+
+
+# -- solver.milp against scipy.optimize.milp ---------------------------------
+#
+# `solver.milp` hands the model to scipy's bundled HiGHS binding directly.
+# scipy's own `milp` wrapper over the same HiGHS is the reference: on the same
+# input both must run the same solve.
+_HIGHS = solver.milp
+
+
+def test_private_binding_is_pinned():
+    # A scipy that moves or renames any of these fails here first.
+    for name in ("passModel", "setOptionValue", "run", "getModelStatus", "getInfo",
+                 "getSolution"):
+        assert callable(getattr(_core._Highs, name, None)), name
+    for name in ("objective_function_value", "mip_gap", "mip_node_count"):
+        assert hasattr(_core.HighsInfo, name), name
+    assert hasattr(_core.HighsSolution, "col_value")
+    for enum, members in (
+            (_core.HighsModelStatus, ("kOptimal", "kInfeasible", "kTimeLimit",
+                                      "kIterationLimit", "kSolutionLimit")),
+            (_core.HighsStatus, ("kOk", "kError")),
+            (_core.MatrixFormat, ("kColwise",)), (_core.ObjSense, ("kMinimize",))):
+        assert set(members) <= set(enum.__members__), enum
+    assert _core.kHighsInf == np.inf
+
+
+def _reference_status(res, relative_gap: float = 0.0) -> str:
+    """The package status `solve` gave a `scipy.optimize.milp` result (integer
+    codes: 0 optimal, 1 time or iteration limit, 2 infeasible, 4 other)."""
+    if res.status == 2:
+        return INFEASIBLE
+    if res.x is None:
+        if res.status != 1:
+            raise SolverBackendError(res.message)
+        return TIMEOUT
+    gap = res.mip_gap or 0.0
+    if res.status == 0 and gap <= max(relative_gap, 1e-9):
+        return OPTIMAL
+    return FEASIBLE_GAP
+
+
+def _both(c, integrality, bounds, constraints, **options):
+    """(scipy's result, ours) for one model; scipy warns about HiGHS options
+    it passes through unvetted."""
+    args = dict(integrality=integrality, bounds=bounds, constraints=constraints)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = scipy_milp(c, options=dict(options), **args)
+    return ref, _HIGHS(c, options=dict(options), **args)
+
+
+def _same_solve(ref, ours) -> None:
+    assert solver._outcome(ours, 0.0) == _reference_status(ref)
+    if ref.x is None:
+        assert ours["x"] is None
+    else:
+        assert ours["x"].dtype == ref.x.dtype and ours["x"].tobytes() == ref.x.tobytes()
+    for key in ("fun", "mip_gap", "mip_node_count"):
+        assert ours[key] == ref[key], key
+
+
+def _knapsacks(n: int, m: int, seed: int = 0):
+    """max value s.t. m random knapsack rows at half their weight; x in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, 20, (m, n)).astype(float)
+    c = -rng.integers(1, 30, n).astype(float)
+    return c, Bounds(np.zeros(n), np.ones(n)), LinearConstraint(a, -np.inf, a.sum(axis=1) / 2 + 0.5)
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["lp", "milp"])
+def test_milp_solves_as_scipy_does(integral):
+    c, bounds, rows = _knapsacks(20, 8)
+    ref, ours = _both(c, np.full(len(c), int(integral)), bounds, rows, time_limit=60.0)
+    assert ours["status"] == _core.HighsModelStatus.kOptimal
+    if integral:
+        assert ours["mip_node_count"] > 0  # branching ran
+    _same_solve(ref, ours)
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["lp", "milp"])
+def test_infeasible_model_as_scipy(integral):
+    rows = LinearConstraint(np.array([[1.0, 1.0]]), 3.0, np.inf)
+    ref, ours = _both(np.array([1.0, 1.0]), np.full(2, int(integral)),
+                      Bounds([0, 0], [1, 1]), rows)
+    _same_solve(ref, ours)
+    assert solver._outcome(ours, 0.0) == INFEASIBLE
+
+
+def test_model_without_rows_as_scipy():
+    ref, ours = _both(np.array([-1.0, 2.0, -3.0]), np.array([1, 0, 0]),
+                      Bounds([0, -1, 0], [4, 1, 2.5]), None)
+    _same_solve(ref, ours)
+    assert ours["x"].tolist() == [4.0, -1.0, 2.5]
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["lp", "milp"])
+def test_unbounded_model_raises_as_scipy(integral):
+    rows = LinearConstraint(np.array([[1.0, -1.0]]), -np.inf, 1.0)
+    ref, ours = _both(np.array([-1.0, 0.0]), np.full(2, int(integral)),
+                      Bounds([0, 0], [np.inf, np.inf]), rows)
+    for res, outcome in ((ref, _reference_status), (ours, solver._outcome)):
+        with pytest.raises(SolverBackendError):
+            outcome(res, 0.0)
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["lp", "milp"])
+def test_time_limit_without_incumbent_as_scipy(integral):
+    c, bounds, rows = _knapsacks(100, 50)
+    ref, ours = _both(c, np.full(len(c), int(integral)), bounds, rows, time_limit=1e-9)
+    _same_solve(ref, ours)
+    assert ours["status"] == _core.HighsModelStatus.kTimeLimit
+    assert solver._outcome(ours, 0.0) == TIMEOUT
+
+
+def test_time_limit_with_incumbent_as_scipy():
+    # Where a wall-clock limit cuts branch and bound is not reproducible,
+    # not even between two runs of scipy's own `milp`, so the incumbent,
+    # its gap and the node count are checked for what they are, not bitwise.
+    c, bounds, rows = _knapsacks(100, 50)
+    ref, ours = _both(c, np.ones(len(c)), bounds, rows, time_limit=0.2)
+    assert ours["status"] == _core.HighsModelStatus.kTimeLimit and ref.status == 1
+    assert solver._outcome(ours, 0.0) == _reference_status(ref) == FEASIBLE_GAP
+    for x, fun, gap in ((ref.x, ref.fun, ref.mip_gap),
+                        (ours["x"], ours["fun"], ours["mip_gap"])):
+        assert np.allclose(x, np.round(x), atol=1e-6) and np.all(rows.A @ x <= rows.ub + 1e-6)
+        assert fun == pytest.approx(c @ x) and gap > 0
+    assert ours["mip_node_count"] >= 0
+
+
+def test_first_incumbent_stop_as_scipy():
+    # The stop the estimator asks for is deterministic: compared bitwise.
+    c, bounds, rows = _knapsacks(30, 10)
+    ref, ours = _both(c, np.ones(len(c)), bounds, rows, time_limit=60.0,
+                      mip_max_improving_sols=1)
+    _same_solve(ref, ours)
+    assert ours["status"] == _core.HighsModelStatus.kSolutionLimit
+    assert solver._outcome(ours, 0.0) == FEASIBLE_GAP
+
+
+@pytest.mark.parametrize("build", [
+    lambda t, d: build_general_model(t, d, EpochConfig(1.0, 3), ModelOptions()),
+    lambda t, d: build_lp_model(t, d, EpochConfig(1.0, 3), ModelOptions()),
+], ids=["milp", "lp"])
+def test_solve_hands_scipy_the_same_model(build, monkeypatch):
+    t = ring(4)
+    m = build(t, generate_demand("alltoall", t))
+    pairs = []
+
+    def both(c, *, integrality, bounds, constraints, options):
+        ref, ours = _both(c, integrality, bounds, constraints, **options)
+        pairs.append((ref, ours))
+        return ours
+
+    monkeypatch.setattr(solver, "milp", both)
+    assert solve(m).status == OPTIMAL
+    [(ref, ours)] = pairs
+    _same_solve(ref, ours)
+
+
+def test_refused_option_raises():
+    with pytest.raises(SolverBackendError, match="no_such_option"):
+        solver.milp(np.ones(1), integrality=np.zeros(1), bounds=Bounds(0, 1),
+                    constraints=None, options={"no_such_option": 1})
+

@@ -140,3 +140,14 @@ def test_oversized_horizon_is_refused_before_it_is_built():
     with pytest.raises(ValidationError, match="140019-epoch model needs 321,484,072 columns"):
         synthesize(t, generate_demand("alltoall", t), "milp", switch_mode="no-copy")
     assert time.perf_counter() - start < 10
+
+
+def test_astar_horizon_covers_arrivals_after_its_last_round():
+    # Alpha of 3 epochs: the one round (K = 3) sends at epoch 0 and the chunk
+    # lands at epoch 3, after the round ends; the horizon is 4 epochs, not 3.
+    t = Topology((0, 1), frozenset(), (Edge(0, 1, 1.0, 3.0), Edge(1, 0, 1.0, 3.0)))
+    result = synthesize(t, generate_demand("alltoall", t, 1, 1), "astar", epochs_per_round=3)
+    sched = result.schedule
+    assert sched.meta["rounds"] * sched.meta["epochs_per_round"] == 3
+    assert result.report.completion_epoch == sched.completion_epoch == 3
+    assert result.epochs == 4
