@@ -17,6 +17,7 @@ from .epochs import FASTEST, SLOWEST, epoch_duration
 from .errors import (CollschedError, EstimationError, HorizonInfeasibleError,
                      RoundLimitError, SolverTimeoutError, ValidationError)
 from .estimator import estimate_epoch_upper_bound
+from .lp import horizon_lower_bound
 from .milp import ModelOptions
 from .schedule import load_schedule, msccl_style_steps, save_schedule, schedule_to_json
 from .simulator import SimOptions, algorithmic_bandwidth, simulate
@@ -181,7 +182,8 @@ def cmd_estimate(args) -> int:
     d = load_demand(args.demand)
     tau = epoch_duration(t, d.chunk_size, args.epoch_mode, args.em)
     n_e = estimate_epoch_upper_bound(t, d, tau, opts=ModelOptions(switch_mode=args.switch))
-    _dump({"epochs_upper_bound": n_e, "tau_sec": tau})
+    _dump({"epochs_upper_bound": n_e, "lp_lower_bound": horizon_lower_bound(t, d, tau),
+           "tau_sec": tau})
     return 0
 
 

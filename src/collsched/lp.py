@@ -12,6 +12,8 @@ read back through the same arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .demand import Demand, check_demand_nodes
@@ -21,7 +23,7 @@ from .milp import ModelOptions, Net
 from .model import INF, Axis, Model, check_columns
 from .schedule import Schedule, ScheduleEvent
 from .solver import TOL, Solution, completion_epoch
-from .topology import Topology
+from .topology import Topology, shortest_distances
 
 
 def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
@@ -131,6 +133,63 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
 
     m.add_objective(Rc, 1.0 / (kv + 1)[None, :])
     return m
+
+
+def horizon_lower_bound(t: Topology, d: Demand, tau: float) -> int:
+    """A horizon no feasible `build_lp_model` of (t, d) at epoch length tau
+    is shorter than; raises `ValidationError` for a demanded pair with no path.
+
+    In the LP a send at epoch k lands delta epochs later and is forwarded
+    from the next epoch, so a node n first sends source s's mass at epoch
+    dist(s, n), the sum of delta + 1 over the path (0 at s), and a
+    destination first reads it at dist(s, dst) - 1. Two bounds follow. The
+    farthest demanded pair needs dist(s, dst) epochs. And every unit that
+    dst reads landed over one of its in-edges (i, dst), which sends from the
+    nearest of dst's sources' dist to i on, so the horizon is at least one
+    more than the first epoch by which those edges' capacities can have
+    landed all of dst's units.
+    """
+    check_demand_nodes(d, t)
+    units: dict = {}  # dst -> demanded units
+    sources: dict = {}  # dst -> sources that send to it
+    for s, _, dst in d.entries:
+        units[dst] = units.get(dst, 0) + 1
+        sources.setdefault(dst, set()).add(s)
+    delta = {(e.src, e.dst): compute_delta(e, tau) for e in t.edges}
+    hop = lambda e: delta[(e.src, e.dst)] + 1
+    dist = {s: shortest_distances(t, hop, {s: 0}) for s in set().union(*sources.values())}
+    # Epochs after the last override's run at the base rate, which is each
+    # edge's last entry here.
+    last = max((k for _, _, k in t.capacity_overrides), default=-1)
+    cap = cap_chunks(t, EpochConfig(tau, max(last, 0) + 2, d.chunk_size))
+    bound = 1
+    for dst in sorted(units, key=str):
+        for s in sorted(sources[dst], key=str):
+            if dist[s][dst] == math.inf:
+                raise ValidationError(f"demand from {s!r} to {dst!r} has no path")
+            bound = max(bound, dist[s][dst])
+        ingress = []  # (first send epoch, delta, per-epoch capacity)
+        for e in t.in_edges(dst):
+            first = min(dist[s][e.src] for s in sources[dst])
+            if first < math.inf:
+                ingress.append((first, delta[(e.src, e.dst)], cap[(e.src, e.dst)]))
+        bound = max(bound, _landing_epoch(units[dst] * (1 - TOL), ingress) + 1)
+    return bound
+
+
+def _landing_epoch(need: float, ingress: list) -> int:
+    """First epoch by which edges (first send epoch, delta, per-epoch
+    capacity) can have landed `need` units, each capacity list's last entry
+    holding for every later epoch."""
+    steady = max(a + dl + len(c) for a, dl, c in ingress)
+    landed = 0.0
+    for e in range(min(a + dl for a, dl, _ in ingress), steady):
+        landed += sum(c[min(e - dl, len(c) - 1)] for a, dl, c in ingress if e - dl >= a)
+        if landed >= need:
+            return e
+    # From epoch `steady` on every edge lands its base rate each epoch.
+    rate = sum(c[-1] for _, _, c in ingress)
+    return steady - 1 + math.ceil((need - landed) / rate)
 
 
 def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,

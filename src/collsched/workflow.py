@@ -11,7 +11,7 @@ from .demand import Demand
 from .epochs import EpochConfig, FASTEST, epoch_duration
 from .errors import HorizonInfeasibleError, ValidationError
 from .estimator import estimate_epoch_upper_bound
-from .lp import build_lp_model, lp_rates_to_schedule
+from .lp import build_lp_model, horizon_lower_bound, lp_rates_to_schedule
 from .milp import ModelOptions, build_general_model
 from .schedule import Schedule, extract_schedule, prune_unused_flows
 from .simulator import SimOptions, SimReport, simulate
@@ -29,6 +29,8 @@ class SynthesisResult:
     `epochs` is the horizon the result answers for: the smallest feasible
     one when the horizon was searched, and for A* the schedule's completion
     epoch + 1, since carried arrivals may land after its last round. The
+    LP's search starts at `lp.horizon_lower_bound`, which `warnings` notes
+    as "horizon lower bound L"; when L is feasible it is the only probe. The
     schedule, `objective` and `achieved_gap` come from the solved model that
     proved it, which may be a longer probe whose reads complete by epoch
     `epochs` - 1; its objective then includes each later epoch's reward for
@@ -88,6 +90,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
                                sched.meta["solver_wall_time_sec"], time.perf_counter() - start,
                                None, 0.0, sched.completion_epoch + 1, tau, notes)
 
+    lower = horizon_lower_bound(t, d, tau)  # refuses an unreachable demand first
     estimated = epochs is None
     if estimated:
         epochs = estimate_epoch_upper_bound(t, d, tau, opts=opts)
@@ -95,6 +98,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
     cfg = EpochConfig(tau, epochs, d.chunk_size)
 
     if method == "lp":
+        notes.append(f"horizon lower bound {lower}")
         if _benefits_from_copy(d):
             notes.append("demand is multicast: the copy-free program only bounds "
                          "what copy-capable schedules achieve")
@@ -105,23 +109,31 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
     else:
         builder = lambda K: build_general_model(t, d, cfg.with_horizon(K), opts)
 
-    # Without the search the range is the one horizon. The estimate is not a
-    # sound bound, so while the estimated range is infeasible the next one
-    # doubles its upper end, up to 8 times the estimate.
-    first = 1 if search_horizon else epochs
-    k_lo, k_hi, solver_s = first, epochs, 0.0
+    # Without the search the range is the one horizon. With it the LP first
+    # probes its sound lower bound alone, often the answer, then the horizons
+    # above it up to the estimate; the MILP searches from 1 to the estimate.
+    # The estimate is not a sound bound, so while an estimated range is
+    # infeasible the next one runs above it, up to the estimate or else to
+    # double its upper end, until 8 times the larger of the estimate and the
+    # first range's upper end.
+    if not search_horizon:
+        k_lo = k_hi = epochs
+    elif method == "lp":
+        k_lo = k_hi = lower if estimated else min(lower, epochs)
+    else:
+        k_lo, k_hi = 1, epochs
+    first, limit, solver_s = k_lo, 8 * max(epochs, k_hi) if estimated else epochs, 0.0
     while True:
         try:
             k_star, sol, seconds = min_feasible_horizon(builder, k_lo, k_hi, solver_opts)
             break
         except HorizonInfeasibleError as exc:
             solver_s += exc.solver_seconds
-            if not estimated:
-                raise
-            if k_hi >= 8 * epochs:
+            if k_hi >= limit:
                 raise HorizonInfeasibleError(first, k_hi, solver_s) from None
-            notes.append(f"no feasible horizon up to {k_hi}: trying up to {2 * k_hi}")
-        k_lo, k_hi = (k_hi + 1 if search_horizon else 2 * k_hi), 2 * k_hi
+            grown = epochs if k_hi < epochs else 2 * k_hi
+            notes.append(f"no feasible horizon up to {k_hi}: trying up to {grown}")
+        k_lo, k_hi = (k_hi + 1 if search_horizon else grown), grown
     solver_s += seconds
     if dump_model_path:
         with open(dump_model_path, "w") as f:

@@ -50,6 +50,9 @@ def test_estimate_epochs(ring4, capsys):
     assert code == 0
     assert doc["tau_sec"] == 1.0
     assert doc["epochs_upper_bound"] >= 3  # epochs 0..2 are needed
+    # Fractions split over both directions let the copy-free LP finish by
+    # epoch 1, so its sound lower bound is 2, not 3.
+    assert doc["lp_lower_bound"] == 2 < doc["epochs_upper_bound"]
 
 
 @pytest.mark.parametrize("method", ["milp", "lp", "astar"])

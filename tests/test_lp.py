@@ -1,13 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collsched.demand import Demand, generate_demand
-from collsched.epochs import EpochConfig
-from collsched.errors import ConservationError
-from collsched.lp import TOL, build_lp_model, lp_rates_to_schedule
+from collsched.epochs import EpochConfig, epoch_duration
+from collsched.errors import ConservationError, ValidationError
+from collsched.lp import TOL, build_lp_model, horizon_lower_bound, lp_rates_to_schedule
 from collsched.milp import ModelOptions, build_general_model
 from collsched.simulator import SimOptions, simulate
 from collsched.solver import completion_epoch, min_feasible_horizon, solve
-from collsched.topology import Edge, Topology, line, ring
+from collsched.topology import Edge, Topology, dgx2, line, ring
 
 
 def test_two_node_ring_alltoall_single_epoch(solver_opts):
@@ -170,3 +171,80 @@ def test_decomposition_matches_reference(t, kind, chunks, solver_opts):
     sched = lp_rates_to_schedule(sol, t, d, EpochConfig(1.0, k))
     got = [(e.source, e.chunk, e.src, e.dst, e.epoch, e.fraction) for e in sched.events]
     assert got == _reference_rates_to_schedule(sol, d, k)
+
+
+@st.composite
+def _bound_inputs(draw):
+    """A small line, ring or star (around a switch) with per-edge capacities
+    of 2 to 1/3 chunks per epoch, alphas of 0 to 2 epochs, overrides that
+    raise or lower an edge's capacity at one of the first epochs, and a
+    unicast (alltoall) or multicast (allgather) demand."""
+    shape = draw(st.sampled_from(["line", "ring", "star"]))
+    n = draw(st.integers(3 if shape == "ring" else 2, 4))
+
+    def link(i, j):
+        return Edge(i, j, draw(st.sampled_from([2.0, 1.0, 0.5, 1 / 3])),
+                    draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+
+    if shape == "star":
+        nodes, switches = tuple(range(n)) + ("h",), frozenset({"h"})
+        pairs = [(i, "h") for i in range(n)]
+    else:
+        nodes, switches = tuple(range(n)), frozenset()
+        pairs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * (shape == "ring")
+    edges = tuple(e for i, j in pairs for e in (link(i, j), link(j, i)))
+    overrides = draw(st.dictionaries(
+        st.tuples(st.sampled_from([(e.src, e.dst) for e in edges]), st.integers(0, 3)),
+        st.sampled_from([4.0, 0.25]), max_size=3))
+    t = Topology(nodes, switches, edges, {(i, j, k): c for ((i, j), k), c in overrides.items()})
+    d = generate_demand(draw(st.sampled_from(["allgather", "alltoall"])), t,
+                        draw(st.integers(1, 2)))
+    return t, d
+
+
+def _feasible(t, d, K):
+    return solve(build_lp_model(t, d, EpochConfig(1.0, K))).feasible
+
+
+@settings(max_examples=25, deadline=None)
+@given(_bound_inputs())
+def test_horizon_lower_bound_is_sound(case):
+    # Plain bisection from 1, relying on nothing but feasibility being
+    # monotone in the horizon.
+    t, d = case
+    hi = 1
+    while not _feasible(t, d, hi):
+        hi *= 2
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(t, d, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    assert 1 <= horizon_lower_bound(t, d, 1.0) <= lo
+
+
+def test_horizon_lower_bound_is_tight_on_dgx2_alltoall():
+    # Each GPU reads 15 units over its one link from the switch, a chunk per
+    # epoch; the link first sends at epoch 2 (GPU to switch is one epoch,
+    # forwarding the next), so the last unit lands at epoch 17.
+    t = dgx2()
+    d = generate_demand("alltoall", t, 1, 1 << 20)
+    assert horizon_lower_bound(t, d, epoch_duration(t, d.chunk_size)) == 18
+
+
+def test_horizon_lower_bound_counts_overrides():
+    # Six chunks over one link of a chunk per epoch, tripled at epoch 1.
+    t = Topology((0, 1), frozenset(), (Edge(0, 1, 1.0),))
+    d = Demand(frozenset((0, c, 1) for c in range(6)), 6, 1)
+    assert horizon_lower_bound(t, d, 1.0) == 6
+    faster = Topology(t.nodes, t.switches, t.edges, {(0, 1, 1): 3.0})
+    assert horizon_lower_bound(faster, d, 1.0) == 4
+    assert not _feasible(faster, d, 3) and _feasible(faster, d, 4)
+
+
+def test_horizon_lower_bound_refuses_an_unreachable_pair():
+    t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 1.0), Edge(1, 0, 1.0), Edge(1, 2, 1.0)))
+    with pytest.raises(ValidationError, match="from 2 to 0 has no path"):
+        horizon_lower_bound(t, Demand(frozenset({(2, 0, 0)}), 1, 1), 1.0)

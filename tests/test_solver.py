@@ -15,7 +15,7 @@ from collsched.milp import ModelOptions, build_general_model
 from collsched.model import BINARY, CONTINUOUS, INF, Axis, Model
 from collsched.solver import (FEASIBLE_GAP, INFEASIBLE, OPTIMAL, TIMEOUT, SolverOptions,
                               completion_epoch, min_feasible_horizon, solve)
-from collsched.topology import line, ring
+from collsched.topology import Edge, Topology, line, ring
 
 
 def _scalars(m, *specs):
@@ -391,3 +391,66 @@ def test_refused_option_raises():
         solver.milp(np.ones(1), integrality=np.zeros(1), bounds=Bounds(0, 1),
                     constraints=None, options={"no_such_option": 1})
 
+
+
+@pytest.mark.parametrize("build, ipm", [
+    (lambda t, d: build_general_model(t, d, EpochConfig(1.0, 3), ModelOptions()), False),
+    (lambda t, d: build_lp_model(t, d, EpochConfig(1.0, 3), ModelOptions()), True),
+], ids=["milp", "lp"])
+def test_lp_alone_goes_to_the_interior_point_solver(build, ipm, monkeypatch):
+    t = ring(4)
+    m = build(t, generate_demand("alltoall", t))
+    assert m.binary.any() != ipm
+    seen = []
+
+    def recorded(c, *, integrality, bounds, constraints, options):
+        seen.append(dict(options))
+        return _HIGHS(c, integrality=integrality, bounds=bounds, constraints=constraints,
+                      options=options)
+
+    monkeypatch.setattr(solver, "milp", recorded)
+    assert solve(m).status == OPTIMAL
+    [options] = seen
+    assert ("solver" in options) == ipm
+    assert options.get("solver", "ipm") == "ipm"
+
+
+def test_interior_point_solve_repeats_bit_for_bit():
+    # The benchmark checks every call's schedule against the first call's.
+    t = ring(6)
+    m = build_lp_model(t, generate_demand("alltoall", t), EpochConfig(1.0, 6), ModelOptions())
+    first, second = solve(m), solve(m)
+    assert first.status == second.status == OPTIMAL
+    assert first.x.tobytes() == second.x.tobytes()
+
+
+def test_undecided_interior_point_run_falls_back_to_simplex(monkeypatch):
+    t = ring(4)
+    m = build_lp_model(t, generate_demand("alltoall", t), EpochConfig(1.0, 3), ModelOptions())
+    seen = []
+
+    def undecided_ipm(c, *, integrality, bounds, constraints, options):
+        seen.append(dict(options))
+        if options["solver"] == "ipm":
+            return {"status": _core.HighsModelStatus.kSolveError, "x": None, "fun": None,
+                    "mip_gap": None, "mip_node_count": None}
+        return _HIGHS(c, integrality=integrality, bounds=bounds, constraints=constraints,
+                      options=options)
+
+    monkeypatch.setattr(solver, "milp", undecided_ipm)
+    assert solve(m, SolverOptions(time_limit=30.0)).status == OPTIMAL
+    assert [o["solver"] for o in seen] == ["ipm", "simplex"]
+    assert 0 < seen[1]["time_limit"] <= 30.0
+
+
+def test_infeasible_lp_the_interior_point_solver_leaves_undecided():
+    # After presolve, HiGHS 1.12's interior-point solver ends this LP at
+    # K = 6 in kSolveError; simplex proves it infeasible. K = 8 is the
+    # smallest feasible horizon.
+    t = Topology((0, 1, 2, "h"), frozenset({"h"}), (
+        Edge(0, "h", 0.5, 0.5), Edge("h", 0, 2.0, 2.0), Edge(1, "h", 1.0), Edge("h", 1, 1 / 3),
+        Edge(2, "h", 1.0, 0.5), Edge("h", 2, 2.0)), {(0, "h", 0): 4.0, (2, "h", 2): 0.25})
+    d = generate_demand("allgather", t)
+    statuses = [solve(build_lp_model(t, d, EpochConfig(1.0, K), ModelOptions())).status
+                for K in (6, 8)]
+    assert statuses == [INFEASIBLE, OPTIMAL]

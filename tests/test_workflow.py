@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from collsched import astar, solver, workflow
+from collsched import astar, estimator, solver, workflow
 from collsched.demand import Demand, generate_demand
 from collsched.errors import HorizonInfeasibleError, ValidationError
 from collsched.solver import FEASIBLE_GAP
@@ -49,8 +49,51 @@ def test_horizon_growth_stops_at_eight_times_the_estimate(monkeypatch, search, f
     t = Topology((0, 1), frozenset(), (Edge(0, 1, 1.0),))
     d = Demand(frozenset((0, c, 1) for c in range(20)), 20, 1)
     monkeypatch.setattr(workflow, "estimate_epoch_upper_bound", lambda *a, **k: 2)
+    # A lower bound below the estimate, so the estimate sets the cap.
+    monkeypatch.setattr(workflow, "horizon_lower_bound", lambda *a, **k: 1)
     with pytest.raises(HorizonInfeasibleError, match=rf"\[{first}, 16\]"):
         synthesize(t, d, "lp", search_horizon=search)
+
+
+@pytest.mark.parametrize("estimate, bound, outcome", [
+    # The sound bound, 20, is probed first and alone, and is the answer.
+    (2, None, ["estimated epoch upper bound 2", "horizon lower bound 20"]),
+    # Ranges [2, 2], [3, 4], [5, 8], [9, 16]: 8 times the bound ends them.
+    (1, 2, r"\[2, 16\]"),
+    # Ranges [3, 3], [4, 6], [7, 12], [13, 24]: 8 times the bound, 24, lets
+    # the search reach 20, where 8 times the estimate would stop at 8.
+    (1, 3, ["estimated epoch upper bound 1", "horizon lower bound 3",
+            "no feasible horizon up to 3: trying up to 6",
+            "no feasible horizon up to 6: trying up to 12",
+            "no feasible horizon up to 12: trying up to 24"]),
+])
+def test_lp_search_grows_until_eight_times_the_larger_of_estimate_and_bound(
+        monkeypatch, estimate, bound, outcome):
+    # 20 chunks over one link of a chunk per epoch need 20 epochs.
+    t = Topology((0, 1), frozenset(), (Edge(0, 1, 1.0),))
+    d = Demand(frozenset((0, c, 1) for c in range(20)), 20, 1)
+    monkeypatch.setattr(workflow, "estimate_epoch_upper_bound", lambda *a, **k: estimate)
+    if bound is not None:
+        monkeypatch.setattr(workflow, "horizon_lower_bound", lambda *a, **k: bound)
+    if isinstance(outcome, str):
+        with pytest.raises(HorizonInfeasibleError, match=outcome):
+            synthesize(t, d, "lp", search_horizon=True)
+        return
+    result = synthesize(t, d, "lp", search_horizon=True)
+    assert result.epochs == 20 and result.warnings == outcome
+
+
+@pytest.mark.parametrize("method", ["lp", "milp"])
+def test_unreachable_demand_is_refused_before_any_solve(monkeypatch, method):
+    # 2 has an edge in from 1 but none out, so nothing it sends reaches 0.
+    t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 1.0), Edge(1, 0, 1.0), Edge(1, 2, 1.0)))
+    d = Demand(frozenset({(2, 0, 0)}), 1, 1)
+    calls = []
+    for module in (workflow, solver, estimator):
+        monkeypatch.setattr(module, "solve", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValidationError, match="demand from 2 to 0 has no path"):
+        synthesize(t, d, method, search_horizon=True)
+    assert calls == []
 
 
 def test_solver_time_sums_every_horizon_probe(monkeypatch):
@@ -63,7 +106,9 @@ def test_solver_time_sums_every_horizon_probe(monkeypatch):
         return sol
 
     monkeypatch.setattr(solver, "solve", timed)
-    t = ring(4)
+    # The LP's lower bound on ring(6) alltoall is 3 and its smallest feasible
+    # horizon 5, so the search probes more than the bound.
+    t = ring(6)
     result = synthesize(t, generate_demand("alltoall", t), "lp", search_horizon=True)
     assert len(probes) > 1
     assert result.solver_wall_time == sum(probes)
