@@ -11,7 +11,7 @@ a chunk for several epochs seed that link's capacity windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,9 +45,8 @@ class RoundState:
     carry that seeds the round's buffers, switches and link windows."""
 
     round_index: int
-    residual: frozenset  # demanded (s, c, d) entries still unmet
+    demand: Demand  # the entries still unmet, in the solve's chunk-id space
     carry: Carry
-    demand_proto: Demand  # chunk-id space and chunk size
 
 
 def max_future_epochs(t: Topology, cfg: EpochConfig, opts: ModelOptions | None = None) -> int:
@@ -76,7 +75,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     if cfg.K < max_kp:
         raise ValidationError(f"epochs per round {cfg.K} < max link delay {max_kp}")
 
-    dem = state_demand(state)
+    dem = state.demand
     commodities = dem.commodities
     K, kk, M = cfg.K, cfg.K - 1, max_kp + 1
     # The round sees each capacity override at its own epochs, k0 on.
@@ -117,7 +116,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     # Progress counters: how many still-wanted chunks sit at (or move through)
     # each location, rewarded by closeness to the wanting destination. Per
     # (destination, k'): one cap row per location, then their sum.
-    wanted = sorted(state.residual, key=lambda e: (str(e[0]), e[1], str(e[2])))
+    wanted = sorted(dem.entries, key=lambda e: (str(e[0]), e[1], str(e[2])))
     dsts = sorted({dst for _, _, dst in wanted}, key=str)
     D = len(dsts)
     dpos = {dst: i for i, dst in enumerate(dsts)}
@@ -149,13 +148,8 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     return m
 
 
-def state_demand(state: RoundState) -> Demand:
-    return Demand(frozenset(state.residual), state.demand_proto.chunk_count,
-                  state.demand_proto.chunk_size)
-
-
 def initial_state(d: Demand) -> RoundState:
-    return RoundState(0, frozenset(d.entries), Carry.at_sources(d), d)
+    return RoundState(0, d, Carry.at_sources(d))
 
 
 def advance_state(state: RoundState, sol, t_eff: Topology, cfg: EpochConfig,
@@ -176,11 +170,11 @@ def advance_state(state: RoundState, sol, t_eff: Topology, cfg: EpochConfig,
     commodities, nodes = buffers.axes[0].labels, buffers.axes[1].labels
     for ci, b in np.argwhere(held).tolist():
         arrivals[(*commodities[ci], nodes[b], 0)] = held[ci, b].item()
-    residual = state.residual - {key[:3] for key in arrivals}
+    residual = state.demand.entries - {key[:3] for key in arrivals}
     kept = {(s, c) for (s, c, _) in residual}
     arrivals = {key: v for key, v in arrivals.items() if key[:2] in kept}
-    return RoundState(state.round_index + 1, residual, Carry(arrivals, link_load),
-                      state.demand_proto)
+    return RoundState(state.round_index + 1, replace(state.demand, entries=residual),
+                      Carry(arrivals, link_load))
 
 
 def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
@@ -200,7 +194,7 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
     state = initial_state(d)
     flows: dict = {}
     status, highs_s = OPTIMAL_PER_ROUND, 0.0
-    while state.residual:
+    while state.demand.entries:
         if state.round_index >= max_rounds:
             raise RoundLimitError(f"residual demand after {max_rounds} rounds")
         m = build_round_model(t, state, cfg, fw, gamma, opts, timing=timing)
@@ -216,7 +210,7 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
         prev = state
         state = advance_state(state, sol, t_eff, cfg, timing)
         # A round that changes neither hands the next one its own state.
-        if state.residual == prev.residual and state.carry == prev.carry:
+        if state.demand == prev.demand and state.carry == prev.carry:
             raise RoundLimitError(f"no progress in round {prev.round_index}")
 
     meta = {"eff_topology": t_eff, "delta": timing.delta, "opts": opts,

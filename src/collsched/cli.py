@@ -12,16 +12,16 @@ import json
 import sys
 
 from . import topology as topo
-from .demand import generate_demand, load_demand, merge_demands, save_demand
+from .demand import demand_from_json, demand_to_json, generate_demand, merge_demands
 from .epochs import FASTEST, SLOWEST, epoch_duration
 from .errors import (CollschedError, EstimationError, HorizonInfeasibleError,
                      RoundLimitError, SolverTimeoutError, ValidationError)
 from .estimator import estimate_epoch_upper_bound
 from .lp import horizon_lower_bound
 from .milp import ModelOptions
-from .schedule import load_schedule, msccl_style_steps, save_schedule, schedule_to_json
+from .schedule import msccl_style_steps, schedule_from_json, schedule_to_json
 from .simulator import SimOptions, algorithmic_bandwidth, simulate
-from .topology import COPY, SWITCH_MODES, load_topology, save_topology
+from .topology import COPY, SWITCH_MODES, topology_from_json, topology_to_json
 from .workflow import synthesize
 
 
@@ -52,12 +52,19 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def _dump(doc, path=None) -> None:
+    """Write a JSON document to `path`, or else to stdout: the one file format."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _read(path):
+    """The JSON document at `path`, as `_dump` wrote it."""
+    with open(path) as f:
+        return json.load(f)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,29 +164,22 @@ def cmd_gen_topology(args) -> int:
         t = topo.dgx1()
     else:
         t = topo.GENERATORS[kind](chassis=args.chassis)
-    if args.out:
-        save_topology(t, args.out)
-    else:
-        _dump(topo.topology_to_json(t))
+    _dump(topology_to_json(t), args.out)
     return 0
 
 
 def cmd_gen_demand(args) -> int:
-    t = load_topology(args.topology)
+    t = topology_from_json(_read(args.topology))
     d = generate_demand(args.kind, t, args.chunks, args.chunk_size)
     if args.merge_with:
-        d = merge_demands([d] + [load_demand(p) for p in args.merge_with])
-    if args.out:
-        save_demand(d, args.out)
-    else:
-        from .demand import demand_to_json
-        _dump(demand_to_json(d))
+        d = merge_demands([d] + [demand_from_json(_read(p)) for p in args.merge_with])
+    _dump(demand_to_json(d), args.out)
     return 0
 
 
 def cmd_estimate(args) -> int:
-    t = load_topology(args.topology)
-    d = load_demand(args.demand)
+    t = topology_from_json(_read(args.topology))
+    d = demand_from_json(_read(args.demand))
     tau = epoch_duration(t, d.chunk_size, args.epoch_mode, args.em)
     n_e = estimate_epoch_upper_bound(t, d, tau, opts=ModelOptions(switch_mode=args.switch))
     _dump({"epochs_upper_bound": n_e, "lp_lower_bound": horizon_lower_bound(t, d, tau),
@@ -188,8 +188,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    t = load_topology(args.topology)
-    d = load_demand(args.demand)
+    t = topology_from_json(_read(args.topology))
+    d = demand_from_json(_read(args.demand))
     result = synthesize(
         t, d, args.method, switch_mode=args.switch, buffer_limit=args.buffer_limit,
         epoch_mode=args.epoch_mode, em=args.em, epochs=args.epochs,
@@ -205,7 +205,7 @@ def cmd_solve(args) -> int:
         "epochs": result.epochs,
     })
     if args.out:
-        save_schedule(sched, args.out)
+        _dump(schedule_to_json(sched), args.out)
     if args.steps_out:
         _dump({"steps": msccl_style_steps(sched)}, args.steps_out)
     bw = algorithmic_bandwidth(result.report)
@@ -247,9 +247,9 @@ def _report_doc(report, sched) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    t = load_topology(args.topology)
-    d = load_demand(args.demand)
-    sched = load_schedule(args.schedule)
+    t = topology_from_json(_read(args.topology))
+    d = demand_from_json(_read(args.demand))
+    sched = schedule_from_json(_read(args.schedule))
     report = simulate(sched, t, d, SimOptions(switch_mode=args.switch))
     doc = _report_doc(report, sched)
     _dump(doc, args.out)
@@ -274,11 +274,11 @@ def _append_csv(path, name, report) -> None:
 
 
 def cmd_compare(args) -> int:
-    t = load_topology(args.topology)
-    d = load_demand(args.demand)
+    t = topology_from_json(_read(args.topology))
+    d = demand_from_json(_read(args.demand))
     rows = []
     for path in (args.schedule, args.against):
-        sched = load_schedule(path)
+        sched = schedule_from_json(_read(path))
         report = simulate(sched, t, d, SimOptions(switch_mode=args.switch))
         bw = algorithmic_bandwidth(report)
         rows.append({

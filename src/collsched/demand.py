@@ -6,7 +6,6 @@ indexing scheme serves broadcast-style and pairwise-distinct collectives.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -106,17 +105,6 @@ def demand_from_json(doc: dict) -> Demand:
     entries = frozenset((e["src"], int(e["chunk"]), e["dst"]) for e in doc["entries"])
     count = int(doc.get("chunk_count", max((c for _, c, _ in entries), default=-1) + 1))
     return Demand(entries, count, int(doc["chunk_size_bytes"]))
-
-
-def save_demand(d: Demand, path) -> None:
-    with open(path, "w") as f:
-        json.dump(demand_to_json(d), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_demand(path) -> Demand:
-    with open(path) as f:
-        return demand_from_json(json.load(f))
 
 
 def check_demand_nodes(d: Demand, t: Topology) -> None:

@@ -45,7 +45,8 @@ def estimate_epoch_upper_bound(t: Topology, d: Demand, tau_opt: float,
     For each candidate total time, tries coarse models with 4, 8, then 12
     epochs; the first feasible candidate wins outright. Only feasibility is
     read, so each coarse solve stops at its first incumbent, whatever
-    `solver_opts` says.
+    `solver_opts` says. The coarse models use base capacities: an override
+    names a real epoch, which no coarse epoch matches.
     """
     if candidates is None:
         candidates = default_candidates(t, d)
@@ -53,11 +54,12 @@ def estimate_epoch_upper_bound(t: Topology, d: Demand, tau_opt: float,
         raise EstimationError("candidate completion times must be ascending")
     opts = opts or ModelOptions()
     solver_opts = replace(solver_opts or SolverOptions(time_limit=60.0), first_incumbent=True)
+    coarse = replace(t, capacity_overrides={})
     for total_time in candidates:
         for n_e in COARSE_EPOCH_COUNTS:
             tau = total_time / n_e
             cfg = EpochConfig(tau, n_e, d.chunk_size)
-            sol = solve(build_time_expanded(t, d, cfg, opts), solver_opts)
+            sol = solve(build_time_expanded(coarse, d, cfg, opts), solver_opts)
             if sol.feasible:
                 return ceil_frac(_frac(total_time) / _frac(tau_opt))
     raise EstimationError("no candidate completion time was feasible")

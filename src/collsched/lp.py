@@ -242,9 +242,8 @@ def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
                     for i, j, k in path:
                         key = (s, c, i, j, k)
                         fractions[key] = fractions.get(key, 0.0) + got
-    events = [ScheduleEvent(*key, f) for key, f in sorted(fractions.items(), key=lambda kv: (
-        kv[0][4], str(kv[0][0]), str(kv[0][2]), str(kv[0][3]), kv[0][1]))]
-    return Schedule(tau=cfg.tau, events=tuple(events), completion_epoch=completion_epoch(sol),
+    events = tuple(ScheduleEvent(*key, f) for key, f in fractions.items())
+    return Schedule(tau=cfg.tau, events=events, completion_epoch=completion_epoch(sol),
                     chunk_size=d.chunk_size)
 
 

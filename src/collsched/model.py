@@ -195,13 +195,6 @@ class Model:
         return (_cat([i for i, _ in self._objective], np.int64),
                 _cat([c for _, c in self._objective], float))
 
-    @property
-    def objective(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for idx, coef in zip(*(a.tolist() for a in self.objective_arrays())):
-            out[idx] = out.get(idx, 0.0) + coef
-        return out
-
     def matrix(self) -> sp.csc_matrix:
         """The constraint matrix, one row per model row and one column per
         variable, as the solver gets it: the coefficients of a repeated
@@ -238,7 +231,8 @@ class Model:
             if n in seen:
                 names[i] = f"{n}_v{i}"
             seen[n] = i
-        out = ["Maximize", " obj: " + _expr(self.objective.items(), names), "Subject To"]
+        terms = zip(*(a.tolist() for a in self.objective_arrays()))
+        out = ["Maximize", " obj: " + _expr(terms, names), "Subject To"]
         for r, (coeffs, lb, ub) in enumerate(self.rows):
             expr = _expr(coeffs, names)
             if lb == ub:

@@ -7,7 +7,6 @@ to account for some demanded delivery.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .demand import Demand
@@ -29,11 +28,19 @@ class ScheduleEvent:
 
 @dataclass(frozen=True)
 class Schedule:
+    """Events are kept in one order, whatever order they are given in: by
+    epoch, then source, sender and receiver (each compared as text), then
+    chunk. The replay and every export read them in that order."""
+
     tau: float
     events: tuple[ScheduleEvent, ...]
     completion_epoch: int  # epoch of the last demanded delivery; -1 if no demand
     chunk_size: int = 1
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: (
+            e.epoch, str(e.source), str(e.src), str(e.dst), e.chunk))))
 
     @property
     def transfer_time(self) -> float:
@@ -114,18 +121,15 @@ def trace_required_flows(flows: dict, meta: dict, entries: set) -> set:
 def delivery_epochs(flows: dict, meta: dict, entries: set) -> dict:
     """Earliest arrival epoch of each demanded (s, c, d); raises if missing."""
     delta = meta["delta"]
-    # Chunks can relay, so propagate earliest possession forward.
+    # Earliest arrival of each (source, chunk) at each receiving node.
     possession: dict[tuple, int] = {}
-    for (s, c, i, j, k) in sorted(flows, key=lambda f: f[4]):
+    for (s, c, i, j, k) in flows:
         arr = k + delta[(i, j)]
         key = (s, c, j)
         if key not in possession or arr < possession[key]:
             possession[key] = arr
     out = {}
     for (s, c, dst) in entries:
-        if dst == s:
-            out[(s, c, dst)] = 0
-            continue
         arr = possession.get((s, c, dst))
         if arr is None:
             raise ConservationError(f"no delivery of chunk {c} from {s!r} to {dst!r}")
@@ -146,15 +150,13 @@ def schedule_from_flows(flows: dict, meta: dict, cfg: EpochConfig, chunk_size: i
     kept_keys = trace_required_flows(flows, meta, entries) if prune else set(flows)
     kept = {k: flows[k] for k in kept_keys}
     completion = max(delivery_epochs(kept, meta, entries).values())
-    events = [ScheduleEvent(s, c, i, j, k, 1.0)
-              for (s, c, i, j, k) in sorted(
-                  kept, key=lambda f: (f[4], str(f[0]), str(f[2]), str(f[3]), f[1]))]
-    return Schedule(cfg.tau, tuple(events), completion, chunk_size)
+    events = tuple(ScheduleEvent(s, c, i, j, k, 1.0) for (s, c, i, j, k) in kept)
+    return Schedule(cfg.tau, events, completion, chunk_size)
 
 
 def extract_schedule(sol: Solution, t: Topology, d: Demand, cfg: EpochConfig) -> Schedule:
-    """One event per whole-chunk flow of a solved model, deterministically
-    ordered; completion is the latest demanded arrival."""
+    """One event per whole-chunk flow of a solved model; completion is the
+    latest demanded arrival."""
     return schedule_from_flows(sol.family_values("F", 0.5), sol.model.meta, cfg,
                                d.chunk_size, prune=False)
 
@@ -185,17 +187,6 @@ def schedule_from_json(doc: dict) -> Schedule:
     )
     return Schedule(float(doc["tau_sec"]), events, int(doc["completion_epoch"]),
                     int(doc.get("chunk_size_bytes", 1)), dict(doc.get("meta", {})))
-
-
-def save_schedule(s: Schedule, path) -> None:
-    with open(path, "w") as f:
-        json.dump(schedule_to_json(s), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_schedule(path) -> Schedule:
-    with open(path) as f:
-        return schedule_from_json(json.load(f))
 
 
 def msccl_style_steps(s: Schedule) -> list[dict]:

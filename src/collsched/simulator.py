@@ -106,9 +106,7 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
     whole_only = all(ev.fraction >= WHOLE for ev in sched.events)
     caps, kap, delta = _link_timing(t_eff, tau, sched.chunk_size, whole_only)
 
-    events = sorted(sched.events,
-                    key=lambda ev: (ev.epoch, str(ev.source), str(ev.src), str(ev.dst), ev.chunk))
-    for ev in events:
+    for ev in sched.events:
         if (ev.src, ev.dst) not in caps:
             raise ScheduleError(f"event references unknown edge ({ev.src!r},{ev.dst!r})")
         if ev.epoch < 0:
@@ -121,18 +119,18 @@ def simulate(sched: Schedule, t: Topology, d: Demand,
 
     violations: list[Violation] = []
     scheduled = _Holdings(t_eff, commodities, opts)
-    for ev in events:
+    for ev in sched.events:
         if not scheduled.draw(ev.source, ev.chunk, ev.src, ev.epoch, ev.fraction):
             violations.append(Violation("causality", f"{ev.src!r} lacks chunk "
                                         f"{ev.chunk} of {ev.source!r}", ev.epoch))
         arr = ev.epoch + delta[(ev.src, ev.dst)]
         scheduled.arrive(ev.source, ev.chunk, ev.dst, arr, ev.fraction)
 
-    _check_capacity(events, caps, kap, TOL, violations)
+    _check_capacity(sched.events, caps, kap, TOL, violations)
     _check_switch_rest(scheduled, TOL, violations)
-    _check_hyper_budgets(events, hyper_groups, TOL, violations)
+    _check_hyper_budgets(sched.events, hyper_groups, TOL, violations)
 
-    deliveries = _execute(events, _Holdings(t_eff, commodities, opts), delta, kap,
+    deliveries = _execute(sched.events, _Holdings(t_eff, commodities, opts), delta, kap,
                           _window_limits(caps, kap, TOL), entry_index)
 
     per_entry: dict[tuple, int] = {}

@@ -12,7 +12,6 @@ beside `hyper_edge_transform`, the rewrite behind the hyper-edge mode.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -183,17 +182,6 @@ def topology_from_json(doc: dict) -> Topology:
         for o in doc.get("capacity_overrides", [])
     }
     return Topology(nodes, switches, edges, overrides)
-
-
-def save_topology(t: Topology, path) -> None:
-    with open(path, "w") as f:
-        json.dump(topology_to_json(t), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_topology(path) -> Topology:
-    with open(path) as f:
-        return topology_from_json(json.load(f))
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
 
     if method == "lp":
         notes.append(f"horizon lower bound {lower}")
-        if _benefits_from_copy(d):
+        if len(d.commodities) < len(d.entries):
             notes.append("demand is multicast: the copy-free program only bounds "
                          "what copy-capable schedules achieve")
             warnings.warn(notes[-1])
@@ -149,15 +149,6 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
     wall = time.perf_counter() - start
     return SynthesisResult(sched, report, method, sol.status, solver_s,
                            wall, sol.objective, sol.achieved_gap, k_star, tau, notes)
-
-
-def _benefits_from_copy(d: Demand) -> bool:
-    seen = set()
-    for s, c, _ in d.entries:
-        if (s, c) in seen:
-            return True
-        seen.add((s, c))
-    return False
 
 
 def _checked_replay(sched: Schedule, t: Topology, d: Demand, switch_mode: str) -> SimReport:

@@ -5,7 +5,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collsched.astar import (astar_solve, build_round_model, initial_state,
+from collsched.astar import (RoundState, astar_solve, build_round_model, initial_state,
                              max_future_epochs, round_distance_table)
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig
@@ -93,11 +93,8 @@ class TestRoundModel:
     def test_satisfied_demand_round_is_zero_flow(self, solver_opts):
         # no residual entries: the model trivially solves with no flows
         t = line(2)
-        d = Demand(frozenset({(0, 0, 1)}), 1, 1)
         cfg = EpochConfig(1.0, 2)
-        state = initial_state(d)
-        state = state.__class__(1, frozenset(), Carry({(0, 0, 0, 0): 1}),
-                                demand_proto=d)
+        state = RoundState(1, Demand(frozenset(), 1, 1), Carry({(0, 0, 0, 0): 1}))
         m = build_round_model(t, state, cfg, round_distance_table(t, cfg))
         sol = solve(m, solver_opts)
         assert sol.feasible
@@ -109,9 +106,10 @@ class TestRoundModel:
         d = Demand(frozenset({(0, 0, 2)}), 1, 1)
         m = build_round_model(t, initial_state(d), cfg, round_distance_table(t, cfg),
                               gamma=0.5)
+        objective = dict(zip(*(a.tolist() for a in m.objective_arrays())))
         weights = {}
         for (loc, dst, kp), idx in m.family_items("P"):
-            weights[(loc, dst, kp)] = m.objective.get(idx, 0.0)
+            weights[(loc, dst, kp)] = objective.get(idx, 0.0)
         for (loc, dst, kp), w in weights.items():
             if loc != dst:
                 assert w < weights[(dst, dst, kp)]
@@ -155,13 +153,13 @@ class TestAstarSolve:
         fw = round_distance_table(t, cfg)
         timing = link_timing(t, cfg)
         state = initial_state(d)
-        sizes = [len(state.residual)]
+        sizes = [len(state.demand.entries)]
         for _ in range(12):
-            if not state.residual:
+            if not state.demand.entries:
                 break
             sol = solve(brm(t, state, cfg, fw), solver_opts)
             state = advance_state(state, sol, t, cfg, timing)
-            sizes.append(len(state.residual))
+            sizes.append(len(state.demand.entries))
         assert sizes[-1] == 0
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))
         assert any(b < a for a, b in zip(sizes, sizes[1:]))

@@ -1,8 +1,10 @@
 """The command-line front end, run in-process on a 4-node ring with an
 all-to-all demand (12 one-chunk entries, finished by epoch 2)."""
 
+import ast
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +151,24 @@ def test_simulate_flags_an_incomplete_schedule(ring4, tmp_path, capsys):
                         "--schedule", out)
     assert code == 4
     assert "unmet-demand" in {v["kind"] for v in report["violations"]}
+
+
+def test_only_the_cli_reads_and_writes_files():
+    # Every file has one format and one home, `cli._dump` and `cli._read`.
+    # The one other file is the LP-format model that `synthesize` dumps.
+    calls: dict = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                name = f.id
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                name = f"{f.value.id}.{f.attr}"
+            else:
+                continue
+            if name in ("open", "json.dump", "json.load"):
+                calls.setdefault(path.name, []).append(name)
+    assert {"open", "json.load"} <= set(calls.pop("cli.py"))
+    assert calls == {"workflow.py": ["open"]}

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus
 
-from collsched import solver
+from collsched import estimator, solver
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig, epoch_duration
 from collsched.errors import EstimationError
@@ -87,3 +89,21 @@ def test_coarse_solves_stop_at_their_first_incumbent(t, coll, chunk, bound, stop
     assert n_e == bound
     assert [limit for limit, _ in handed] == [1] * len(handed)
     assert handed[-1][1] == stops
+
+
+def test_coarse_models_ignore_capacity_overrides(monkeypatch):
+    # An override names a real epoch, which no coarse epoch matches: a link
+    # doubled in real epoch 1 (seconds 1-2) must not double coarse epoch 1,
+    # which spans seconds 2-4 of the 4-epoch model of 8 s.
+    t = dataclasses.replace(line(2), capacity_overrides={(0, 1, 1): 2.0})
+    seen = []
+    real = estimator.build_time_expanded
+
+    def record(topology, *args, **kwargs):
+        seen.append(topology.capacity_overrides)
+        return real(topology, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "build_time_expanded", record)
+    d = Demand(frozenset({(0, 0, 1), (0, 1, 1)}), 2, 1)
+    assert estimate_epoch_upper_bound(t, d, 1.0, candidates=[8.0]) == 8
+    assert seen and all(overrides == {} for overrides in seen)

@@ -4,9 +4,9 @@ from collsched.demand import Demand
 from collsched.epochs import EpochConfig
 from collsched.errors import ConservationError
 from collsched.milp import ModelOptions, build_general_model
+from collsched.cli import _dump, _read
 from collsched.schedule import (Schedule, ScheduleEvent, extract_schedule,
-                                load_schedule, msccl_style_steps,
-                                prune_unused_flows, save_schedule,
+                                msccl_style_steps, prune_unused_flows,
                                 schedule_from_json, schedule_to_json)
 from collsched.solver import solve
 from collsched.topology import line
@@ -50,7 +50,8 @@ class TestPrune:
     def test_prune_preserves_objective(self, star3, solver_opts):
         t, d, cfg, sol = _solved_star3(star3, solver_opts, k=3)
         pruned = prune_unused_flows(sol, d, t)
-        value = sum(coef * pruned.x[idx] for idx, coef in sol.model.objective.items())
+        idx, coef = sol.model.objective_arrays()
+        value = float(coef @ pruned.x[idx])
         assert value == pytest.approx(sol.objective)
 
     def test_missing_delivery_raises(self, star3, solver_opts):
@@ -109,8 +110,8 @@ class TestSerialization:
         t, d, cfg, sol = _solved_star3(star3, solver_opts)
         sched = extract_schedule(sol, t, d, cfg)
         path = tmp_path / "sched.json"
-        save_schedule(sched, path)
-        assert load_schedule(path).events == sched.events
+        _dump(schedule_to_json(sched), path)
+        assert schedule_from_json(_read(path)).events == sched.events
 
     def test_msccl_style_steps(self):
         sched = Schedule(1.0, (ScheduleEvent(0, 0, 0, 1, 0), ScheduleEvent(0, 0, 1, 2, 1)),

@@ -196,3 +196,31 @@ def test_astar_horizon_covers_arrivals_after_its_last_round():
     assert sched.meta["rounds"] * sched.meta["epochs_per_round"] == 3
     assert result.report.completion_epoch == sched.completion_epoch == 3
     assert result.epochs == 4
+
+
+@pytest.mark.parametrize("method, producer", [
+    ("milp", "extract_schedule"), ("lp", "lp_rates_to_schedule"), ("astar", "astar_solve")])
+def test_schedule_that_fails_its_replay_is_refused(monkeypatch, method, producer):
+    # Each method's schedule loses its last event, one delivery: the replay
+    # finds that entry unmet, and `synthesize` raises instead of returning it.
+    real = getattr(workflow, producer)
+
+    def drop_last(*args, **kwargs):
+        sched = real(*args, **kwargs)
+        return dataclasses.replace(sched, events=sched.events[:-1])
+
+    monkeypatch.setattr(workflow, producer, drop_last)
+    t = ring(4)
+    with pytest.raises(ValidationError, match=r"refusing to emit schedule: replay found "
+                                              r"1 violations \(unmet-demand\)"):
+        synthesize(t, generate_demand("alltoall", t), method)
+
+
+def test_multicast_lp_is_noted_as_a_bound():
+    # Allgather wants each chunk at three GPUs, which the copy-free LP can
+    # only bound; it still returns a schedule that replays clean.
+    t = ring(4)
+    with pytest.warns(UserWarning, match="demand is multicast"):
+        result = synthesize(t, generate_demand("allgather", t), "lp", search_horizon=True)
+    assert any(note.startswith("demand is multicast") for note in result.warnings)
+    assert result.report.ok and result.epochs == 2
