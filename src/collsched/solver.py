@@ -7,11 +7,15 @@ status, the column values, the objective, the MIP gap and the node count.
 It uses scipy's private binding `scipy.optimize._highspy._core._Highs`,
 which `tests/test_solver.py` pins and checks against `scipy.optimize.milp`.
 
-`solve` passes a `Model` (`Model.matrix`, `Model.row_bounds`, column bounds,
-binaries, the maximised objective negated) to `milp` and maps HiGHS's model
-status to `OPTIMAL`, `FEASIBLE_GAP`, `INFEASIBLE` or `TIMEOUT`. A model with
-no binary column goes to HiGHS's interior-point solver with crossover, and
-to simplex if that run ends undecided.
+`solve` passes a `Model` to `milp`: its free columns only (lb < ub), with
+each fixed column's value moved into the row bounds and the fixed columns'
+share of the objective passed as HiGHS's objective offset, so the objective
+and MIP gap HiGHS reports are the whole model's. It scatters the values back
+into one value per column and maps HiGHS's model status to `OPTIMAL`,
+`FEASIBLE_GAP`, `INFEASIBLE` or `TIMEOUT`; a model with no free column is
+checked against its rows without HiGHS. A model with no binary free column
+goes to HiGHS's interior-point solver with crossover, and to simplex if that
+run ends undecided.
 `min_feasible_horizon` searches for the smallest feasible horizon.
 """
 
@@ -102,10 +106,12 @@ class Solution:
                         self.achieved_gap, self.solve_wall_time)
 
 
-def milp(c, *, integrality, bounds, constraints, options) -> dict:
-    """Minimise c @ x within `bounds` and `constraints` (a `LinearConstraint`,
-    or None for no rows), with the columns where `integrality` is 1 integral.
-    `c`, `integrality` and the bounds hold one entry per column.
+def milp(c, *, integrality, bounds, constraints, options, offset=0.0) -> dict:
+    """Minimise c @ x + offset within `bounds` and `constraints` (a
+    `LinearConstraint`, or None for no rows), with the columns where
+    `integrality` is 1 integral. `c`, `integrality` and the bounds hold one
+    entry per column. `offset`, a constant HiGHS adds to its objective, is
+    the one argument `scipy.optimize.milp` does not take.
 
     `options` maps HiGHS option names to values. Returns a dict: `status`,
     HiGHS's model status, then `x`, `fun`, `mip_gap` and `mip_node_count`,
@@ -122,7 +128,7 @@ def milp(c, *, integrality, bounds, constraints, options) -> dict:
             raise SolverBackendError(f"HiGHS refused option {name}={value!r}")
     # The binding converts each array to the dtype HiGHS stores (float64 or int32).
     loaded = highs.passModel(
-        len(c), a.shape[0], a.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        len(c), a.shape[0], a.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, offset,
         c, bounds.lb, bounds.ub, constraints.lb, constraints.ub,
         a.indptr, a.indices, a.data, integrality)
     if loaded == HighsStatus.kError:
@@ -144,29 +150,49 @@ def milp(c, *, integrality, bounds, constraints, options) -> dict:
 def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     """Solve the model; integer variables come back integral within 1e-6.
 
+    HiGHS gets only the free columns (lb < ub): each fixed column's value is
+    moved into the row bounds, and its objective term into HiGHS's objective
+    offset, so the objective and the MIP gap HiGHS reports are the whole
+    model's. The values come back with every fixed column at its bound. A
+    model with no free column never reaches HiGHS: it is optimal if every
+    row holds within TOL at the fixed values, else infeasible.
+
     HiGHS runs single-threaded here, so results are deterministic for a fixed
     model.
     """
     opts = opts or SolverOptions()
-    if m.num_vars == 0:
-        return Solution(OPTIMAL, m, np.zeros(0), 0.0)
     c = np.zeros(m.num_vars)
     np.subtract.at(c, *m.objective_arrays())  # maximize
-    constraints = LinearConstraint(m.matrix(), *m.row_bounds()) if m.num_rows else None
+    a = m.matrix()
+    row_lb, row_ub = m.row_bounds()
+    free = np.flatnonzero(m.lb != m.ub)
+    x = m.lb.copy()
+    x[free] = 0.0
+    moved = a @ x  # the fixed columns' share of each row
+    offset = float(c @ x)
+    if not len(free):
+        met = np.all((moved >= row_lb - TOL * np.maximum(1.0, np.abs(row_lb)))
+                     & (moved <= row_ub + TOL * np.maximum(1.0, np.abs(row_ub))))
+        # 0.0 - offset, not -offset: a model with no objective reports 0.0, not -0.0.
+        return Solution(OPTIMAL, m, x, 0.0 - offset) if met else Solution(INFEASIBLE, m)
+    a = a[:, free]
+    constraints = LinearConstraint(a, row_lb - moved, row_ub - moved) if m.num_rows else None
     options = {
         "time_limit": float(opts.time_limit),
         "mip_rel_gap": float(opts.relative_gap),
     }
     if opts.first_incumbent:
         options["mip_max_improving_sols"] = 1
-    lp = not m.binary.any()
+    binary = m.binary[free]
+    lp = not binary.any()
     if lp:
         # Interior point, then crossover to a vertex (the LP's decomposition
         # peels paths off one): about twice as fast as simplex on the
         # copy-free LP of dgx2 alltoall.
         options["solver"] = "ipm"
-    run = lambda: milp(c=c, integrality=m.binary.astype(np.uint8), bounds=Bounds(m.lb, m.ub),
-                       constraints=constraints, options=options)
+    run = lambda: milp(c=c[free], integrality=binary.astype(np.uint8),
+                       bounds=Bounds(m.lb[free], m.ub[free]), constraints=constraints,
+                       options=options, offset=offset)
     start = time.perf_counter()
     res = run()
     if lp and res["status"] not in _IPM_DECIDED:
@@ -179,7 +205,8 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     status = _outcome(res, opts.relative_gap)
     if res["x"] is None:
         return Solution(status, m, solve_wall_time=wall)
-    return Solution(status, m, res["x"], float(-res["fun"]), res["mip_gap"] or 0.0, wall)
+    x[free] = res["x"]
+    return Solution(status, m, x, float(-res["fun"]), res["mip_gap"] or 0.0, wall)
 
 
 def _outcome(res: dict, relative_gap: float) -> str:

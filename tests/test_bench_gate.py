@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps package functions by name and reads the
 models that `solve` receives; these tests run its wrapping test in the
 package's suite, so a change under src/ that drops one of those names fails
-here too, and check that what it counts of each model is what HiGHS gets.
+here too, and check that what it counts of each model is what `solve`
+receives, of which HiGHS gets the free columns and every row.
 They also run the bench's checks of its two small inputs, which take the
 MILP and LP paths of `synthesize` traced, and of its output checks."""
 
@@ -18,7 +19,7 @@ from test_bench import (SMALL_LP, SMALL_MILP, test_checks_reject_tampered_result
 from test_bench import test_self_times_add_up_to_synth_time as self_times_add_up  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-from collsched import solver  # noqa: E402
+from collsched import astar, estimator, solver, workflow  # noqa: E402
 from collsched.demand import generate_demand  # noqa: E402
 from collsched.topology import ring  # noqa: E402
 from collsched.workflow import synthesize  # noqa: E402
@@ -27,26 +28,42 @@ from collsched.workflow import synthesize  # noqa: E402
 @pytest.mark.parametrize("method, kwargs", [
     ("milp", {}), ("lp", {"search_horizon": True}), ("astar", {})])
 def test_tracer_counts_what_highs_receives(method, kwargs, monkeypatch):
-    handed = []
-    real = solver.milp
+    # The tracer counts each model `solve` receives; HiGHS receives exactly
+    # its free columns (lb < ub) and every row.
+    received, handed = [], []
+    real_solve, real_milp = solver.solve, solver.milp
 
-    def record(c, integrality, bounds, constraints, options):
+    def receive(m, *args, **kwargs):
+        a, free = m.matrix(), m.lb != m.ub
+        received.append((m.num_vars, a.nnz, int(m.binary.sum()),
+                         a[:, free].nnz, int(m.binary[free].sum())))
+        return real_solve(m, *args, **kwargs)
+
+    def record(c, integrality, bounds, constraints, options, offset):
         a = constraints.A if constraints is not None else None
         handed.append((len(c), 0 if a is None else a.shape[0], 0 if a is None else a.nnz,
                        int(integrality.sum())))
-        return real(c=c, integrality=integrality, bounds=bounds, constraints=constraints,
-                    options=options)
+        return real_milp(c=c, integrality=integrality, bounds=bounds, constraints=constraints,
+                         options=options, offset=offset)
 
+    for module in (workflow, solver, astar, estimator):
+        monkeypatch.setattr(module, "solve", receive)
     monkeypatch.setattr(solver, "milp", record)
     t = ring(4)
     with Tracer() as tracer:
         synthesize(t, generate_demand("alltoall", t), method, **kwargs)
     counts = tracer.counts
-    assert counts["solver.calls"] == len(handed) > 0
+    assert counts["solver.calls"] == len(received) == len(handed) > 0
     vars_, rows, nnz, binaries = (sum(column) for column in zip(*handed))
-    assert (counts["model.vars"], counts["model.rows"], counts["model.nnz"],
-            counts["model.binaries"]) == (vars_, rows, nnz, binaries)
-    assert counts["model.max_nnz"] == max(h[2] for h in handed)
+    model_vars, model_nnz, model_binaries, free_nnz, free_binaries = (
+        sum(column) for column in zip(*received))
+    assert (counts["model.vars"], counts["model.nnz"], counts["model.binaries"]) == (
+        model_vars, model_nnz, model_binaries)
+    assert counts["model.max_nnz"] == max(r[1] for r in received)
+    assert counts["model.vars"] - counts["model.fixed_vars"] == vars_
+    assert counts["model.rows"] == rows
+    assert (nnz, binaries) == (free_nnz, free_binaries)
+    assert [h[2] for h in handed] == [r[3] for r in received]
 
 
 @pytest.mark.parametrize("w", [SMALL_MILP, SMALL_LP], ids=lambda w: w.name)

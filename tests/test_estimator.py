@@ -76,9 +76,9 @@ def test_coarse_solves_stop_at_their_first_incumbent(t, coll, chunk, bound, stop
     handed = []
     real = solver.milp
 
-    def record(c, *, integrality, bounds, constraints, options):
+    def record(c, *, integrality, bounds, constraints, options, offset):
         res = real(c, integrality=integrality, bounds=bounds, constraints=constraints,
-                   options=options)
+                   options=options, offset=offset)
         handed.append((options.get("mip_max_improving_sols"), res["status"]))
         return res
 

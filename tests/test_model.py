@@ -36,10 +36,10 @@ def test_rows_list_the_entries_handed_to_the_solver(monkeypatch):
     handed = []
     real = solver.milp
 
-    def record(c, integrality, bounds, constraints, options):
+    def record(c, integrality, bounds, constraints, options, offset):
         handed.append(constraints.A.nnz)
         return real(c=c, integrality=integrality, bounds=bounds, constraints=constraints,
-                    options=options)
+                    options=options, offset=offset)
 
     monkeypatch.setattr(solver, "milp", record)
     assert solve(m).feasible

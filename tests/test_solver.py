@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 from scipy.optimize._highspy import _core
 
-from collsched import solver
+from collsched import Demand, solver
+from collsched.astar import build_round_model, initial_state, round_distance_table
 from collsched.demand import generate_demand
-from collsched.epochs import EpochConfig
+from collsched.epochs import EpochConfig, link_timing
+from collsched.estimator import default_candidates
 from collsched.errors import HorizonInfeasibleError, SolverBackendError, ValidationError
 from collsched.lp import build_lp_model
-from collsched.milp import ModelOptions, build_general_model
+from collsched.milp import ModelOptions, build_general_model, build_time_expanded, model_topology
 from collsched.model import BINARY, CONTINUOUS, INF, Axis, Model
-from collsched.solver import (FEASIBLE_GAP, INFEASIBLE, OPTIMAL, TIMEOUT, SolverOptions,
+from collsched.solver import (FEASIBLE_GAP, INFEASIBLE, OPTIMAL, TIMEOUT, TOL, SolverOptions,
                               completion_epoch, min_feasible_horizon, solve)
-from collsched.topology import Edge, Topology, line, ring
+from collsched.topology import Edge, Topology, line, ring, star
 
 
 def _scalars(m, *specs):
@@ -375,15 +377,24 @@ def test_solve_hands_scipy_the_same_model(build, monkeypatch):
     m = build(t, generate_demand("alltoall", t))
     pairs = []
 
-    def both(c, *, integrality, bounds, constraints, options):
+    def both(c, *, integrality, bounds, constraints, options, offset):
+        # scipy has no objective offset: compared without it, then run with it.
         ref, ours = _both(c, integrality, bounds, constraints, **options)
-        pairs.append((ref, ours))
-        return ours
+        shifted = _HIGHS(c, integrality=integrality, bounds=bounds, constraints=constraints,
+                         options=options, offset=offset)
+        pairs.append((ref, ours, shifted, offset))
+        return shifted
 
     monkeypatch.setattr(solver, "milp", both)
-    assert solve(m).status == OPTIMAL
-    [(ref, ours)] = pairs
+    sol = solve(m)
+    assert sol.status == OPTIMAL
+    [(ref, ours, shifted, offset)] = pairs
     _same_solve(ref, ours)
+    # The offset moves the objective and nothing else.
+    assert offset != 0
+    assert shifted["x"].tobytes() == ours["x"].tobytes()
+    assert shifted["fun"] == pytest.approx(ref.fun + offset, rel=1e-12)
+    assert sol.objective == -shifted["fun"]
 
 
 def test_refused_option_raises():
@@ -403,10 +414,10 @@ def test_lp_alone_goes_to_the_interior_point_solver(build, ipm, monkeypatch):
     assert m.binary.any() != ipm
     seen = []
 
-    def recorded(c, *, integrality, bounds, constraints, options):
+    def recorded(c, *, integrality, bounds, constraints, options, offset):
         seen.append(dict(options))
         return _HIGHS(c, integrality=integrality, bounds=bounds, constraints=constraints,
-                      options=options)
+                      options=options, offset=offset)
 
     monkeypatch.setattr(solver, "milp", recorded)
     assert solve(m).status == OPTIMAL
@@ -429,13 +440,13 @@ def test_undecided_interior_point_run_falls_back_to_simplex(monkeypatch):
     m = build_lp_model(t, generate_demand("alltoall", t), EpochConfig(1.0, 3), ModelOptions())
     seen = []
 
-    def undecided_ipm(c, *, integrality, bounds, constraints, options):
+    def undecided_ipm(c, *, integrality, bounds, constraints, options, offset):
         seen.append(dict(options))
         if options["solver"] == "ipm":
             return {"status": _core.HighsModelStatus.kSolveError, "x": None, "fun": None,
                     "mip_gap": None, "mip_node_count": None}
         return _HIGHS(c, integrality=integrality, bounds=bounds, constraints=constraints,
-                      options=options)
+                      options=options, offset=offset)
 
     monkeypatch.setattr(solver, "milp", undecided_ipm)
     assert solve(m, SolverOptions(time_limit=30.0)).status == OPTIMAL
@@ -443,14 +454,168 @@ def test_undecided_interior_point_run_falls_back_to_simplex(monkeypatch):
     assert 0 < seen[1]["time_limit"] <= 30.0
 
 
-def test_infeasible_lp_the_interior_point_solver_leaves_undecided():
-    # After presolve, HiGHS 1.12's interior-point solver ends this LP at
-    # K = 6 in kSolveError; simplex proves it infeasible. K = 8 is the
-    # smallest feasible horizon.
-    t = Topology((0, 1, 2, "h"), frozenset({"h"}), (
-        Edge(0, "h", 0.5, 0.5), Edge("h", 0, 2.0, 2.0), Edge(1, "h", 1.0), Edge("h", 1, 1 / 3),
-        Edge(2, "h", 1.0, 0.5), Edge("h", 2, 2.0)), {(0, "h", 0): 4.0, (2, "h", 2): 0.25})
-    d = generate_demand("allgather", t)
+def test_infeasible_lp_the_interior_point_solver_leaves_undecided(monkeypatch):
+    # On its free columns, HiGHS 1.12's interior-point solver ends this LP
+    # at K = 7 in kSolveError after presolve; simplex proves it infeasible.
+    # K = 8 is the smallest feasible horizon. (Found by searching random
+    # small LPs; about one interior-point run in a thousand ends so.)
+    t = Topology((0, 1, 2), frozenset(), (
+        Edge(0, 1, 1.0, 2.0), Edge(1, 0, 1 / 3, 1.0), Edge(1, 2, 2.0, 2.0), Edge(2, 1, 0.5, 0.5)),
+        {(0, 1, 3): 4.0, (1, 0, 0): 0.25})
+    d = generate_demand("alltoall", t)
+    runs = []
+
+    def recorded(c, **kwargs):
+        res = _HIGHS(c, **kwargs)
+        runs.append((kwargs["options"]["solver"], res["status"]))
+        return res
+
+    monkeypatch.setattr(solver, "milp", recorded)
     statuses = [solve(build_lp_model(t, d, EpochConfig(1.0, K), ModelOptions())).status
-                for K in (6, 8)]
+                for K in (7, 8)]
     assert statuses == [INFEASIBLE, OPTIMAL]
+    (first, undecided), (second, proved), (third, _) = runs
+    assert (first, second, third) == ("ipm", "simplex", "ipm")
+    assert undecided not in solver._IPM_DECIDED
+    assert proved == _core.HighsModelStatus.kInfeasible
+
+
+# -- solve hands HiGHS only the columns that can move -------------------------
+
+
+def _never_highs(*args, **kwargs):
+    raise AssertionError("HiGHS was called")
+
+
+@pytest.mark.parametrize("row_lb, row_ub, status", [
+    (2.5, 2.5, OPTIMAL), (2.5 + 2e-6, INF, OPTIMAL), (-INF, 2.5 - 2e-6, OPTIMAL),
+    (2.5 + 1e-5, INF, INFEASIBLE), (-INF, 2.4, INFEASIBLE)],
+    ids=["holds", "lb-within-tol", "ub-within-tol", "lb-broken", "ub-broken"])
+def test_model_with_no_free_column_never_reaches_highs(row_lb, row_ub, status, monkeypatch):
+    monkeypatch.setattr(solver, "milp", _never_highs)
+    m = Model()
+    x, y = _scalars(m, ("x", CONTINUOUS, INF), ("y", BINARY, INF))
+    m.fix([x, y], [0.5, 1.0])
+    m.add_rows([row_lb], [row_ub], (0, [x, y], [1.0, 2.0]))
+    m.add_objective([x, y], [3.0, 1.0])
+    sol = solve(m)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.x.tolist() == [0.5, 1.0] and sol.objective == 2.5
+    else:
+        assert sol.x is None
+
+
+@pytest.mark.parametrize("row_lb, status", [(0.0, OPTIMAL), (1.0, INFEASIBLE)])
+def test_model_with_no_column_never_reaches_highs(row_lb, status, monkeypatch):
+    monkeypatch.setattr(solver, "milp", _never_highs)
+    m = Model()
+    m.add_rows([row_lb], [2.0])  # an empty row: 0 must lie in its bounds
+    sol = solve(m)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.x.shape == (0,) and sol.objective == 0.0
+
+
+def _full_model_solve(m, **options):
+    """`solver.milp` on every column of the model, with the options `solve`
+    uses, as `solve` called it before it handed over only the free columns."""
+    c = np.zeros(m.num_vars)
+    np.subtract.at(c, *m.objective_arrays())
+    options = {"time_limit": 60.0, "mip_rel_gap": 0.0, **options}
+    lp = not m.binary.any()
+    run = lambda: _HIGHS(c, integrality=m.binary.astype(np.uint8), bounds=Bounds(m.lb, m.ub),
+                         constraints=LinearConstraint(m.matrix(), *m.row_bounds()),
+                         options=options)
+    if lp:
+        options["solver"] = "ipm"
+    res = run()
+    if lp and res["status"] not in solver._IPM_DECIDED:
+        options["solver"] = "simplex"
+        res = run()
+    return res
+
+
+def _star3():
+    return star(3), Demand(frozenset({("s", 0, "d1"), ("s", 0, "d2"), ("s", 0, "d3")}), 1, 1)
+
+
+def _exactness_models():
+    """name -> zero-argument builder: the one-shot MILP, the LP, an A* round
+    and the estimator's coarse model on ring, line and star inputs in each
+    switch mode, at a horizon too short and one long enough; and the MILP
+    and LP of a ring with a capacity override."""
+    r4, l3 = ring(4), line(3)
+    inputs = {"ring4": (r4, generate_demand("alltoall", r4)),
+              "line3": (l3, generate_demand("allgather", l3)), "star3": _star3()}
+    out = {}
+    for name, (t, d) in inputs.items():
+        for mode in ("copy", "no-copy", "hyper-edge"):
+            opts = ModelOptions(switch_mode=mode)
+            t_eff = model_topology(t, opts)[0]
+            for K in (1, 4):
+                cfg = EpochConfig(1.0, K)
+                out[f"milp/{name}/{mode}/{K}"] = lambda t=t, d=d, c=cfg, o=opts: (
+                    build_general_model(t, d, c, o))
+                if mode != "hyper-edge":
+                    out[f"lp/{name}/{mode}/{K}"] = lambda t=t, d=d, c=cfg, o=opts: (
+                        build_lp_model(t, d, c, o))
+            K = max(4, link_timing(t_eff, EpochConfig(1.0, 1)).max_delta)
+            cfg = EpochConfig(1.0, K)
+            out[f"astar/{name}/{mode}"] = lambda t=t, d=d, c=cfg, o=opts: build_round_model(
+                t, initial_state(d), c, round_distance_table(t, c), 0.5, o)
+            coarse = EpochConfig(default_candidates(t, d)[0] / 4, 4)
+            out[f"coarse/{name}/{mode}"] = lambda t=t, d=d, c=coarse, o=opts: (
+                build_time_expanded(t, d, c, o))
+    t = Topology(r4.nodes, frozenset(), r4.edges, {(0, 1, 1): 2.0, (1, 2, 0): 0.5})
+    d, cfg = generate_demand("alltoall", t), EpochConfig(1.0, 3)
+    out["milp/ring4-override"] = lambda: build_general_model(t, d, cfg, ModelOptions())
+    out["lp/ring4-override"] = lambda: build_lp_model(t, d, cfg, ModelOptions())
+    return out
+
+
+EXACTNESS = _exactness_models()
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS))
+def test_free_columns_solve_as_the_whole_model(name):
+    m = EXACTNESS[name]()
+    fixed = m.lb == m.ub
+    assert fixed.any() and not fixed.all()
+    ref, sol = _full_model_solve(m), solve(m)
+    assert sol.status == solver._outcome(ref, 0.0)
+    if not sol.feasible:
+        assert sol.x is None
+        return
+    assert sol.objective == pytest.approx(-ref["fun"], rel=1e-9, abs=1e-12)
+    x = sol.x
+    assert x[fixed].tobytes() == m.lb[fixed].tobytes()
+    assert np.all((x >= m.lb - TOL) & (x <= m.ub + TOL))
+    assert np.allclose(x[m.binary], np.round(x[m.binary]), atol=TOL)
+    lb, ub = m.row_bounds()
+    ax = m.matrix() @ x
+    assert np.all(ax >= lb - TOL * np.maximum(1.0, np.abs(lb)))
+    assert np.all(ax <= ub + TOL * np.maximum(1.0, np.abs(ub)))
+
+
+def test_gap_is_the_whole_models_when_fixed_columns_carry_most_of_the_objective():
+    # 60 binaries under 20 knapsack rows, plus one column fixed at 1 that
+    # is worth 1000, most of the optimum. HiGHS stops at a 5% gap of the
+    # whole objective; the same incumbent is over 10% short of the bound on
+    # the free columns' share alone, so an objective without the fixed
+    # column's share would not stop there.
+    rng = np.random.default_rng(0)
+    n, rows = 60, 20
+    a = rng.integers(1, 20, (rows, n)).astype(float)
+    m = Model()
+    x = m.columns(n + 1) + np.arange(n + 1)
+    m.add_family("x", [Axis(range(n + 1))], x, BINARY)
+    m.fix(x[-1], 1.0)
+    m.add_rows(np.full(rows, -INF), a.sum(axis=1) / 2 + 1.5,
+               (np.arange(rows)[:, None], x[None, :], np.hstack([a, np.ones((rows, 1))])))
+    m.add_objective(x, np.append(rng.integers(1, 30, n).astype(float), 1000.0))
+    sol = solve(m, SolverOptions(relative_gap=0.05))
+    ref = _full_model_solve(m, mip_rel_gap=0.05)
+    assert sol.objective == -ref["fun"] and sol.achieved_gap == ref["mip_gap"]
+    assert 0 < sol.achieved_gap <= 0.05
+    assert sol.achieved_gap * sol.objective / (sol.objective - 1000.0) > 0.1
