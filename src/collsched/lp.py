@@ -142,12 +142,14 @@ def horizon_lower_bound(t: Topology, d: Demand, tau: float) -> int:
     In the LP a send at epoch k lands delta epochs later and is forwarded
     from the next epoch, so a node n first sends source s's mass at epoch
     dist(s, n), the sum of delta + 1 over the path (0 at s), and a
-    destination first reads it at dist(s, dst) - 1. Two bounds follow. The
-    farthest demanded pair needs dist(s, dst) epochs. And every unit that
+    destination first reads it at dist(s, dst) - 1. Three bounds follow.
+    The farthest demanded pair needs dist(s, dst) epochs. Every unit that
     dst reads landed over one of its in-edges (i, dst), which sends from the
     nearest of dst's sources' dist to i on, so the horizon is at least one
     more than the first epoch by which those edges' capacities can have
-    landed all of dst's units.
+    landed all of dst's units. And every unit crosses at least its pair's
+    hop count of edges, so the horizon's summed capacity of all edges must
+    carry the demand's units times hops.
     """
     check_demand_nodes(d, t)
     units: dict = {}  # dst -> demanded units
@@ -174,6 +176,12 @@ def horizon_lower_bound(t: Topology, d: Demand, tau: float) -> int:
             if first < math.inf:
                 ingress.append((first, delta[(e.src, e.dst)], cap[(e.src, e.dst)]))
         bound = max(bound, _landing_epoch(units[dst] * (1 - TOL), ingress) + 1)
+    hops = {s: shortest_distances(t, lambda e: 1, {s: 0}) for s in dist}
+    volume = sum(hops[s][dst] for s, _, dst in d.entries)
+    if volume:
+        # Every edge as if sending from epoch 0 on and landing at once.
+        edges = [(0, 0, c) for c in cap.values()]
+        bound = max(bound, _landing_epoch(volume * (1 - TOL), edges) + 1)
     return bound
 
 

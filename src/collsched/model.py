@@ -195,12 +195,19 @@ class Model:
         return (_cat([i for i, _ in self._objective], np.int64),
                 _cat([c for _, c in self._objective], float))
 
-    def matrix(self) -> sp.csc_matrix:
+    def matrix(self, order: np.ndarray | None = None) -> sp.csc_matrix:
         """The constraint matrix, one row per model row and one column per
         variable, as the solver gets it: the coefficients of a repeated
-        (row, column) entry are summed, and a sum of zero stays an entry."""
+        (row, column) entry are summed, and a sum of zero stays an entry.
+        With `order`, a permutation of the columns, column j of the matrix
+        is the model's column order[j]; each column holds the same entries
+        either way."""
         rows, cols, coefs = (_cat([b[i] for b in self._blocks], dtype)
                              for i, dtype in enumerate((np.int64, np.int64, float)))
+        if order is not None:
+            position = np.empty_like(order)
+            position[order] = np.arange(len(order))
+            cols = position[cols]
         return sp.csc_matrix((coefs, (rows, cols)), shape=(self.num_rows, self.num_vars))
 
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:

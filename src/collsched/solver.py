@@ -1,11 +1,19 @@
 """Solve models with HiGHS, the MILP/LP engine that scipy bundles.
 
-`milp` is the one call into HiGHS. It takes `scipy.optimize.milp`'s
-arguments, hands HiGHS the whole model in one `passModel` call (column-wise
-matrix, bounds, objective, integrality) and reads back only the model
-status, the column values, the objective, the MIP gap and the node count.
-It uses scipy's private binding `scipy.optimize._highspy._core._Highs`,
-which `tests/test_solver.py` pins and checks against `scipy.optimize.milp`.
+`milp` is the one call into HiGHS. It takes plain arrays (objective,
+integrality, column bounds, a CSC matrix and its row bounds), hands HiGHS the
+whole model in one `passModel` call and reads back only the model status,
+the column values, the objective, the MIP gap and the node count.
+
+HiGHS is reached through scipy's private binding
+`scipy.optimize._highspy._core`, which `tests/test_solver.py` pins and checks
+against `scipy.optimize.milp`. `_load_highs` loads that extension module
+from scipy's install directly, as the import system would, but without
+running `scipy/optimize/__init__.py`: importing `scipy.optimize` pulls in
+`scipy.linalg`, `scipy.special`, `scipy.fft` and `scipy.spatial`, about
+0.3 s and 23 MB of a process that uses none of them. The module is
+registered under its own name, so a later `import scipy.optimize` in the same
+process reuses it rather than loading the extension again.
 
 `solve` passes a `Model` to `milp`: its free columns only (lb < ub), with
 each fixed column's value moved into the row bounds and the fixed columns'
@@ -21,19 +29,50 @@ run ends undecided.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat,
-                                           ObjSense, _Highs, kHighsInf)
-from scipy.sparse import csc_array
+import scipy
+from scipy.sparse import csc_matrix
 
 from .errors import (ConservationError, HorizonInfeasibleError, SolverBackendError,
                      SolverTimeoutError, ValidationError)
 from .model import Model
+
+
+def _load_highs():
+    """scipy's HiGHS binding `scipy.optimize._highspy._core`, loaded without
+    importing `scipy.optimize`; the module already loaded if there is one."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"collsched needs scipy>=1.17, whose HiGHS binding {name} "
+                          f"is not in {where}")
+    module = module_from_spec(spec)
+    # Registered before it runs, as the import system does, so that a later
+    # `import scipy.optimize` finds this module: one module, one set of
+    # HiGHS types in the process.
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_core = _load_highs()
+HighsModelStatus, HighsStatus, _Highs = _core.HighsModelStatus, _core.HighsStatus, _core._Highs
+MatrixFormat, ObjSense, kHighsInf = _core.MatrixFormat, _core.ObjSense, _core.kHighsInf
 
 OPTIMAL = "optimal"
 FEASIBLE_GAP = "feasible-gap"
@@ -106,22 +145,23 @@ class Solution:
                         self.achieved_gap, self.solve_wall_time)
 
 
-def milp(c, *, integrality, bounds, constraints, options, offset=0.0) -> dict:
-    """Minimise c @ x + offset within `bounds` and `constraints` (a
-    `LinearConstraint`, or None for no rows), with the columns where
-    `integrality` is 1 integral. `c`, `integrality` and the bounds hold one
-    entry per column. `offset`, a constant HiGHS adds to its objective, is
-    the one argument `scipy.optimize.milp` does not take.
+def milp(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset=0.0) -> dict:
+    """Minimise c @ x + offset subject to lb <= x <= ub and
+    row_lb <= a @ x <= row_ub, with the columns where `integrality` is 1
+    integral. `c`, `integrality`, `lb` and `ub` hold one entry per column;
+    `a` is a CSC matrix with one column per column and one row per entry of
+    `row_lb` and `row_ub` (0 rows for a model without rows). `offset` is a
+    constant HiGHS adds to its objective.
 
     `options` maps HiGHS option names to values. Returns a dict: `status`,
     HiGHS's model status, then `x`, `fun`, `mip_gap` and `mip_node_count`,
     each None where `scipy.optimize.milp` gives None. An LP has values only
     when optimal; a MILP also when stopped with an incumbent; the `mip_`
-    pair is set for a MILP with values only.
+    pair is set for a MILP with values only. On the same model and options,
+    with offset 0, `scipy.optimize.milp` (given `Bounds(lb, ub)` and
+    `LinearConstraint(a, row_lb, row_ub)`) runs the same HiGHS solve and
+    returns the same values bit for bit.
     """
-    if constraints is None:
-        constraints = LinearConstraint(csc_array((0, len(c))), np.zeros(0), np.zeros(0))
-    a = csc_array(constraints.A)
     highs = _Highs()
     for name, value in {"log_to_console": False, **options}.items():
         if highs.setOptionValue(name, value) != HighsStatus.kOk:
@@ -129,8 +169,7 @@ def milp(c, *, integrality, bounds, constraints, options, offset=0.0) -> dict:
     # The binding converts each array to the dtype HiGHS stores (float64 or int32).
     loaded = highs.passModel(
         len(c), a.shape[0], a.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, offset,
-        c, bounds.lb, bounds.ub, constraints.lb, constraints.ub,
-        a.indptr, a.indices, a.data, integrality)
+        c, lb, ub, row_lb, row_ub, a.indptr, a.indices, a.data, integrality)
     if loaded == HighsStatus.kError:
         raise SolverBackendError("HiGHS refused the model")
     ran = highs.run() != HighsStatus.kError
@@ -163,20 +202,23 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     opts = opts or SolverOptions()
     c = np.zeros(m.num_vars)
     np.subtract.at(c, *m.objective_arrays())  # maximize
-    a = m.matrix()
+    free = m.lb != m.ub
+    order = np.argsort(~free, kind="stable")  # the free columns first, in column order
+    a = m.matrix(order)
     row_lb, row_ub = m.row_bounds()
-    free = np.flatnonzero(m.lb != m.ub)
     x = m.lb.copy()
     x[free] = 0.0
-    moved = a @ x  # the fixed columns' share of each row
+    moved = a @ x[order]  # the fixed columns' share of each row
     offset = float(c @ x)
-    if not len(free):
+    n_free = int(np.count_nonzero(free))
+    if not n_free:
         met = np.all((moved >= row_lb - TOL * np.maximum(1.0, np.abs(row_lb)))
                      & (moved <= row_ub + TOL * np.maximum(1.0, np.abs(row_ub))))
         # 0.0 - offset, not -offset: a model with no objective reports 0.0, not -0.0.
         return Solution(OPTIMAL, m, x, 0.0 - offset) if met else Solution(INFEASIBLE, m)
-    a = a[:, free]
-    constraints = LinearConstraint(a, row_lb - moved, row_ub - moved) if m.num_rows else None
+    end = a.indptr[n_free]  # HiGHS gets the first n_free columns, as views
+    a = csc_matrix((a.data[:end], a.indices[:end], a.indptr[:n_free + 1]),
+                   shape=(m.num_rows, n_free))
     options = {
         "time_limit": float(opts.time_limit),
         "mip_rel_gap": float(opts.relative_gap),
@@ -190,8 +232,8 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
         # peels paths off one): about twice as fast as simplex on the
         # copy-free LP of dgx2 alltoall.
         options["solver"] = "ipm"
-    run = lambda: milp(c=c[free], integrality=binary.astype(np.uint8),
-                       bounds=Bounds(m.lb[free], m.ub[free]), constraints=constraints,
+    run = lambda: milp(c[free], integrality=binary.astype(np.uint8), lb=m.lb[free],
+                       ub=m.ub[free], a=a, row_lb=row_lb - moved, row_ub=row_ub - moved,
                        options=options, offset=offset)
     start = time.perf_counter()
     res = run()

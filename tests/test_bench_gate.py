@@ -39,12 +39,10 @@ def test_tracer_counts_what_highs_receives(method, kwargs, monkeypatch):
                          a[:, free].nnz, int(m.binary[free].sum())))
         return real_solve(m, *args, **kwargs)
 
-    def record(c, integrality, bounds, constraints, options, offset):
-        a = constraints.A if constraints is not None else None
-        handed.append((len(c), 0 if a is None else a.shape[0], 0 if a is None else a.nnz,
-                       int(integrality.sum())))
-        return real_milp(c=c, integrality=integrality, bounds=bounds, constraints=constraints,
-                         options=options, offset=offset)
+    def record(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset):
+        handed.append((len(c), a.shape[0], a.nnz, int(integrality.sum())))
+        return real_milp(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                         row_ub=row_ub, options=options, offset=offset)
 
     for module in (workflow, solver, astar, estimator):
         monkeypatch.setattr(module, "solve", receive)

@@ -77,8 +77,9 @@ def test_solve_dumps_milp_model(ring4, tmp_path, capsys):
 
 
 def test_search_dumps_the_model_it_returns(tmp_path, capsys, monkeypatch):
-    # Every horizon's LP optimum on a 5-node ring alltoall completes at epoch
-    # 2, so the first feasible probe proves K* = 3 and is the model written.
+    # On a 5-node ring with alpha 0.5, alltoall of two chunks, the search
+    # starts at the bound 6, which is infeasible; its next probe, K = 12,
+    # completes at epoch 6, so it proves K* = 7 and is the model written.
     solved = []
     real = solver.solve
 
@@ -89,14 +90,14 @@ def test_search_dumps_the_model_it_returns(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(solver, "solve", record)
     topo, dem, model = tmp_path / "ring5.json", tmp_path / "demand.json", tmp_path / "model.lp"
-    _run(capsys, "gen-topology", "ring", "--nodes", 5, "--out", topo)
-    _run(capsys, "gen-demand", "alltoall", "--topology", topo, "--out", dem)
+    _run(capsys, "gen-topology", "ring", "--nodes", 5, "--alpha", 0.5, "--out", topo)
+    _run(capsys, "gen-demand", "alltoall", "--topology", topo, "--chunks", 2, "--out", dem)
     code, summary = _run(capsys, "solve", "--topology", topo, "--demand", dem, "--method", "lp",
                          "--search-horizon", "--dump-model", model)
     assert code == 0
     returned = [m for m, feasible in solved if feasible][-1]
     assert model.read_text() == returned.to_lp_text()
-    assert returned.meta["cfg"].K > summary["epochs"] == 3
+    assert returned.meta["cfg"].K > summary["epochs"] == 7
 
 
 def test_simulate_and_compare(ring4, tmp_path, capsys):

@@ -76,9 +76,9 @@ def test_coarse_solves_stop_at_their_first_incumbent(t, coll, chunk, bound, stop
     handed = []
     real = solver.milp
 
-    def record(c, *, integrality, bounds, constraints, options, offset):
-        res = real(c, integrality=integrality, bounds=bounds, constraints=constraints,
-                   options=options, offset=offset)
+    def record(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset):
+        res = real(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                   row_ub=row_ub, options=options, offset=offset)
         handed.append((options.get("mip_max_improving_sols"), res["status"]))
         return res
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collsched import lp
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig, epoch_duration
 from collsched.errors import ConservationError, ValidationError
@@ -232,6 +233,46 @@ def test_horizon_lower_bound_is_tight_on_dgx2_alltoall():
     t = dgx2()
     d = generate_demand("alltoall", t, 1, 1 << 20)
     assert horizon_lower_bound(t, d, epoch_duration(t, d.chunk_size)) == 18
+
+
+@pytest.mark.parametrize("t, unit_hops, bound, k_star", [
+    (ring(6), 54, 5, 5),  # 12 links: 4.5 epochs
+    (line(5), 40, 5, 6),  # 8 links
+    (ring(4), 16, 2, 2),  # 8 links; reachability and ingress give 2 too
+], ids=["ring6", "line5", "ring4"])
+def test_horizon_lower_bound_counts_link_volume(t, unit_hops, bound, k_star, monkeypatch):
+    # Each unit crosses at least its pair's hop count of links, each link
+    # carrying a chunk per epoch. The volume cut is the bound's last.
+    d = generate_demand("alltoall", t)
+    cuts = _record_cuts(monkeypatch)
+    assert horizon_lower_bound(t, d, 1.0) == bound
+    assert cuts[-1] == (pytest.approx(unit_hops * (1 - TOL)), bound)
+    assert not _feasible(t, d, k_star - 1) and _feasible(t, d, k_star)
+
+
+def test_link_volume_stays_below_the_ingress_cut_on_dgx2_alltoall(monkeypatch):
+    # 240 units over two hops each, 32 links of a chunk per epoch: 15
+    # epochs, below the ingress cut's 18, so the search's first LP probe is
+    # still its last.
+    cuts = _record_cuts(monkeypatch)
+    t = dgx2()
+    d = generate_demand("alltoall", t, 1, 1 << 20)
+    assert horizon_lower_bound(t, d, epoch_duration(t, d.chunk_size)) == 18
+    assert cuts[-1] == (pytest.approx(480 * (1 - TOL)), 15)
+    assert max(epochs for _, epochs in cuts[:-1]) == 18
+
+
+def _record_cuts(monkeypatch) -> list:
+    """(units, epochs) of every capacity cut `horizon_lower_bound` takes."""
+    cuts, real = [], lp._landing_epoch
+
+    def record(need, edges):
+        epoch = real(need, edges)
+        cuts.append((need, epoch + 1))
+        return epoch
+
+    monkeypatch.setattr(lp, "_landing_epoch", record)
+    return cuts
 
 
 def test_horizon_lower_bound_counts_overrides():

@@ -36,10 +36,10 @@ def test_rows_list_the_entries_handed_to_the_solver(monkeypatch):
     handed = []
     real = solver.milp
 
-    def record(c, integrality, bounds, constraints, options, offset):
-        handed.append(constraints.A.nnz)
-        return real(c=c, integrality=integrality, bounds=bounds, constraints=constraints,
-                    options=options, offset=offset)
+    def record(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset):
+        handed.append(a.nnz)
+        return real(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                    row_ub=row_ub, options=options, offset=offset)
 
     monkeypatch.setattr(solver, "milp", record)
     assert solve(m).feasible

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 from scipy.optimize._highspy import _core
+from scipy.sparse import csc_matrix
 
 from collsched import Demand, solver
 from collsched.astar import build_round_model, initial_state, round_distance_table
@@ -255,6 +260,61 @@ def test_private_binding_is_pinned():
     assert _core.kHighsInf == np.inf
 
 
+# -- HiGHS without scipy.optimize ------------------------------------------
+#
+# `solver` loads scipy's HiGHS binding without importing `scipy.optimize`. A
+# fresh interpreter shows what a process pays for: these run in subprocesses.
+
+def _fresh(code: str) -> str:
+    """Last line a fresh interpreter prints running `code` with the package's
+    sources first on its path."""
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_synthesis_never_imports_scipy_optimize():
+    assert _fresh(
+        "import sys\n"
+        "import collsched, collsched.cli\n"
+        "from collsched import generate_demand, synthesize\n"
+        "from collsched.topology import ring\n"
+        "t = ring(4)\n"
+        "d = generate_demand('alltoall', t)\n"
+        "for method, kwargs in (('milp', {}), ('lp', {'search_horizon': True}), ('astar', {})):\n"
+        "    assert synthesize(t, d, method, **kwargs).report.ok\n"
+        "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.special')\n"
+        "       if m in sys.modules])\n") == "[]"
+
+
+def test_binding_loaded_by_scipy_optimize_is_reused():
+    assert _fresh(
+        "import scipy.optimize\n"
+        "from collsched import solver\n"
+        "print(solver._Highs is scipy.optimize._highspy._core._Highs)\n") == "True"
+
+
+def test_scipy_optimize_reuses_the_binding_the_package_loaded():
+    assert _fresh(
+        "from collsched import solver\n"
+        "from scipy.optimize._highspy import _core\n"
+        "from scipy.optimize import Bounds, LinearConstraint, milp\n"
+        "res = milp([-1.0, -1.0], integrality=[1, 1], bounds=Bounds(0, 3),\n"
+        "           constraints=LinearConstraint([[1.0, 2.0]], -float('inf'), 4.5))\n"
+        "print(_core is solver._core, res.success, res.fun)\n") == "True True -3.0"
+
+
+def test_missing_binding_names_the_scipy_it_needs(monkeypatch, tmp_path):
+    import scipy
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=r"scipy>=1\.17"):
+        solver._load_highs()
+
+
 def _reference_status(res, relative_gap: float = 0.0) -> str:
     """The package status `solve` gave a `scipy.optimize.milp` result (integer
     codes: 0 optimal, 1 time or iteration limit, 2 infeasible, 4 other)."""
@@ -270,14 +330,27 @@ def _reference_status(res, relative_gap: float = 0.0) -> str:
     return FEASIBLE_GAP
 
 
-def _both(c, integrality, bounds, constraints, **options):
-    """(scipy's result, ours) for one model; scipy warns about HiGHS options
-    it passes through unvetted."""
-    args = dict(integrality=integrality, bounds=bounds, constraints=constraints)
+def _arrays(c, lb, ub, a, row_lb, row_ub) -> dict:
+    """A model as `solver.milp` takes it: float arrays and a CSC matrix."""
+    a = csc_matrix(np.asarray(a, dtype=float))
+    c = np.asarray(c, dtype=float)
+    lb, ub = (np.broadcast_to(np.asarray(v, dtype=float), c.shape) for v in (lb, ub))
+    row_lb, row_ub = (np.broadcast_to(np.asarray(v, dtype=float), a.shape[:1])
+                      for v in (row_lb, row_ub))
+    return dict(c=c, lb=lb, ub=ub, a=a, row_lb=row_lb, row_ub=row_ub)
+
+
+def _both(c, integrality, lb, ub, a, row_lb, row_ub, **options):
+    """(scipy's result, ours) for one model: scipy gets `Bounds` and a
+    `LinearConstraint` (None for a model without rows), ours the arrays.
+    scipy warns about HiGHS options it passes through unvetted."""
+    rows = LinearConstraint(a, row_lb, row_ub) if a.shape[0] else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        ref = scipy_milp(c, options=dict(options), **args)
-    return ref, _HIGHS(c, options=dict(options), **args)
+        ref = scipy_milp(c, integrality=integrality, bounds=Bounds(lb, ub), constraints=rows,
+                         options=dict(options))
+    return ref, _HIGHS(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                       row_ub=row_ub, options=dict(options))
 
 
 def _same_solve(ref, ours) -> None:
@@ -295,13 +368,13 @@ def _knapsacks(n: int, m: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     a = rng.integers(1, 20, (m, n)).astype(float)
     c = -rng.integers(1, 30, n).astype(float)
-    return c, Bounds(np.zeros(n), np.ones(n)), LinearConstraint(a, -np.inf, a.sum(axis=1) / 2 + 0.5)
+    return _arrays(c, 0.0, 1.0, a, -np.inf, a.sum(axis=1) / 2 + 0.5)
 
 
 @pytest.mark.parametrize("integral", [False, True], ids=["lp", "milp"])
 def test_milp_solves_as_scipy_does(integral):
-    c, bounds, rows = _knapsacks(20, 8)
-    ref, ours = _both(c, np.full(len(c), int(integral)), bounds, rows, time_limit=60.0)
+    model = _knapsacks(20, 8)
+    ref, ours = _both(integrality=np.full(20, int(integral)), **model, time_limit=60.0)
     assert ours["status"] == _core.HighsModelStatus.kOptimal
     if integral:
         assert ours["mip_node_count"] > 0  # branching ran
@@ -310,25 +383,23 @@ def test_milp_solves_as_scipy_does(integral):
 
 @pytest.mark.parametrize("integral", [False, True], ids=["lp", "milp"])
 def test_infeasible_model_as_scipy(integral):
-    rows = LinearConstraint(np.array([[1.0, 1.0]]), 3.0, np.inf)
-    ref, ours = _both(np.array([1.0, 1.0]), np.full(2, int(integral)),
-                      Bounds([0, 0], [1, 1]), rows)
+    model = _arrays([1.0, 1.0], 0.0, 1.0, [[1.0, 1.0]], 3.0, np.inf)
+    ref, ours = _both(integrality=np.full(2, int(integral)), **model)
     _same_solve(ref, ours)
     assert solver._outcome(ours, 0.0) == INFEASIBLE
 
 
 def test_model_without_rows_as_scipy():
-    ref, ours = _both(np.array([-1.0, 2.0, -3.0]), np.array([1, 0, 0]),
-                      Bounds([0, -1, 0], [4, 1, 2.5]), None)
+    model = _arrays([-1.0, 2.0, -3.0], [0, -1, 0], [4, 1, 2.5], np.zeros((0, 3)), [], [])
+    ref, ours = _both(integrality=np.array([1, 0, 0]), **model)
     _same_solve(ref, ours)
     assert ours["x"].tolist() == [4.0, -1.0, 2.5]
 
 
 @pytest.mark.parametrize("integral", [False, True], ids=["lp", "milp"])
 def test_unbounded_model_raises_as_scipy(integral):
-    rows = LinearConstraint(np.array([[1.0, -1.0]]), -np.inf, 1.0)
-    ref, ours = _both(np.array([-1.0, 0.0]), np.full(2, int(integral)),
-                      Bounds([0, 0], [np.inf, np.inf]), rows)
+    model = _arrays([-1.0, 0.0], 0.0, np.inf, [[1.0, -1.0]], -np.inf, 1.0)
+    ref, ours = _both(integrality=np.full(2, int(integral)), **model)
     for res, outcome in ((ref, _reference_status), (ours, solver._outcome)):
         with pytest.raises(SolverBackendError):
             outcome(res, 0.0)
@@ -336,8 +407,8 @@ def test_unbounded_model_raises_as_scipy(integral):
 
 @pytest.mark.parametrize("integral", [False, True], ids=["lp", "milp"])
 def test_time_limit_without_incumbent_as_scipy(integral):
-    c, bounds, rows = _knapsacks(100, 50)
-    ref, ours = _both(c, np.full(len(c), int(integral)), bounds, rows, time_limit=1e-9)
+    model = _knapsacks(100, 50)
+    ref, ours = _both(integrality=np.full(100, int(integral)), **model, time_limit=1e-9)
     _same_solve(ref, ours)
     assert ours["status"] == _core.HighsModelStatus.kTimeLimit
     assert solver._outcome(ours, 0.0) == TIMEOUT
@@ -347,21 +418,21 @@ def test_time_limit_with_incumbent_as_scipy():
     # Where a wall-clock limit cuts branch and bound is not reproducible,
     # not even between two runs of scipy's own `milp`, so the incumbent,
     # its gap and the node count are checked for what they are, not bitwise.
-    c, bounds, rows = _knapsacks(100, 50)
-    ref, ours = _both(c, np.ones(len(c)), bounds, rows, time_limit=0.2)
+    model = _knapsacks(100, 50)
+    c, a, row_ub = model["c"], model["a"], model["row_ub"]
+    ref, ours = _both(integrality=np.ones(100), **model, time_limit=0.2)
     assert ours["status"] == _core.HighsModelStatus.kTimeLimit and ref.status == 1
     assert solver._outcome(ours, 0.0) == _reference_status(ref) == FEASIBLE_GAP
     for x, fun, gap in ((ref.x, ref.fun, ref.mip_gap),
                         (ours["x"], ours["fun"], ours["mip_gap"])):
-        assert np.allclose(x, np.round(x), atol=1e-6) and np.all(rows.A @ x <= rows.ub + 1e-6)
+        assert np.allclose(x, np.round(x), atol=1e-6) and np.all(a @ x <= row_ub + 1e-6)
         assert fun == pytest.approx(c @ x) and gap > 0
     assert ours["mip_node_count"] >= 0
 
 
 def test_first_incumbent_stop_as_scipy():
     # The stop the estimator asks for is deterministic: compared bitwise.
-    c, bounds, rows = _knapsacks(30, 10)
-    ref, ours = _both(c, np.ones(len(c)), bounds, rows, time_limit=60.0,
+    ref, ours = _both(integrality=np.ones(30), **_knapsacks(30, 10), time_limit=60.0,
                       mip_max_improving_sols=1)
     _same_solve(ref, ours)
     assert ours["status"] == _core.HighsModelStatus.kSolutionLimit
@@ -377,11 +448,11 @@ def test_solve_hands_scipy_the_same_model(build, monkeypatch):
     m = build(t, generate_demand("alltoall", t))
     pairs = []
 
-    def both(c, *, integrality, bounds, constraints, options, offset):
+    def both(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset):
         # scipy has no objective offset: compared without it, then run with it.
-        ref, ours = _both(c, integrality, bounds, constraints, **options)
-        shifted = _HIGHS(c, integrality=integrality, bounds=bounds, constraints=constraints,
-                         options=options, offset=offset)
+        ref, ours = _both(c, integrality, lb, ub, a, row_lb, row_ub, **options)
+        shifted = _HIGHS(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                         row_ub=row_ub, options=options, offset=offset)
         pairs.append((ref, ours, shifted, offset))
         return shifted
 
@@ -399,8 +470,9 @@ def test_solve_hands_scipy_the_same_model(build, monkeypatch):
 
 def test_refused_option_raises():
     with pytest.raises(SolverBackendError, match="no_such_option"):
-        solver.milp(np.ones(1), integrality=np.zeros(1), bounds=Bounds(0, 1),
-                    constraints=None, options={"no_such_option": 1})
+        solver.milp(np.ones(1), integrality=np.zeros(1), lb=np.zeros(1), ub=np.ones(1),
+                    a=csc_matrix((0, 1)), row_lb=np.zeros(0), row_ub=np.zeros(0),
+                    options={"no_such_option": 1})
 
 
 
@@ -414,10 +486,10 @@ def test_lp_alone_goes_to_the_interior_point_solver(build, ipm, monkeypatch):
     assert m.binary.any() != ipm
     seen = []
 
-    def recorded(c, *, integrality, bounds, constraints, options, offset):
+    def recorded(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset):
         seen.append(dict(options))
-        return _HIGHS(c, integrality=integrality, bounds=bounds, constraints=constraints,
-                      options=options, offset=offset)
+        return _HIGHS(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                      row_ub=row_ub, options=options, offset=offset)
 
     monkeypatch.setattr(solver, "milp", recorded)
     assert solve(m).status == OPTIMAL
@@ -440,13 +512,13 @@ def test_undecided_interior_point_run_falls_back_to_simplex(monkeypatch):
     m = build_lp_model(t, generate_demand("alltoall", t), EpochConfig(1.0, 3), ModelOptions())
     seen = []
 
-    def undecided_ipm(c, *, integrality, bounds, constraints, options, offset):
+    def undecided_ipm(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset):
         seen.append(dict(options))
         if options["solver"] == "ipm":
             return {"status": _core.HighsModelStatus.kSolveError, "x": None, "fun": None,
                     "mip_gap": None, "mip_node_count": None}
-        return _HIGHS(c, integrality=integrality, bounds=bounds, constraints=constraints,
-                      options=options, offset=offset)
+        return _HIGHS(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                      row_ub=row_ub, options=options, offset=offset)
 
     monkeypatch.setattr(solver, "milp", undecided_ipm)
     assert solve(m, SolverOptions(time_limit=30.0)).status == OPTIMAL
@@ -524,9 +596,9 @@ def _full_model_solve(m, **options):
     np.subtract.at(c, *m.objective_arrays())
     options = {"time_limit": 60.0, "mip_rel_gap": 0.0, **options}
     lp = not m.binary.any()
-    run = lambda: _HIGHS(c, integrality=m.binary.astype(np.uint8), bounds=Bounds(m.lb, m.ub),
-                         constraints=LinearConstraint(m.matrix(), *m.row_bounds()),
-                         options=options)
+    row_lb, row_ub = m.row_bounds()
+    run = lambda: _HIGHS(c, integrality=m.binary.astype(np.uint8), lb=m.lb, ub=m.ub,
+                         a=m.matrix(), row_lb=row_lb, row_ub=row_ub, options=options)
     if lp:
         options["solver"] = "ipm"
     res = run()

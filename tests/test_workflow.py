@@ -7,7 +7,7 @@ from collsched import astar, estimator, solver, workflow
 from collsched.demand import Demand, generate_demand
 from collsched.errors import HorizonInfeasibleError, ValidationError
 from collsched.solver import FEASIBLE_GAP
-from collsched.topology import Edge, Topology, dgx1, ndv2, ring
+from collsched.topology import Edge, Topology, dgx1, line, ndv2, ring
 from collsched.workflow import synthesize
 
 
@@ -106,9 +106,9 @@ def test_solver_time_sums_every_horizon_probe(monkeypatch):
         return sol
 
     monkeypatch.setattr(solver, "solve", timed)
-    # The LP's lower bound on ring(6) alltoall is 3 and its smallest feasible
-    # horizon 5, so the search probes more than the bound.
-    t = ring(6)
+    # The LP's lower bound on line(5) alltoall is 5 and its smallest feasible
+    # horizon 6, so the search probes more than the bound.
+    t = line(5)
     result = synthesize(t, generate_demand("alltoall", t), "lp", search_horizon=True)
     assert len(probes) > 1
     assert result.solver_wall_time == sum(probes)
