@@ -15,19 +15,27 @@ coefficient) triples with a bound pair per row, dropping zero coefficients;
 `add_objective` adds terms to the objective, whose sense is always maximize.
 
 The rows are read back one way too: `matrix` assembles them into the sparse
-matrix the solver gets, summing the coefficients of a repeated (row, column)
-entry, and `rows` lists each row's entries of that matrix.
+matrix the solver gets, a `CSC`, summing the coefficients of a repeated
+(row, column) entry, and `rows` lists each row's entries of that matrix.
+`CSC` and its assembly call scipy's compiled kernels
+(`scipy.sparse._sparsetools`, loaded by `extensions.load`) in the order
+`scipy.sparse` calls them, so each matrix is byte for byte the one
+`scipy.sparse.csc_matrix` builds from the same entries, without importing
+`scipy.sparse`.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
+from .extensions import load
+
+_sparsetools = load("scipy.sparse._sparsetools")
 
 CONTINUOUS = "C"
 BINARY = "B"
@@ -44,6 +52,40 @@ def check_columns(K: int, count: int) -> None:
     if count > MAX_COLUMNS:
         raise ValidationError(f"a {K}-epoch model needs {count:,} columns, more than "
                               f"{MAX_COLUMNS:,}: use a longer epoch or fewer epochs")
+
+
+@dataclass(frozen=True, eq=False)
+class CSC:
+    """A sparse matrix in compressed-column form: column j holds the rows
+    `indices[indptr[j]:indptr[j + 1]]`, ascending, with their coefficients
+    at the same positions of `data`. Index arrays are int32 when every
+    index and `nnz` fit, else int64, as in `scipy.sparse`."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector of one entry per column."""
+        if np.shape(x) != self.shape[1:]:  # the kernel reads shape[1] entries
+            raise ValueError(f"a vector of shape {np.shape(x)} times a {self.shape} matrix")
+        y = np.zeros(self.shape[0])
+        _sparsetools.csc_matvec(*self.shape, self.indptr, self.indices, self.data, x, y)
+        return y
+
+    def transpose(self) -> CSC:
+        """The transpose: its column i holds row i, in column order."""
+        rows, cols = self.shape
+        indptr = np.empty(rows + 1, self.indptr.dtype)
+        indices, data = np.empty_like(self.indices), np.empty_like(self.data)
+        _sparsetools.csr_tocsc(cols, rows, self.indptr, self.indices, self.data,
+                               indptr, indices, data)
+        return CSC(indptr, indices, data, (cols, rows))
 
 
 class Axis:
@@ -195,7 +237,7 @@ class Model:
         return (_cat([i for i, _ in self._objective], np.int64),
                 _cat([c for _, c in self._objective], float))
 
-    def matrix(self, order: np.ndarray | None = None) -> sp.csc_matrix:
+    def matrix(self, order: np.ndarray | None = None) -> CSC:
         """The constraint matrix, one row per model row and one column per
         variable, as the solver gets it: the coefficients of a repeated
         (row, column) entry are summed, and a sum of zero stays an entry.
@@ -204,11 +246,28 @@ class Model:
         either way."""
         rows, cols, coefs = (_cat([b[i] for b in self._blocks], dtype)
                              for i, dtype in enumerate((np.int64, np.int64, float)))
+        for name, idx, size in (("row", rows, self.num_rows), ("column", cols, self.num_vars)):
+            if len(idx) and not 0 <= idx.min() <= idx.max() < size:  # the kernels write there
+                raise ValueError(f"a {name} index outside [0, {size})")
         if order is not None:
             position = np.empty_like(order)
             position[order] = np.arange(len(order))
             cols = position[cols]
-        return sp.csc_matrix((coefs, (rows, cols)), shape=(self.num_rows, self.num_vars))
+        # The kernels `scipy.sparse.csc_matrix((coefs, (rows, cols)), shape)`
+        # calls: compress by column, sort each column's rows unless all are
+        # sorted already, sum repeated entries, and drop the space they freed.
+        # csr_sort_indices is not a stable sort, so it runs only when needed:
+        # the order of a repeated entry's terms fixes the bits of their sum.
+        n_rows, n_cols, nnz = self.num_rows, self.num_vars, len(coefs)
+        idx = np.int32 if max(n_rows, n_cols, nnz) <= np.iinfo(np.int32).max else np.int64
+        indptr, indices, data = np.empty(n_cols + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+        _sparsetools.coo_tocsr(n_cols, n_rows, nnz, cols.astype(idx), rows.astype(idx),
+                               coefs, indptr, indices, data)
+        if not _sparsetools.csr_has_sorted_indices(n_cols, indptr, indices):
+            _sparsetools.csr_sort_indices(n_cols, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(n_cols, n_rows, indptr, indices, data)
+        end = indptr[-1]
+        return CSC(indptr, indices[:end], data[:end], (n_rows, n_cols))
 
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lb, ub) of every row."""
@@ -218,7 +277,7 @@ class Model:
     def rows(self) -> Rows:
         """Every row as (coeffs, lb, ub), read from `matrix()`."""
         if self._rows is None:
-            self._rows = Rows(self.matrix().tocsr(), *self.row_bounds())
+            self._rows = Rows(self.matrix().transpose(), *self.row_bounds())
         return self._rows
 
     # -- debugging aids -------------------------------------------------------
@@ -265,7 +324,8 @@ class Rows:
     """A model's rows as (coeffs, lb, ub) triples, each built when iterated:
     coeffs lists the row's (column, coefficient) entries in column order."""
 
-    def __init__(self, a: sp.csr_matrix, lb: np.ndarray, ub: np.ndarray):
+    def __init__(self, a: CSC, lb: np.ndarray, ub: np.ndarray):
+        """`a` is the transpose of the model's matrix: column i is row i."""
         self._ptr, self._cols, self._coefs = (v.tolist() for v in (a.indptr, a.indices, a.data))
         self._lb, self._ub = lb.tolist(), ub.tolist()
 

@@ -1,19 +1,15 @@
 """Solve models with HiGHS, the MILP/LP engine that scipy bundles.
 
 `milp` is the one call into HiGHS. It takes plain arrays (objective,
-integrality, column bounds, a CSC matrix and its row bounds), hands HiGHS the
-whole model in one `passModel` call and reads back only the model status,
-the column values, the objective, the MIP gap and the node count.
+integrality, column bounds, a compressed-column matrix and its row bounds),
+hands HiGHS the whole model in one `passModel` call and reads back only the
+model status, the column values, the objective, the MIP gap and the node
+count.
 
 HiGHS is reached through scipy's private binding
 `scipy.optimize._highspy._core`, which `tests/test_solver.py` pins and checks
-against `scipy.optimize.milp`. `_load_highs` loads that extension module
-from scipy's install directly, as the import system would, but without
-running `scipy/optimize/__init__.py`: importing `scipy.optimize` pulls in
-`scipy.linalg`, `scipy.special`, `scipy.fft` and `scipy.spatial`, about
-0.3 s and 23 MB of a process that uses none of them. The module is
-registered under its own name, so a later `import scipy.optimize` in the same
-process reuses it rather than loading the extension again.
+against `scipy.optimize.milp`; `extensions.load` loads it without importing
+`scipy.optimize`.
 
 `solve` passes a `Model` to `milp`: its free columns only (lb < ub), with
 each fixed column's value moved into the row bounds and the fixed columns'
@@ -29,48 +25,18 @@ run ends undecided.
 
 from __future__ import annotations
 
-import os
-import sys
 import time
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
 from typing import Callable
 
 import numpy as np
-import scipy
-from scipy.sparse import csc_matrix
 
 from .errors import (ConservationError, HorizonInfeasibleError, SolverBackendError,
                      SolverTimeoutError, ValidationError)
-from .model import Model
+from .extensions import load
+from .model import CSC, Model
 
-
-def _load_highs():
-    """scipy's HiGHS binding `scipy.optimize._highspy._core`, loaded without
-    importing `scipy.optimize`; the module already loaded if there is one."""
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
-    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        raise ImportError(f"collsched needs scipy>=1.17, whose HiGHS binding {name} "
-                          f"is not in {where}")
-    module = module_from_spec(spec)
-    # Registered before it runs, as the import system does, so that a later
-    # `import scipy.optimize` finds this module: one module, one set of
-    # HiGHS types in the process.
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
-    return module
-
-
-_core = _load_highs()
+_core = load("scipy.optimize._highspy._core")
 HighsModelStatus, HighsStatus, _Highs = _core.HighsModelStatus, _core.HighsStatus, _core._Highs
 MatrixFormat, ObjSense, kHighsInf = _core.MatrixFormat, _core.ObjSense, _core.kHighsInf
 
@@ -103,7 +69,7 @@ class SolverOptions:
     def __post_init__(self):
         if not (0 <= self.relative_gap < 1):
             raise ValidationError("relative_gap must be in [0, 1)")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN included
             raise ValidationError("time_limit must be positive")
 
 
@@ -149,9 +115,11 @@ def milp(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset=0.0) -> d
     """Minimise c @ x + offset subject to lb <= x <= ub and
     row_lb <= a @ x <= row_ub, with the columns where `integrality` is 1
     integral. `c`, `integrality`, `lb` and `ub` hold one entry per column;
-    `a` is a CSC matrix with one column per column and one row per entry of
-    `row_lb` and `row_ub` (0 rows for a model without rows). `offset` is a
-    constant HiGHS adds to its objective.
+    `a` has one column per column and one row per entry of `row_lb` and
+    `row_ub` (0 rows for a model without rows). `a` is any compressed-column
+    matrix with `shape`, `nnz`, `indptr`, `indices` and `data`: a
+    `model.CSC`, or a scipy `csc_matrix`. `offset` is a constant HiGHS adds
+    to its objective.
 
     `options` maps HiGHS option names to values. Returns a dict: `status`,
     HiGHS's model status, then `x`, `fun`, `mip_gap` and `mip_node_count`,
@@ -217,8 +185,7 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
         # 0.0 - offset, not -offset: a model with no objective reports 0.0, not -0.0.
         return Solution(OPTIMAL, m, x, 0.0 - offset) if met else Solution(INFEASIBLE, m)
     end = a.indptr[n_free]  # HiGHS gets the first n_free columns, as views
-    a = csc_matrix((a.data[:end], a.indices[:end], a.indptr[:n_free + 1]),
-                   shape=(m.num_rows, n_free))
+    a = CSC(a.indptr[:n_free + 1], a.indices[:end], a.data[:end], (m.num_rows, n_free))
     options = {
         "time_limit": float(opts.time_limit),
         "mip_rel_gap": float(opts.relative_gap),

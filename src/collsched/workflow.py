@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .astar import astar_solve, max_future_epochs
 from .demand import Demand
 from .epochs import EpochConfig, FASTEST, epoch_duration
-from .errors import HorizonInfeasibleError, ValidationError
+from .errors import EstimationError, HorizonInfeasibleError, ValidationError
 from .estimator import estimate_epoch_upper_bound
 from .lp import build_lp_model, horizon_lower_bound, lp_rates_to_schedule
 from .milp import ModelOptions, build_general_model
@@ -93,8 +93,15 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
     lower = horizon_lower_bound(t, d, tau)  # refuses an unreachable demand first
     estimated = epochs is None
     if estimated:
-        epochs = estimate_epoch_upper_bound(t, d, tau, opts=opts)
-        notes.append(f"estimated epoch upper bound {epochs}")
+        try:
+            epochs = estimate_epoch_upper_bound(t, d, tau, opts=opts)
+            notes.append(f"estimated epoch upper bound {epochs}")
+        except EstimationError:
+            if method != "lp":
+                raise
+            # The LP needs no estimate: its search starts at the lower bound.
+            epochs = lower
+            notes.append(f"no epoch estimate: the horizon lower bound {lower} stands in")
     cfg = EpochConfig(tau, epochs, d.chunk_size)
 
     if method == "lp":

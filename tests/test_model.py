@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from collsched import solver
 from collsched.model import INF, Axis, Model
@@ -79,3 +81,87 @@ def test_family_values_in_column_order_above_threshold():
     assert got == {("a", 0): 0.5, ("b", 0): 0.9, ("b", 2): 0.7}
     assert list(got) == [("b", 0), ("b", 2), ("a", 0)]
     assert sol.family_values("missing") == {}
+
+
+@pytest.mark.parametrize("row, column", [(0, 3), (0, -1), (1, 0)])
+def test_matrix_refuses_an_entry_outside_the_model(row, column):
+    # scipy's kernels would write outside their arrays: refused, as by scipy.
+    m = Model()
+    m.columns(3)
+    m.add_rows([0.0], [1.0], (row, column, 1.0))
+    with pytest.raises(ValueError, match="index outside"):
+        m.matrix()
+
+
+def test_product_refuses_a_vector_of_another_length():
+    m = Model()
+    m.columns(3)
+    m.add_rows([0.0], [1.0], (0, [0, 2], [1.0, 2.0]))
+    assert (m.matrix() @ np.array([1.0, 5.0, 3.0])).tolist() == [7.0]
+    with pytest.raises(ValueError, match="vector of shape"):
+        m.matrix() @ np.ones(2)
+
+# -- the matrix, byte for byte as scipy.sparse builds it ----------------------
+
+# Coefficients whose sums depend on the order of their terms (0.1 + 0.2 +
+# 0.3 is not 0.3 + 0.2 + 0.1), and pairs that cancel to an explicit zero.
+_COEFS = st.sampled_from([0.1, 0.2, 0.3, -0.3, 1.0, -1.0, 2.5, 1e16, -1e16, 3e-9])
+
+
+@st.composite
+def _models(draw):
+    """A model of up to 6 rows and 6 columns, its entries added in blocks as
+    (row, column, coefficient) triples, repeated (row, column) pairs,
+    empty rows and empty columns all likely; the entries in the order
+    added; a permutation of the columns; and a vector."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    m = Model()
+    m.columns(n_cols)
+    entries = []
+    while m.num_rows < n_rows and draw(st.booleans()):
+        size = draw(st.integers(1, n_rows - m.num_rows))
+        cell = st.tuples(st.integers(0, size - 1), st.integers(0, max(n_cols - 1, 0)), _COEFS)
+        triples = draw(st.lists(cell, max_size=12)) if n_cols else []
+        entries += [(m.num_rows + r, c, v) for r, c, v in triples]
+        m.add_rows(np.zeros(size), np.ones(size), *triples)
+    if m.num_rows < n_rows:
+        m.add_rows(np.zeros(n_rows - m.num_rows), np.ones(n_rows - m.num_rows))
+    order = np.array(draw(st.permutations(range(n_cols))), dtype=np.int64)
+    x = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n_cols, max_size=n_cols)))
+    return m, entries, order, x
+
+
+def _same(ours, ref) -> None:
+    """Our CSC holds scipy's compressed arrays, byte for byte."""
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(ours, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert ours.nnz == ref.nnz
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models())
+def test_matrix_rows_and_product_are_scipys_to_the_byte(drawn):
+    m, entries, order, x = drawn
+    rows, cols, coefs = (np.array([e[i] for e in entries], dtype=t)
+                         for i, t in enumerate((np.int64, np.int64, float)))
+    shape = (m.num_rows, m.num_vars)
+    ref = sp.csc_matrix((coefs, (rows, cols)), shape=shape)
+    ours = m.matrix()
+    _same(ours, ref)
+    assert ours.shape == ref.shape
+    assert (ours @ x).tobytes() == (ref @ x).tobytes()
+    # Rows: the transpose holds scipy's CSR of the matrix.
+    by_row = ref.tocsr()
+    _same(ours.transpose(), by_row)
+    assert ours.transpose().shape == shape[::-1]
+    ptr, idx, val = (a.tolist() for a in (by_row.indptr, by_row.indices, by_row.data))
+    assert [coeffs for coeffs, _, _ in m.rows] == [
+        list(zip(idx[a:b], val[a:b])) for a, b in zip(ptr, ptr[1:])]
+    # Column j of matrix(order) is the model's column order[j].
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    ref = sp.csc_matrix((coefs, (rows, position[cols])), shape=shape)
+    ours = m.matrix(order)
+    _same(ours, ref)
+    assert (ours @ x).tobytes() == (ref @ x).tobytes()

@@ -17,7 +17,6 @@ import hashlib
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from collsched import solver
 from collsched.astar import advance_state, build_round_model, initial_state, round_distance_table
@@ -115,7 +114,7 @@ def _digest(m) -> str:
     """Digest of the model as `solve` receives it."""
     c = np.zeros(m.num_vars)
     np.subtract.at(c, *m.objective_arrays())
-    a = sp.csc_matrix(m.matrix())
+    a = m.matrix()
     h = hashlib.sha256(repr(a.shape).encode())
     for arr, dtype in ((c, np.float64), (m.binary, np.int64), (m.lb, np.float64),
                        (m.ub, np.float64), *((b, np.float64) for b in m.row_bounds()),

@@ -11,7 +11,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 from scipy.optimize._highspy import _core
 from scipy.sparse import csc_matrix
 
-from collsched import Demand, solver
+from collsched import Demand, extensions, solver
 from collsched.astar import build_round_model, initial_state, round_distance_table
 from collsched.demand import generate_demand
 from collsched.epochs import EpochConfig, link_timing
@@ -23,6 +23,7 @@ from collsched.model import BINARY, CONTINUOUS, INF, Axis, Model
 from collsched.solver import (FEASIBLE_GAP, INFEASIBLE, OPTIMAL, TIMEOUT, TOL, SolverOptions,
                               completion_epoch, min_feasible_horizon, solve)
 from collsched.topology import Edge, Topology, line, ring, star
+from collsched.workflow import synthesize
 
 
 def _scalars(m, *specs):
@@ -115,6 +116,15 @@ def test_solver_options_validation():
         SolverOptions(relative_gap=1.0)
     with pytest.raises(ValidationError):
         SolverOptions(time_limit=0.0)
+    with pytest.raises(ValidationError):
+        SolverOptions(time_limit=float("nan"))
+    assert SolverOptions(time_limit=INF).time_limit == INF
+
+
+def test_synthesis_refuses_a_nan_time_limit():
+    t = ring(4)
+    with pytest.raises(ValidationError, match="time_limit"):
+        synthesize(t, generate_demand("alltoall", t), "milp", time_limit=float("nan"))
 
 
 def test_lp_text_export(star3):
@@ -260,10 +270,11 @@ def test_private_binding_is_pinned():
     assert _core.kHighsInf == np.inf
 
 
-# -- HiGHS without scipy.optimize ------------------------------------------
+# -- HiGHS and the sparse kernels without scipy.optimize or scipy.sparse ----
 #
-# `solver` loads scipy's HiGHS binding without importing `scipy.optimize`. A
-# fresh interpreter shows what a process pays for: these run in subprocesses.
+# `extensions.load` loads scipy's HiGHS binding and sparse kernels without
+# importing `scipy.optimize` or `scipy.sparse`. A fresh interpreter shows what
+# a process pays for: these run in subprocesses.
 
 def _fresh(code: str) -> str:
     """Last line a fresh interpreter prints running `code` with the package's
@@ -286,7 +297,8 @@ def test_synthesis_never_imports_scipy_optimize():
         "d = generate_demand('alltoall', t)\n"
         "for method, kwargs in (('milp', {}), ('lp', {'search_horizon': True}), ('astar', {})):\n"
         "    assert synthesize(t, d, method, **kwargs).report.ok\n"
-        "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.special')\n"
+        "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.special',\n"
+        "                   'scipy.sparse', 'numpy.f2py', 'numpy.testing')\n"
         "       if m in sys.modules])\n") == "[]"
 
 
@@ -307,12 +319,31 @@ def test_scipy_optimize_reuses_the_binding_the_package_loaded():
         "print(_core is solver._core, res.success, res.fun)\n") == "True True -3.0"
 
 
+def test_kernels_loaded_by_scipy_sparse_are_reused():
+    assert _fresh(
+        "import sys\n"
+        "import scipy.sparse\n"
+        "from collsched import model\n"
+        "print(model._sparsetools is sys.modules['scipy.sparse._sparsetools'])\n") == "True"
+
+
+def test_scipy_sparse_reuses_the_kernels_the_package_loaded():
+    assert _fresh(
+        "from collsched import model\n"
+        "import scipy.sparse as sp\n"
+        "from scipy.sparse import _compressed\n"
+        "a = sp.csc_matrix(([1.0, 2.0, 3.0], ([0, 1, 0], [1, 0, 1])), shape=(2, 2)).tocsr()\n"
+        "print(_compressed.csr_sort_indices is model._sparsetools.csr_sort_indices,\n"
+        "      a.toarray().tolist())\n") == "True [[0.0, 4.0], [2.0, 0.0]]"
+
+
 def test_missing_binding_names_the_scipy_it_needs(monkeypatch, tmp_path):
     import scipy
-    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    with pytest.raises(ImportError, match=r"scipy>=1\.17"):
-        solver._load_highs()
+    for name in ("scipy.optimize._highspy._core", "scipy.sparse._sparsetools"):
+        monkeypatch.delitem(sys.modules, name)
+        with pytest.raises(ImportError, match=r"scipy>=1\.17"):
+            extensions.load(name)
 
 
 def _reference_status(res, relative_gap: float = 0.0) -> str:
@@ -343,8 +374,11 @@ def _arrays(c, lb, ub, a, row_lb, row_ub) -> dict:
 def _both(c, integrality, lb, ub, a, row_lb, row_ub, **options):
     """(scipy's result, ours) for one model: scipy gets `Bounds` and a
     `LinearConstraint` (None for a model without rows), ours the arrays.
-    scipy warns about HiGHS options it passes through unvetted."""
-    rows = LinearConstraint(a, row_lb, row_ub) if a.shape[0] else None
+    `a` is any compressed-column matrix, a `model.CSC` included; scipy gets
+    a `csc_matrix` of its arrays. scipy warns about HiGHS options it passes
+    through unvetted."""
+    a_ref = csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+    rows = LinearConstraint(a_ref, row_lb, row_ub) if a.shape[0] else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ref = scipy_milp(c, integrality=integrality, bounds=Bounds(lb, ub), constraints=rows,

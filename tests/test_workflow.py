@@ -5,7 +5,7 @@ import pytest
 
 from collsched import astar, estimator, solver, workflow
 from collsched.demand import Demand, generate_demand
-from collsched.errors import HorizonInfeasibleError, ValidationError
+from collsched.errors import EstimationError, HorizonInfeasibleError, ValidationError
 from collsched.solver import FEASIBLE_GAP
 from collsched.topology import Edge, Topology, dgx1, line, ndv2, ring
 from collsched.workflow import synthesize
@@ -81,6 +81,37 @@ def test_lp_search_grows_until_eight_times_the_larger_of_estimate_and_bound(
         return
     result = synthesize(t, d, "lp", search_horizon=True)
     assert result.epochs == 20 and result.warnings == outcome
+
+
+def test_lp_search_survives_a_failed_estimate():
+    # The estimator finds no candidate feasible on this line, yet the LP is
+    # feasible: the search takes the lower bound, 14, as its estimate.
+    t = line(8, alpha=1.0)
+    result = synthesize(t, generate_demand("alltoall", t), "lp", search_horizon=True)
+    assert result.report.ok and result.epochs == 17
+    assert result.warnings == ["no epoch estimate: the horizon lower bound 14 stands in",
+                               "horizon lower bound 14",
+                               "no feasible horizon up to 14: trying up to 28"]
+
+
+def _no_estimate(*args, **kwargs):
+    raise EstimationError("no candidate completion time was feasible")
+
+
+@pytest.mark.parametrize("method, error, match", [
+    # Ranges [2, 2], [3, 4], [5, 8], [9, 16]: 8 times the bound ends them.
+    ("lp", HorizonInfeasibleError, r"\[2, 16\]"),
+    ("milp", EstimationError, "no candidate"),
+])
+def test_only_the_lp_stands_the_lower_bound_in_for_a_failed_estimate(
+        monkeypatch, method, error, match):
+    # 20 chunks over one link of a chunk per epoch need 20 epochs.
+    t = Topology((0, 1), frozenset(), (Edge(0, 1, 1.0),))
+    d = Demand(frozenset((0, c, 1) for c in range(20)), 20, 1)
+    monkeypatch.setattr(workflow, "estimate_epoch_upper_bound", _no_estimate)
+    monkeypatch.setattr(workflow, "horizon_lower_bound", lambda *a, **k: 2)
+    with pytest.raises(error, match=match):
+        synthesize(t, d, method, search_horizon=True)
 
 
 @pytest.mark.parametrize("method", ["lp", "milp"])
