@@ -37,7 +37,7 @@ class ModelOptions:
 
     def __post_init__(self):
         check_switch_mode(self.switch_mode)
-        if self.buffer_limit is not None and self.buffer_limit <= 0:
+        if self.buffer_limit is not None and not self.buffer_limit > 0:  # NaN included
             raise ValidationError("buffer_limit must be positive")
 
 

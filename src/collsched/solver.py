@@ -189,6 +189,9 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     options = {
         "time_limit": float(opts.time_limit),
         "mip_rel_gap": float(opts.relative_gap),
+        # Feasibility jump only hunts for a first feasible point; a solve
+        # that goes on to optimality, as every A* round does, skips it.
+        "mip_heuristic_run_feasibility_jump": opts.first_incumbent,
     }
     if opts.first_incumbent:
         options["mip_max_improving_sols"] = 1

@@ -97,9 +97,13 @@ def validate_topology(t: Topology) -> list[str]:
             violations.append(f"edge ({e.src!r},{e.dst!r}) references unknown node")
         if e.src == e.dst:
             violations.append(f"self-loop at {e.src!r}")
-        if e.capacity <= 0:
+        if not math.isfinite(e.capacity):
+            violations.append(f"non-finite capacity on ({e.src!r},{e.dst!r})")
+        elif e.capacity <= 0:
             violations.append(f"non-positive capacity on ({e.src!r},{e.dst!r})")
-        if e.alpha < 0:
+        if not math.isfinite(e.alpha):
+            violations.append(f"non-finite alpha on ({e.src!r},{e.dst!r})")
+        elif e.alpha < 0:
             violations.append(f"negative alpha on ({e.src!r},{e.dst!r})")
         if (e.src, e.dst) in seen_pairs:
             violations.append(f"duplicate edge ({e.src!r},{e.dst!r})")
@@ -113,7 +117,9 @@ def validate_topology(t: Topology) -> list[str]:
     for (src, dst, k), cap in t.capacity_overrides.items():
         if (src, dst) not in seen_pairs:
             violations.append(f"capacity override for unknown edge ({src!r},{dst!r})")
-        if cap <= 0:
+        if not math.isfinite(cap):
+            violations.append(f"non-finite capacity override on ({src!r},{dst!r}) at epoch {k}")
+        elif cap <= 0:
             violations.append(f"non-positive capacity override on ({src!r},{dst!r}) at epoch {k}")
     return violations
 

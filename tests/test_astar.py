@@ -2,18 +2,21 @@ import math
 from collections import Counter
 from operator import attrgetter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collsched.astar import (RoundState, astar_solve, build_round_model, initial_state,
-                             max_future_epochs, round_distance_table)
+from collsched import astar
+from collsched.astar import (RoundState, advance_state, astar_solve, build_round_model,
+                             initial_state, max_future_epochs, round_distance_table)
 from collsched.demand import Demand, generate_demand
-from collsched.epochs import EpochConfig
+from collsched.epochs import EpochConfig, epoch_duration, link_timing
 from collsched.errors import RoundLimitError, SolverBackendError, ValidationError
 from collsched.milp import COPY, HYPER_EDGE, NO_COPY, Carry, ModelOptions
 from collsched.simulator import SimOptions, simulate
 from collsched.solver import solve
-from collsched.topology import Edge, Topology, all_pairs_distances, line, ring, star
+from collsched.topology import Edge, Topology, all_pairs_distances, dgx1, line, ring, star
+from collsched.workflow import synthesize
 
 alpha = attrgetter("alpha")
 
@@ -186,17 +189,31 @@ class TestAstarSolve:
         assert rep.completion_epoch == sched.completion_epoch == 8
 
     def test_round_waiting_on_a_carried_arrival_is_progress(self, solver_opts):
-        # Round 2's last chunk lands at node 1 usable from epoch 4 = K: the
-        # round places no flow and meets no demand, but its carry changes
-        # (the arrival becomes a held chunk), and round 3 delivers it.
-        t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 1 / 3, 2.0), Edge(1, 0, 1 / 3, 2.0),
-                                              Edge(1, 2, 2.0), Edge(2, 1, 2.0)))
-        d = generate_demand("alltoall", t, 1, 1)
-        sched = astar_solve(t, d, EpochConfig(1.0, 4), solver_opts=solver_opts)
+        # Node 0 broadcasts two chunks over a link that holds each for 3
+        # epochs, in rounds of 2. Round 1 sends the second chunk in its last
+        # epoch: it lands at node 1 usable from epoch 2 = K of round 2, and
+        # the link stays busy through round 2. So round 2 places no flow and
+        # meets no demand, but its carry changes (the arrival becomes a held
+        # chunk), and round 3 forwards it to node 2.
+        t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 1 / 3), Edge(1, 0, 1 / 3),
+                                              Edge(1, 2, 1.0), Edge(2, 1, 1.0)))
+        d = Demand(frozenset((0, c, j) for c in range(2) for j in (1, 2)), 2, 1)
+        cfg = EpochConfig(1.0, 2)
+        timing, fw = link_timing(t, cfg), round_distance_table(t, cfg)
+        states, placed = [initial_state(d)], []
+        while states[-1].demand.entries:
+            sol = solve(build_round_model(t, states[-1], cfg, fw), solver_opts)
+            placed.append(sol.family_values("F", 0.5))
+            states.append(advance_state(states[-1], sol, t, cfg, timing))
+        waiting, after = states[2], states[3]
+        assert placed[2] == {} and after.demand == waiting.demand
+        [c] = [c for (_, c, n, k) in waiting.carry.arrivals if (n, k) == (1, cfg.K)]
+        assert after.carry.arrivals[(0, c, 1, 0)] == 1
+        sched = astar_solve(t, d, cfg, solver_opts=solver_opts)
         rep = simulate(sched, t, d, SimOptions())
         assert rep.violations == []
-        assert rep.completion_epoch == sched.completion_epoch == 14
-        assert sched.meta["rounds"] == 4
+        assert rep.completion_epoch == sched.completion_epoch == 8
+        assert sched.meta["rounds"] == len(placed) == 4
 
     def test_rounds_see_overrides_at_their_own_epochs(self, solver_opts):
         # Only global epoch 1 carries 3 chunks; round 1 (epochs 2-3) must not
@@ -265,3 +282,41 @@ def test_returned_schedules_replay_as_claimed(case):
     rep = simulate(sched, t, d, SimOptions(opts.switch_mode))
     assert rep.violations == []
     assert rep.completion_epoch == sched.completion_epoch
+
+
+@pytest.mark.parametrize("t, chunk, by", [
+    (dgx1(), 1 << 20, 14),
+    (line(8, alpha=1.0), 1, 43),
+], ids=["dgx1", "line8-alpha1"])
+def test_alltoall_completes_by(t, chunk, by):
+    # Sends start as early as a round's optimum allows: 17 and 47 without
+    # the early-send term.
+    result = synthesize(t, generate_demand("alltoall", t, 1, chunk), "astar")
+    assert result.report.ok
+    assert result.schedule.completion_epoch <= by
+
+
+def _progress(sol) -> float:
+    """The objective of a solved round model without its send terms."""
+    idx, coef = sol.model.objective_arrays()
+    keep = ~np.isin(idx, sol.model.families["F"].index)
+    return float(coef[keep] @ sol.x[idx[keep]])
+
+
+def test_early_sends_only_break_ties(monkeypatch, solver_opts):
+    # Each round's optimum with the early-send term keeps the progress and
+    # read rewards of the optimum without it: the term only picks among them.
+    t = dgx1()
+    d = generate_demand("alltoall", t, 1, 1 << 20)
+    cfg = EpochConfig(epoch_duration(t, 1 << 20), 4, 1 << 20)
+    timing, fw = link_timing(t, cfg), round_distance_table(t, cfg)
+    state, rounds = initial_state(d), 0
+    while state.demand.entries:
+        sol = solve(build_round_model(t, state, cfg, fw, timing=timing), solver_opts)
+        with monkeypatch.context() as mp:
+            mp.setattr(astar, "EARLY_SEND", 0.0)
+            plain = solve(build_round_model(t, state, cfg, fw, timing=timing), solver_opts)
+        assert _progress(sol) == pytest.approx(plain.objective, abs=1e-9)
+        assert sol.objective > plain.objective  # the term is in the objective
+        state, rounds = advance_state(state, sol, t, cfg, timing), rounds + 1
+    assert rounds >= 3

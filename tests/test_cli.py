@@ -125,6 +125,7 @@ def test_simulate_and_compare(ring4, tmp_path, capsys):
     ("astar", ["--epochs", 2], 4, "validation"),
     ("astar", ["--search-horizon"], 4, "validation"),
     ("milp", ["--time-limit", "nan"], 4, "validation"),
+    ("milp", ["--buffer-limit", "nan"], 4, "validation"),
 ])
 def test_solve_exit_codes(ring4, tmp_path, capsys, method, extra, code, kind):
     extra = [tmp_path / a if a == "model.lp" else a for a in extra]

@@ -77,6 +77,11 @@ class TestFunnel:
         with pytest.raises(ValidationError):
             build_general_model(t, d, EpochConfig(1.0, 4), ModelOptions(buffer_limit=2))
 
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_buffer_limit_must_be_positive(self, limit):
+        with pytest.raises(ValidationError, match="buffer_limit must be positive"):
+            ModelOptions(buffer_limit=limit)
+
 
 def test_latency_chain_completes_at_eight_epochs(latency_chain, solver_opts):
     t, d = latency_chain

@@ -192,15 +192,15 @@ GOLDEN = {
     'milp/ndv2x2-slice/alltoall/copy': 'de4faa47901691a3',
     'milp/ndv2x2-slice/alltoall/hyper-edge': '59c5ed329cd5ec22',
     'milp/ndv2x2-slice/alltoall/no-copy': 'ce68cf8143ee0f4d',
-    'astar/ndv2x2-slice/allgather/copy/0': '0f5bace1f2995dfa',
-    'astar/ndv2x2-slice/allgather/copy/1': 'bd7a2216beff2fc6',
-    'astar/ndv2x2-slice/allgather/copy/2': '9170d9a464fe69f6',
-    'astar/ndv2x2-slice/alltoall/no-copy/0': '37a77b9dd5d9e81a',
-    'astar/ndv2x2-slice/alltoall/no-copy/1': '1d053ffed48e151d',
-    'astar/ndv2x2-slice/alltoall/no-copy/2': '7b622159f8d111b8',
-    'astar/dgx2x2-slice/allgather/hyper-edge/0': 'cb3d9fd60d6d3532',
-    'astar/dgx2x2-slice/allgather/hyper-edge/1': 'a5e82fe92a54f044',
-    'astar/dgx2x2-slice/allgather/hyper-edge/2': '596a5b8d230bee30',
+    'astar/ndv2x2-slice/allgather/copy/0': '5332eef402e953cb',
+    'astar/ndv2x2-slice/allgather/copy/1': 'b66b95a405d9ee5e',
+    'astar/ndv2x2-slice/allgather/copy/2': 'dbeb7a201f7d3e87',
+    'astar/ndv2x2-slice/alltoall/no-copy/0': '60902bfdcc95ea80',
+    'astar/ndv2x2-slice/alltoall/no-copy/1': 'e94e037d45034c58',
+    'astar/ndv2x2-slice/alltoall/no-copy/2': '14c94105cc87f4d1',
+    'astar/dgx2x2-slice/allgather/hyper-edge/0': '7dc09906db33ec80',
+    'astar/dgx2x2-slice/allgather/hyper-edge/1': '52747781e1bfdfde',
+    'astar/dgx2x2-slice/allgather/hyper-edge/2': '9cad2cdb1353fa48',
 }
 
 

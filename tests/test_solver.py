@@ -12,10 +12,10 @@ from scipy.optimize._highspy import _core
 from scipy.sparse import csc_matrix
 
 from collsched import Demand, extensions, solver
-from collsched.astar import build_round_model, initial_state, round_distance_table
+from collsched.astar import astar_solve, build_round_model, initial_state, round_distance_table
 from collsched.demand import generate_demand
 from collsched.epochs import EpochConfig, link_timing
-from collsched.estimator import default_candidates
+from collsched.estimator import default_candidates, estimate_epoch_upper_bound
 from collsched.errors import HorizonInfeasibleError, SolverBackendError, ValidationError
 from collsched.lp import build_lp_model
 from collsched.milp import ModelOptions, build_general_model, build_time_expanded, model_topology
@@ -530,6 +530,28 @@ def test_lp_alone_goes_to_the_interior_point_solver(build, ipm, monkeypatch):
     [options] = seen
     assert ("solver" in options) == ipm
     assert options.get("solver", "ipm") == "ipm"
+
+
+@pytest.mark.parametrize("run, jump", [
+    (lambda t, d: astar_solve(t, d, EpochConfig(1.0, 2)), False),
+    (lambda t, d: solve(build_general_model(t, d, EpochConfig(1.0, 3), ModelOptions())), False),
+    (lambda t, d: solve(build_lp_model(t, d, EpochConfig(1.0, 3), ModelOptions())), False),
+    (lambda t, d: estimate_epoch_upper_bound(t, d, 1.0), True),
+], ids=["astar-round", "milp", "lp", "first-incumbent"])
+def test_feasibility_jump_runs_only_for_a_first_incumbent(run, jump, monkeypatch):
+    # Feasibility jump only looks for a first feasible point, so only a solve
+    # that stops at its first incumbent runs it.
+    t = ring(4)
+    seen = []
+
+    def recorded(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset):
+        seen.append(options["mip_heuristic_run_feasibility_jump"])
+        return _HIGHS(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                      row_ub=row_ub, options=options, offset=offset)
+
+    monkeypatch.setattr(solver, "milp", recorded)
+    run(t, generate_demand("alltoall", t))
+    assert seen and set(seen) == {jump}
 
 
 def test_interior_point_solve_repeats_bit_for_bit():

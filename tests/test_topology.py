@@ -27,6 +27,23 @@ def test_zero_capacity_flagged():
     assert len(report) == 1 and "non-positive capacity" in report[0]
 
 
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+def test_non_finite_capacity_flagged(capacity):
+    report = violations_of(("a", "b"), frozenset(), (Edge("a", "b", capacity),))
+    assert report == ["non-finite capacity on ('a','b')"]
+
+
+def test_nan_alpha_flagged():
+    report = violations_of(("a", "b"), frozenset(), (Edge("a", "b", 1.0, float("nan")),))
+    assert report == ["non-finite alpha on ('a','b')"]
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+def test_non_finite_override_flagged(cap):
+    report = violations_of(("a", "b"), frozenset(), (Edge("a", "b", 1.0),), {("a", "b", 1): cap})
+    assert report == ["non-finite capacity override on ('a','b') at epoch 1"]
+
+
 def test_dangling_switch_flagged():
     report = violations_of(("a", "b", "sw"), frozenset({"sw"}),
                            (Edge("a", "sw", 1.0), Edge("a", "b", 1.0)))

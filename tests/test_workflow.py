@@ -21,7 +21,7 @@ def dgx1_odd_chunks():
 
 
 @pytest.mark.parametrize("method, kwargs, completion", [
-    ("astar", {}, 6),
+    ("astar", {}, 5),
     ("milp", {"epochs": 12}, 5),
 ])
 def test_sub_chunk_epochs_replay_clean(dgx1_odd_chunks, method, kwargs, completion):
