@@ -127,11 +127,12 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
 
     With carry None it is the one-shot model: sources hold their chunks at
     epoch 0, every demanded chunk must be delivered by the last epoch, and
-    no-copy switches take no arrival they could not forward. With a carry it
-    is one round: buffers and switches receive the carried arrivals, link
-    windows start with the carried load, and delivery is rewarded but not
-    forced. `timing` is the link timing of the model topology at cfg, for a
-    caller that has derived it already; it is derived when not given.
+    every send that could not reach a destination of its chunk by then is
+    fixed to zero. With a carry it is one round: buffers and switches
+    receive the carried arrivals, link windows start with the carried load,
+    and delivery is rewarded but not forced. `timing` is the link timing of
+    the model topology at cfg, for a caller that has derived it already; it
+    is derived when not given.
 
     Columns are laid out commodity by commodity: F over (edge, epoch), B
     over (buffering node, epoch 0..K), R over (destination, epoch) and, with
@@ -183,22 +184,33 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     # delta + 1 epochs; inf where unreachable); flows, buffers, and reads
     # before that are fixed to zero up front, which trims the search space
     # considerably on multi-chassis horizons. One walk per distinct set of
-    # starting holdings: once per source in a one-shot model.
+    # starting holdings: once per source in a one-shot model. A one-shot
+    # model also walks back from each distinct destination set for every
+    # node's epochs to go (0 at a destination): a send that lands at j at
+    # epoch a with a + togo[j] > K - 1 serves no read, nor does any later
+    # send of the chunk from j, so all of them are fixed to zero together.
+    # Sends carry no objective weight there, so no optimum changes; a
+    # round's late sends are carried, so a round fixes none.
     seeds: dict[tuple, dict] = {}
     for (s, c, n, k), v in arrivals.items():
         if v:
             held = seeds.setdefault((s, c), {})
             held[n] = min(held.get(n, k), k)
     hop = lambda e: delta[(e.src, e.dst)] + 1
-    walks: dict[frozenset, np.ndarray] = {}
-    reach = np.zeros((C, N))
-    for i, sc in enumerate(commodities):
-        start = seeds.get(sc, {})
-        key = frozenset(start.items())
+    walks: dict[tuple, np.ndarray] = {}
+
+    def walk(start: dict, backward: bool) -> np.ndarray:
+        key = (frozenset(start.items()), backward)
         if key not in walks:
-            dist = shortest_distances(t_eff, hop, start)
+            dist = shortest_distances(t_eff, hop, start, backward)
             walks[key] = np.array([dist[n] for n in net.nodes], dtype=float)
-        reach[i] = walks[key]
+        return walks[key]
+
+    reach = np.array([walk(seeds.get(sc, {}), False) for sc in commodities]).reshape(C, N)
+    togo = np.full((C, N), -np.inf)
+    if one_shot:
+        togo = np.array([walk(dict.fromkeys(dests[sc], 0), True)
+                         for sc in commodities]).reshape(C, N)
 
     # Carried arrivals as (commodity, node, epoch 0..K).
     arr = np.zeros((C, N, K + 1))
@@ -232,7 +244,9 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                      lb=0.0, ub=float(d.chunk_count))
 
     bnodes = np.flatnonzero(~net.switch)
-    m.fix(F[ar(K)[None, None, :] < reach[:, net.src][:, :, None]], 0.0)
+    kf = ar(K)[None, None, :]
+    m.fix(F[(kf < reach[:, net.src][:, :, None])
+            | (kf + (net.delta + togo[:, net.dst])[:, :, None] > kk)], 0.0)
     late = ar(K + 1)[None, None, :] < reach[:, bnodes][:, :, None]
     late[:, :, 0] = False
     m.fix(B[late], 0.0)
@@ -323,10 +337,6 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         ok = np.broadcast_to(kin_n >= 0, (C, len(ig), K))
         terms.append((rows_n[:, ig, :][ok],
                       F[cc, ie[None, :, None], np.maximum(kin_n, 0)[None]][ok], -1.0))
-        if one_shot:
-            # Arrivals in the final epochs could never leave again.
-            last = np.maximum(0, kk - net.delta)[:, None]
-            m.fix(F[:, no_copy[net.dst][:, None] & (ar(K)[None, :] >= last)], 0.0)
     kept = keep.ravel()
     m.add_rows(lo.ravel()[kept], hi.ravel()[kept], *terms)
 

@@ -124,13 +124,14 @@ def validate_topology(t: Topology) -> list[str]:
     return violations
 
 
-def shortest_distances(t: Topology, weight, seeds: dict) -> dict:
+def shortest_distances(t: Topology, weight, seeds: dict, backward: bool = False) -> dict:
     """Dijkstra from several starting nodes at once.
 
     weight(e) is the non-negative cost of crossing edge e; seeds maps each
     starting node to the distance it starts at. Returns every node's
-    distance from the nearest seed, inf where no seed reaches it. Equal
-    distances pop in node-name order.
+    distance from the nearest seed, inf where no seed reaches it; backward,
+    the walk follows in-edges, so it is each node's distance to the nearest
+    seed. Equal distances pop in node-name order.
     """
     dist = dict.fromkeys(t.nodes, math.inf)
     heap = []
@@ -142,11 +143,12 @@ def shortest_distances(t: Topology, weight, seeds: dict) -> dict:
         d0, _, n = heapq.heappop(heap)
         if d0 > dist[n]:
             continue
-        for e in t.out_edges(n):
+        for e in t.in_edges(n) if backward else t.out_edges(n):
+            nxt = e.src if backward else e.dst
             alt = d0 + weight(e)
-            if alt < dist[e.dst]:
-                dist[e.dst] = alt
-                heapq.heappush(heap, (alt, str(e.dst), e.dst))
+            if alt < dist[nxt]:
+                dist[nxt] = alt
+                heapq.heappush(heap, (alt, str(nxt), nxt))
     return dist
 
 

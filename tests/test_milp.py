@@ -1,14 +1,19 @@
+import dataclasses
+
 import pytest
 
+from collsched import estimator
 from collsched.demand import Demand, generate_demand
-from collsched.epochs import EpochConfig, link_timing
+from collsched.epochs import EpochConfig, epoch_duration, link_timing
 from collsched.errors import ValidationError
-from collsched.milp import ModelOptions, build_general_model, model_topology
+from collsched.estimator import default_candidates, estimate_epoch_upper_bound
+from collsched.milp import ModelOptions, build_general_model, build_time_expanded, model_topology
 from collsched.model import INF
 from collsched.schedule import extract_schedule, prune_unused_flows
 from collsched.simulator import simulate
-from collsched.solver import min_feasible_horizon, solve
-from collsched.topology import Edge, Topology, dgx1, hyper_edge_transform, line
+from collsched.solver import INFEASIBLE, OPTIMAL, TOL, min_feasible_horizon, solve
+from collsched.topology import (Edge, Topology, all_pairs_distances, dgx1, dgx2,
+                                hyper_edge_transform, line, ring, star)
 
 
 def _min_horizon(t, d, opts, hi, solver_opts, cfg_kwargs=None):
@@ -215,3 +220,110 @@ class TestModelInvariants:
             t, d, EpochConfig(1e-6, k, chunk_size=25000), ModelOptions())
         k, _, _ = min_feasible_horizon(builder, 1, 4, solver_opts)
         assert k == 2
+
+
+def _free_window(m) -> int:
+    """Free to F's bounds [0, 1] every send column of the one-shot model m
+    that the backward window alone fixes, and return how many. The window is
+    recomputed here from all-pairs hop distances (a hop costs delta + 1): a
+    send on (i, j) at epoch k is in it when k + delta + the hops from j to
+    the chunk's nearest destination pass K - 1, and the chunk could have
+    reached i by k."""
+    t, delta, K = m.meta["eff_topology"], m.meta["delta"], m.meta["cfg"].K
+    dist = all_pairs_distances(t, lambda e: delta[(e.src, e.dst)] + 1)
+    dests = {}
+    for s, c, dst in m.meta["entries"]:
+        dests.setdefault((s, c), []).append(dst)
+    fam = m.families["F"]
+    commodities, pairs, epochs = (a.labels for a in fam.axes)
+    freed = 0
+    for ci, (s, c) in enumerate(commodities):
+        for ei, (i, j) in enumerate(pairs):
+            togo = min(dist[(j, dst)] for dst in dests[(s, c)])
+            for k in epochs:
+                if k + delta[(i, j)] + togo > K - 1 and k >= dist[(s, i)]:
+                    col = fam.index[ci, ei, k]
+                    assert m.lb[col] == m.ub[col] == 0.0
+                    m.lb[col], m.ub[col] = 0.0, 1.0
+                    freed += 1
+    return freed
+
+
+def _switch_star(overrides=None) -> Topology:
+    """GPUs 0-3 around switch h, with 0 and 1 also linked directly; 0's
+    uplink is one epoch slower than the rest at tau = 1."""
+    edges = [Edge(0, 1, 1.0), Edge(1, 0, 1.0)]
+    for g in range(4):
+        edges += [Edge(g, "h", 1.0, 1.0 if g == 0 else 0.0), Edge("h", g, 1.0)]
+    return Topology((0, 1, 2, 3, "h"), frozenset({"h"}), tuple(edges), overrides or {})
+
+
+# name -> (topology, collective, options, the least feasible horizon K*)
+WINDOW_INPUTS = {
+    "line4-slow": (line(4, alpha=1.0), "alltoall", ModelOptions(), 6),
+    "line4-buffer-limit": (line(4), "alltoall", ModelOptions(buffer_limit=3), 4),
+    "ring5": (ring(5), "allgather", ModelOptions(), 2),
+    "star-copy": (_switch_star(), "allgather", ModelOptions(), 4),
+    "star-no-copy": (_switch_star(), "allgather", ModelOptions(switch_mode="no-copy"), 4),
+    "star-hyper-edge": (_switch_star(), "allgather", ModelOptions(switch_mode="hyper-edge"), 3),
+    "star-no-copy-override": (_switch_star({(2, "h", 1): 2.0, ("h", 3, 0): 0.5}), "alltoall",
+                              ModelOptions(switch_mode="no-copy"), 4),
+}
+
+
+class TestBackwardWindow:
+    """A one-shot model fixes every send that cannot reach a destination of
+    its chunk by the last epoch; freeing those sends changes no outcome."""
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_INPUTS))
+    def test_freeing_the_window_keeps_every_optimum(self, name, solver_opts):
+        t, coll, opts, k_star = WINDOW_INPUTS[name]
+        d = generate_demand(coll, t, 1, 1)
+        statuses, freed = [], 0
+        for K in (k_star - 1, k_star, k_star + 2):
+            windowed = build_time_expanded(t, d, EpochConfig(1.0, K, 1), opts)
+            unwindowed = build_time_expanded(t, d, EpochConfig(1.0, K, 1), opts)
+            freed += _free_window(unwindowed)
+            got, want = solve(windowed, solver_opts), solve(unwindowed, solver_opts)
+            assert got.status == want.status
+            if want.feasible:
+                assert abs(got.objective - want.objective) <= TOL * max(1.0, abs(want.objective))
+            statuses.append(got.status)
+        assert statuses == [INFEASIBLE, OPTIMAL, OPTIMAL]
+        assert freed > 0
+
+    @pytest.mark.parametrize("t, d, tau, candidates", [
+        (star(3), Demand(frozenset({("s", 0, "d1"), ("s", 0, "d2"), ("s", 0, "d3")}), 1, 1),
+         1.0, [2.0, 4.0]),
+        (line(4), generate_demand("alltoall", line(4), 1, 1), 1.0, None),
+        (ring(4), generate_demand("alltoall", ring(4), chunk_size=1),
+         epoch_duration(ring(4), 1), None),
+        (ring(8), generate_demand("alltoall", ring(8), chunk_size=1),
+         epoch_duration(ring(8), 1), None),
+        (dgx1(), generate_demand("alltoall", dgx1(), chunk_size=1 << 20),
+         epoch_duration(dgx1(), 1 << 20), None),
+        (dataclasses.replace(line(2), capacity_overrides={(0, 1, 1): 2.0}),
+         Demand(frozenset({(0, 0, 1), (0, 1, 1)}), 2, 1), 1.0, [8.0]),
+    ], ids=["star3", "line4", "ring4", "ring8", "dgx1", "line2-override"])
+    def test_estimates_unchanged(self, t, d, tau, candidates, monkeypatch):
+        windowed = estimate_epoch_upper_bound(t, d, tau, candidates)
+        real, freed = estimator.build_time_expanded, []
+
+        def unwindowed(*args, **kwargs):
+            m = real(*args, **kwargs)
+            freed.append(_free_window(m))
+            return m
+
+        monkeypatch.setattr(estimator, "build_time_expanded", unwindowed)
+        assert estimate_epoch_upper_bound(t, d, tau, candidates) == windowed
+        assert any(freed)
+
+    def test_dgx2_alltoall_coarse_model_halves(self):
+        # The estimator's 8-epoch coarse model of dgx2 alltoall, the one it
+        # solves last on the benchmark's inputs: HiGHS got 60,240 free columns
+        # before the window and gets 30,480 with it.
+        t = dgx2()
+        d = generate_demand("alltoall", t, chunk_size=1 << 20)
+        total = default_candidates(t, d)[0]
+        m = build_time_expanded(t, d, EpochConfig(total / 8, 8, 1 << 20), ModelOptions())
+        assert int((m.lb != m.ub).sum()) <= 0.51 * 60_240

@@ -3,12 +3,13 @@ import json
 
 import pytest
 
+from collsched.epochs import EpochConfig, link_timing
 from collsched.errors import ValidationError
 from collsched.milp import ModelOptions
 from collsched.simulator import SimOptions
 from collsched.topology import (SWITCH_MODES, Edge, Topology, dgx1, dgx2,
-                                hyper_edge_transform, line, ndv2, ring, star,
-                                topology_from_json, topology_to_json, validate_topology)
+                                hyper_edge_transform, line, ndv2, ring, shortest_distances,
+                                star, topology_from_json, topology_to_json, validate_topology)
 
 
 def test_star3_is_valid():
@@ -71,6 +72,23 @@ def test_unknown_switch_mode_rejected(options):
     assert SWITCH_MODES == ("copy", "no-copy", "hyper-edge")
     with pytest.raises(ValidationError, match="unknown switch mode 'bogus'"):
         options(switch_mode="bogus")
+
+
+def test_shortest_distances_walk_either_way():
+    # A line 0-1-2 whose links are slower one way: at tau = 1 the delays are
+    # 0->1: 1, 1->0: 3, 1->2: 2 and 2->1: 0, and a hop costs delta + 1, as in
+    # the whole-chunk model.
+    alphas = {(0, 1): 1.0, (1, 0): 3.0, (1, 2): 2.0, (2, 1): 0.0}
+    t = Topology((0, 1, 2), frozenset(),
+                 tuple(Edge(a, b, 1.0, alpha) for (a, b), alpha in alphas.items()))
+    delta = link_timing(t, EpochConfig(1.0, 1)).delta
+    hop = lambda e: delta[(e.src, e.dst)] + 1
+    assert shortest_distances(t, hop, {0: 0}) == {0: 0, 1: 2, 2: 5}
+    assert shortest_distances(t, hop, {2: 0}) == {0: 5, 1: 1, 2: 0}
+    # Backward, each node's distance to the seeds.
+    assert shortest_distances(t, hop, {0: 0}, backward=True) == {0: 0, 1: 4, 2: 5}
+    assert shortest_distances(t, hop, {2: 0}, backward=True) == {0: 5, 1: 3, 2: 0}
+    assert shortest_distances(t, hop, {0: 0, 2: 0}, backward=True) == {0: 0, 1: 3, 2: 0}
 
 
 def test_dgx1_shape():
