@@ -267,7 +267,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
             load[net.epos[(i, j)], k] = v
     budget = np.array([timing.budget[pair] for pair in net.pairs], dtype=float).reshape(E, K)
     terms = []
-    for w in np.unique(kap).tolist():  # (edge, k, commodity, window epoch) per kappa
+    for w in sorted(set(kap.tolist())):  # (edge, k, commodity, window epoch) per kappa
         es = np.flatnonzero(kap == w)[:, None, None, None]
         k = ar(K)[None, :, None, None]
         k2 = k - w + 1 + ar(w)[None, None, None, :]

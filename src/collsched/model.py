@@ -13,10 +13,14 @@ key's column from the axes alone. `fix` pins columns to values.
 `add_rows` appends rows lb <= sum(coef * var) <= ub as (row, column,
 coefficient) triples with a bound pair per row, dropping zero coefficients;
 `add_objective` adds terms to the objective, whose sense is always maximize.
+A model keeps its terms as added, a block per term: rows and columns as
+int32 (int64 only where an index does not fit), and the coefficients as one
+float where a term gives a scalar, so most entries cost 8 bytes.
 
 The rows are read back one way too: `matrix` assembles them into the sparse
 matrix the solver gets, a `CSC`, summing the coefficients of a repeated
 (row, column) entry, and `rows` lists each row's entries of that matrix.
+Given a subset of the columns, `matrix` assembles only the entries on them.
 `CSC` and its assembly call scipy's compiled kernels
 (`scipy.sparse._sparsetools`, loaded by `extensions.load`) in the order
 `scipy.sparse` calls them, so each matrix is byte for byte the one
@@ -44,6 +48,7 @@ INF = float("inf")
 # Most columns a builder will lay out. Far above any model the tests or the
 # benchmark solve (about 10^5), far below one that exhausts memory.
 MAX_COLUMNS = 10 ** 7
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def check_columns(K: int, count: int) -> None:
@@ -145,7 +150,8 @@ class Model:
         self.ub = np.zeros(0)
         self.binary = np.zeros(0, dtype=bool)
         self.families: dict[str, Family] = {}
-        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # global rows
+        # (rows, columns, coefficients): global rows; a float or one per entry
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray | float]] = []
         self._row_lb: list[np.ndarray] = []
         self._row_ub: list[np.ndarray] = []
         self.num_rows = 0
@@ -212,14 +218,22 @@ class Model:
     def add_rows(self, lb, ub, *terms) -> None:
         """Append a block of rows. lb and ub give one bound per row; each term
         is (rows, columns, coefficients), rows numbered from 0 within the
-        block, arrays or scalars broadcast together."""
+        block, arrays or scalars broadcast together. A term's rows and
+        columns are kept as int32, or as int64 where an index does not fit,
+        so none is ever wrapped; a scalar coefficient is kept as one float."""
         lb, ub = np.broadcast_arrays(np.asarray(lb, dtype=float), np.asarray(ub, dtype=float))
         for r, c, v in terms:
-            r, c, v = np.broadcast_arrays(np.asarray(r, dtype=np.int64),
-                                          np.asarray(c, dtype=np.int64),
-                                          np.asarray(v, dtype=float))
-            keep = v != 0
-            self._blocks.append((r[keep] + self.num_rows, c[keep], v[keep]))
+            r, c = np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64)
+            if np.ndim(v) == 0:
+                v = float(v)
+                if v == 0:
+                    continue
+                r, c = np.broadcast_arrays(r, c)
+            else:
+                r, c, v = np.broadcast_arrays(r, c, np.asarray(v, dtype=float))
+                keep = v != 0
+                r, c, v = r[keep], c[keep], v[keep]
+            self._blocks.append((_narrow(r + self.num_rows), _narrow(c), v))
         self._row_lb.append(np.array(lb, dtype=float))
         self._row_ub.append(np.array(ub, dtype=float))
         self.num_rows += len(lb)
@@ -237,32 +251,38 @@ class Model:
         return (_cat([i for i, _ in self._objective], np.int64),
                 _cat([c for _, c in self._objective], float))
 
-    def matrix(self, order: np.ndarray | None = None) -> CSC:
+    def matrix(self, columns: np.ndarray | None = None) -> CSC:
         """The constraint matrix, one row per model row and one column per
         variable, as the solver gets it: the coefficients of a repeated
         (row, column) entry are summed, and a sum of zero stays an entry.
-        With `order`, a permutation of the columns, column j of the matrix
-        is the model's column order[j]; each column holds the same entries
-        either way."""
-        rows, cols, coefs = (_cat([b[i] for b in self._blocks], dtype)
-                             for i, dtype in enumerate((np.int64, np.int64, float)))
-        for name, idx, size in (("row", rows, self.num_rows), ("column", cols, self.num_vars)):
+        With `columns`, distinct column numbers, column j of the matrix is
+        the model's column columns[j]: a permutation reorders the columns,
+        a subset assembles only the entries on its columns. Either way each
+        column holds the entries it holds in `matrix()`."""
+        rows, cols = (_cat([b[i] for b in self._blocks], np.int32) for i in (0, 1))
+        coefs = _cat([v if isinstance(v, np.ndarray) else np.full(len(r), v)
+                      for r, _, v in self._blocks], float)
+        n_rows, n_cols = self.num_rows, self.num_vars
+        for name, idx, size in (("row", rows, n_rows), ("column", cols, n_cols)):
             if len(idx) and not 0 <= idx.min() <= idx.max() < size:  # the kernels write there
                 raise ValueError(f"a {name} index outside [0, {size})")
-        if order is not None:
-            position = np.empty_like(order)
-            position[order] = np.arange(len(order))
+        if columns is not None:
+            position = np.full(n_cols, -1)
+            position[columns] = np.arange(len(columns))
             cols = position[cols]
+            keep = cols >= 0
+            rows, cols, coefs = rows[keep], cols[keep], coefs[keep]
+            n_cols = len(columns)
         # The kernels `scipy.sparse.csc_matrix((coefs, (rows, cols)), shape)`
         # calls: compress by column, sort each column's rows unless all are
         # sorted already, sum repeated entries, and drop the space they freed.
         # csr_sort_indices is not a stable sort, so it runs only when needed:
         # the order of a repeated entry's terms fixes the bits of their sum.
-        n_rows, n_cols, nnz = self.num_rows, self.num_vars, len(coefs)
-        idx = np.int32 if max(n_rows, n_cols, nnz) <= np.iinfo(np.int32).max else np.int64
+        nnz = len(coefs)
+        idx = np.int32 if max(n_rows, n_cols, nnz) <= _INT32_MAX else np.int64
         indptr, indices, data = np.empty(n_cols + 1, idx), np.empty(nnz, idx), np.empty(nnz)
-        _sparsetools.coo_tocsr(n_cols, n_rows, nnz, cols.astype(idx), rows.astype(idx),
-                               coefs, indptr, indices, data)
+        _sparsetools.coo_tocsr(n_cols, n_rows, nnz, cols.astype(idx, copy=False),
+                               rows.astype(idx, copy=False), coefs, indptr, indices, data)
         if not _sparsetools.csr_has_sorted_indices(n_cols, indptr, indices):
             _sparsetools.csr_sort_indices(n_cols, indptr, indices, data)
         _sparsetools.csr_sum_duplicates(n_cols, n_rows, indptr, indices, data)
@@ -340,6 +360,13 @@ class Rows:
 
 def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype)
+
+
+def _narrow(idx: np.ndarray) -> np.ndarray:
+    """`idx`, flattened, as int32 if every entry fits, else as int64: never
+    wrapped."""
+    fits = not idx.size or -_INT32_MAX - 1 <= idx.min() <= idx.max() <= _INT32_MAX
+    return idx.astype(np.int32 if fits else np.int64).ravel()
 
 
 def _name(full: tuple) -> str:

@@ -14,7 +14,10 @@ against `scipy.optimize.milp`; `extensions.load` loads it without importing
 `solve` passes a `Model` to `milp`: its free columns only (lb < ub), with
 each fixed column's value moved into the row bounds and the fixed columns'
 share of the objective passed as HiGHS's objective offset, so the objective
-and MIP gap HiGHS reports are the whole model's. It scatters the values back
+and MIP gap HiGHS reports are the whole model's. It never assembles the whole
+matrix: it asks the model for two column subsets, the fixed columns with a
+nonzero value, whose product with those values is each row's moved share,
+and the free columns, which are HiGHS's matrix. It scatters the values back
 into one value per column and maps HiGHS's model status to `OPTIMAL`,
 `FEASIBLE_GAP`, `INFEASIBLE` or `TIMEOUT`; a model with no free column is
 checked against its rows without HiGHS. A model with no binary free column
@@ -34,7 +37,7 @@ import numpy as np
 from .errors import (ConservationError, HorizonInfeasibleError, SolverBackendError,
                      SolverTimeoutError, ValidationError)
 from .extensions import load
-from .model import CSC, Model
+from .model import Model
 
 _core = load("scipy.optimize._highspy._core")
 HighsModelStatus, HighsStatus, _Highs = _core.HighsModelStatus, _core.HighsStatus, _core._Highs
@@ -171,21 +174,18 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     c = np.zeros(m.num_vars)
     np.subtract.at(c, *m.objective_arrays())  # maximize
     free = m.lb != m.ub
-    order = np.argsort(~free, kind="stable")  # the free columns first, in column order
-    a = m.matrix(order)
-    row_lb, row_ub = m.row_bounds()
     x = m.lb.copy()
     x[free] = 0.0
-    moved = a @ x[order]  # the fixed columns' share of each row
+    held = np.flatnonzero(x)  # the fixed columns with a nonzero value
+    moved = m.matrix(held) @ x[held]  # their share of each row
+    row_lb, row_ub = m.row_bounds()
     offset = float(c @ x)
-    n_free = int(np.count_nonzero(free))
-    if not n_free:
+    if not free.any():
         met = np.all((moved >= row_lb - TOL * np.maximum(1.0, np.abs(row_lb)))
                      & (moved <= row_ub + TOL * np.maximum(1.0, np.abs(row_ub))))
         # 0.0 - offset, not -offset: a model with no objective reports 0.0, not -0.0.
         return Solution(OPTIMAL, m, x, 0.0 - offset) if met else Solution(INFEASIBLE, m)
-    end = a.indptr[n_free]  # HiGHS gets the first n_free columns, as views
-    a = CSC(a.indptr[:n_free + 1], a.indices[:end], a.data[:end], (m.num_rows, n_free))
+    a = m.matrix(np.flatnonzero(free))
     options = {
         "time_limit": float(opts.time_limit),
         "mip_rel_gap": float(opts.relative_gap),

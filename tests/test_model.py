@@ -83,9 +83,10 @@ def test_family_values_in_column_order_above_threshold():
     assert sol.family_values("missing") == {}
 
 
-@pytest.mark.parametrize("row, column", [(0, 3), (0, -1), (1, 0)])
+@pytest.mark.parametrize("row, column", [(0, 3), (0, -1), (1, 0), (0, 2 ** 32 + 1), (2 ** 32, 0)])
 def test_matrix_refuses_an_entry_outside_the_model(row, column):
     # scipy's kernels would write outside their arrays: refused, as by scipy.
+    # An index past int32 is refused too, not wrapped onto one in the model.
     m = Model()
     m.columns(3)
     m.add_rows([0.0], [1.0], (row, column, 1.0))
@@ -113,7 +114,8 @@ def _models(draw):
     """A model of up to 6 rows and 6 columns, its entries added in blocks as
     (row, column, coefficient) triples, repeated (row, column) pairs,
     empty rows and empty columns all likely; the entries in the order
-    added; a permutation of the columns; and a vector."""
+    added; a permutation of the columns; a subset of them, in any order;
+    and a vector."""
     n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     m = Model()
     m.columns(n_cols)
@@ -127,8 +129,10 @@ def _models(draw):
     if m.num_rows < n_rows:
         m.add_rows(np.zeros(n_rows - m.num_rows), np.ones(n_rows - m.num_rows))
     order = np.array(draw(st.permutations(range(n_cols))), dtype=np.int64)
+    subset = np.array(draw(st.permutations(range(n_cols)))[:draw(st.integers(0, n_cols))],
+                      dtype=np.int64)
     x = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n_cols, max_size=n_cols)))
-    return m, entries, order, x
+    return m, entries, order, subset, x
 
 
 def _same(ours, ref) -> None:
@@ -142,7 +146,7 @@ def _same(ours, ref) -> None:
 @settings(max_examples=150, deadline=None)
 @given(_models())
 def test_matrix_rows_and_product_are_scipys_to_the_byte(drawn):
-    m, entries, order, x = drawn
+    m, entries, order, subset, x = drawn
     rows, cols, coefs = (np.array([e[i] for e in entries], dtype=t)
                          for i, t in enumerate((np.int64, np.int64, float)))
     shape = (m.num_rows, m.num_vars)
@@ -165,3 +169,14 @@ def test_matrix_rows_and_product_are_scipys_to_the_byte(drawn):
     ours = m.matrix(order)
     _same(ours, ref)
     assert (ours @ x).tobytes() == (ref @ x).tobytes()
+    # matrix(subset) holds the entries on the subset's columns only, column j
+    # the model's column subset[j].
+    position = np.full(m.num_vars, -1)
+    position[subset] = np.arange(len(subset))
+    on = position[cols] >= 0
+    ref = sp.csc_matrix((coefs[on], (rows[on], position[cols[on]])),
+                        shape=(m.num_rows, len(subset)))
+    ours = m.matrix(subset)
+    _same(ours, ref)
+    assert ours.shape == ref.shape
+    assert (ours @ x[subset]).tobytes() == (ref @ x[subset]).tobytes()

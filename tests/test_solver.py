@@ -24,6 +24,7 @@ from collsched.solver import (FEASIBLE_GAP, INFEASIBLE, OPTIMAL, TIMEOUT, TOL, S
                               completion_epoch, min_feasible_horizon, solve)
 from collsched.topology import Edge, Topology, line, ring, star
 from collsched.workflow import synthesize
+from test_model_digests import ASTAR, ONE_SHOT, _astar_rounds
 
 
 def _scalars(m, *specs):
@@ -298,7 +299,7 @@ def test_synthesis_never_imports_scipy_optimize():
         "for method, kwargs in (('milp', {}), ('lp', {'search_horizon': True}), ('astar', {})):\n"
         "    assert synthesize(t, d, method, **kwargs).report.ok\n"
         "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.special',\n"
-        "                   'scipy.sparse', 'numpy.f2py', 'numpy.testing')\n"
+        "                   'scipy.sparse', 'numpy.f2py', 'numpy.testing', 'numpy.ma')\n"
         "       if m in sys.modules])\n") == "[]"
 
 
@@ -643,6 +644,73 @@ def test_model_with_no_column_never_reaches_highs(row_lb, status, monkeypatch):
     assert sol.status == status
     if status == OPTIMAL:
         assert sol.x.shape == (0,) and sol.objective == 0.0
+
+
+class _Handed(Exception):
+    pass
+
+
+def _highs_input(m: Model, monkeypatch) -> dict | None:
+    """The arguments `solve` hands `solver.milp` for the model, HiGHS not
+    run; None if `solve` never calls it."""
+    handed = []
+
+    def record(c, **kwargs):
+        handed.append({"c": c, **kwargs})
+        raise _Handed
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "milp", record)
+        try:
+            solve(m)
+        except _Handed:
+            pass
+    return handed[0] if handed else None
+
+
+def _reference_input(m: Model) -> dict:
+    """What `solve` must hand HiGHS, read off the whole matrix: each fixed
+    column's value moved into the row bounds and its objective share into
+    the offset, then the free columns taken, in column order."""
+    c = np.zeros(m.num_vars)
+    np.subtract.at(c, *m.objective_arrays())
+    free = m.lb != m.ub
+    x = np.where(free, 0.0, m.lb)
+    a = m.matrix()
+    moved = a @ x
+    row_lb, row_ub = m.row_bounds()
+    cols = np.flatnonzero(free)
+    start, count = a.indptr[cols], np.diff(a.indptr)[cols]
+    indptr = np.concatenate([[0], np.cumsum(count)]).astype(a.indptr.dtype)
+    take = np.repeat(start - indptr[:-1], count) + np.arange(indptr[-1])
+    return {"c": c[free], "integrality": m.binary[free].astype(np.uint8), "lb": m.lb[free],
+            "ub": m.ub[free], "indptr": indptr, "indices": a.indices[take],
+            "data": a.data[take], "shape": (m.num_rows, len(cols)), "row_lb": row_lb - moved,
+            "row_ub": row_ub - moved, "offset": float(c @ x)}
+
+
+def _assert_highs_gets_the_reference(m: Model, monkeypatch) -> None:
+    ref, got = _reference_input(m), _highs_input(m, monkeypatch)
+    if got is None:
+        assert ref["shape"][1] == 0
+        return
+    a = got.pop("a")
+    got.update(indptr=a.indptr, indices=a.indices, data=a.data, shape=a.shape)
+    assert got.pop("offset").hex() == ref.pop("offset").hex()
+    assert got.pop("shape") == ref.pop("shape")
+    for name, want in ref.items():
+        assert got[name].dtype == want.dtype and got[name].tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SHOT))
+def test_highs_gets_the_free_columns_of_the_whole_matrix(name, monkeypatch):
+    _assert_highs_gets_the_reference(ONE_SHOT[name](), monkeypatch)
+
+
+@pytest.mark.parametrize("name, coll, mode", ASTAR)
+def test_highs_gets_the_free_columns_of_each_astar_round(name, coll, mode, monkeypatch):
+    for m in _astar_rounds(name, coll, mode)[0]:
+        _assert_highs_gets_the_reference(m, monkeypatch)
 
 
 def _full_model_solve(m, **options):
