@@ -11,8 +11,12 @@ A round often has many optima with the same progress: on ndv2x2 every delay
 is at least a round long, so no send lands inside its own round. An
 early-send term rewards every send by a weight that falls with its epoch,
 far below any progress reward, so among those optima the round takes one
-that starts its sends soonest. Sends that nothing needs are pruned when the
-schedule is extracted.
+that starts its sends soonest. A send of a chunk into a node that holds it
+from the carry by the time the send lands is never needed, so the round
+fixes it to zero unless a no-copy switch makes it (`milp.build_time_expanded`),
+and neither the term nor a progress counter can reward it. Other sends that
+nothing needs, such as a second copy made within the round, are pruned when
+the schedule is extracted.
 """
 
 from __future__ import annotations

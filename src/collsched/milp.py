@@ -190,7 +190,13 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     # epoch a with a + togo[j] > K - 1 serves no read, nor does any later
     # send of the chunk from j, so all of them are fixed to zero together.
     # Sends carry no objective weight there, so no optimum changes; a
-    # round's late sends are carried, so a round fixes none.
+    # round's late sends are carried, so a round fixes none of them. A round
+    # with no buffer limit instead fixes every send of a chunk that lands at
+    # a buffering node no sooner than the carry's copy of it there
+    # (`head_holds`): a copying node never drops a copy, so the send is never
+    # needed, and all it could earn is the early-send credit and progress
+    # credit for a duplicate. Sends out of a no-copy switch are exempt, as
+    # the switch must forward every arrival.
     seeds: dict[tuple, dict] = {}
     for (s, c, n, k), v in arrivals.items():
         if v:
@@ -217,6 +223,16 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     for (s, c, n, k), v in arrivals.items():
         if (s, c) in cpos and n in net.pos and 0 <= k <= K:
             arr[cpos[(s, c)], net.pos[n], k] = v
+    limited = opts.buffer_limit is not None
+    no_copy = net.switch & (opts.switch_mode == NO_COPY)
+    # Epoch from which each edge's head holds each commodity from the carry;
+    # inf where it never does, and on every edge out of a no-copy switch.
+    head_holds = np.full((C, E), np.inf)
+    if not (one_shot or limited):
+        lands = arr > 0
+        since = np.where(lands.any(axis=2), lands.argmax(axis=2), np.inf)
+        since[:, net.switch] = np.inf
+        head_holds = np.where(no_copy[net.src], np.inf, since[:, net.dst])
 
     # Variables. Buffers and reads stay continuous: integrality propagates
     # from the binary flows through the equalities that define them.
@@ -227,7 +243,6 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                      dtype=np.int64)
     ent_dst = np.array([net.pos[dst] for _, _, dst in ent], dtype=np.int64)
     nd = np.bincount(ent_c, minlength=C)
-    limited = opts.buffer_limit is not None
     per_c = E * K + NB * (K + 1) + nd * K + (NB * K if limited else 0)
     off = m.columns(int(per_c.sum())) + np.cumsum(per_c) - per_c
     F = off[:, None, None] + (ar(E)[:, None] * K + ar(K))[None]
@@ -246,7 +261,8 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     bnodes = np.flatnonzero(~net.switch)
     kf = ar(K)[None, None, :]
     m.fix(F[(kf < reach[:, net.src][:, :, None])
-            | (kf + (net.delta + togo[:, net.dst])[:, :, None] > kk)], 0.0)
+            | (kf + (net.delta + togo[:, net.dst])[:, :, None] > kk)
+            | (kf + (net.delta + 1)[None, :, None] >= head_holds[:, :, None])], 0.0)
     late = ar(K + 1)[None, None, :] < reach[:, bnodes][:, :, None]
     late[:, :, 0] = False
     m.fix(B[late], 0.0)
@@ -282,7 +298,6 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     # no-copy switch instead forwards every arrival exactly once, next epoch.
     # Rows run by commodity, node, then out-edge and epoch (one row per epoch
     # at a no-copy switch).
-    no_copy = net.switch & (opts.switch_mode == NO_COPY)
     ge = np.flatnonzero(~no_copy[net.src])  # edges leaving a copying node
     gn = np.flatnonzero(no_copy)  # no-copy switches
     order = np.lexsort((np.concatenate([ge, np.full(len(gn), -1)]),

@@ -103,6 +103,41 @@ class TestRoundModel:
         assert sol.feasible
         assert sol.family_values("F", 0.5) == {}
 
+    @staticmethod
+    def _fixed_sends(t, state, opts):
+        cfg = EpochConfig(1.0, 4)
+        m = build_round_model(t, state, cfg, round_distance_table(t, cfg), opts=opts)
+        return {(i, j, k) for (_, _, i, j, k), idx in m.family_items("F")
+                if m.lb[idx] == m.ub[idx] == 0.0}
+
+    def test_sends_into_a_holder_are_fixed(self):
+        # Node 0 holds the chunk at epoch 0 and a carried copy lands at node
+        # 2 usable from epoch 2. Every hop takes one epoch, so a send into 0
+        # is never needed, nor one into 2 that lands at epoch 2 or later.
+        t = line(3)
+        d = Demand(frozenset({(0, 0, 1), (0, 0, 2)}), 1, 1)
+        state = RoundState(1, d, Carry({(0, 0, 0, 0): 1, (0, 0, 2, 2): 1}))
+        reach = {(1, 0, 0), (1, 2, 0), (2, 1, 0), (2, 1, 1)}  # k below the sender's reach
+        held = {(1, 0, k) for k in range(4)} | {(1, 2, k) for k in range(1, 4)}
+        assert self._fixed_sends(t, state, ModelOptions()) == reach | held
+        # A buffer limit lets a node drop its copy, so the rule stays off.
+        assert self._fixed_sends(t, state, ModelOptions(buffer_limit=2)) == reach
+
+    @pytest.mark.parametrize("mode", [COPY, NO_COPY])
+    def test_no_copy_switch_sends_into_a_holder_stay_free(self, mode):
+        # The switch holds a carried arrival usable from epoch 1; GPU 0 holds
+        # the chunk. A no-copy switch must forward the arrival, possibly back
+        # into GPU 0, so none of its sends is fixed past its reach.
+        t = Topology((0, 1, "h"), frozenset({"h"}),
+                     tuple(Edge(a, b, 1.0) for a, b in
+                           ((0, "h"), ("h", 0), (1, "h"), ("h", 1))))
+        d = Demand(frozenset({(0, 0, 1)}), 1, 1)
+        state = RoundState(1, d, Carry({(0, 0, 0, 0): 1, (0, 0, "h", 1): 1}))
+        fixed = self._fixed_sends(t, state, ModelOptions(switch_mode=mode))
+        out_of_h = {(j, k) for i, j, k in fixed if i == "h"}
+        assert out_of_h == ({(0, 0), (1, 0)} if mode == NO_COPY
+                            else {(0, k) for k in range(4)} | {(1, 0)})
+
     def test_in_transit_reward_below_delivered(self):
         t = line(3, alpha=0.0)
         cfg = EpochConfig(1.0, 2)
@@ -214,6 +249,29 @@ class TestAstarSolve:
         assert rep.violations == []
         assert rep.completion_epoch == sched.completion_epoch == 8
         assert sched.meta["rounds"] == len(placed) == 4
+
+    def test_resent_chunk_earns_no_progress(self, solver_opts):
+        # Two chunks from node 0 are wanted at node 2 over a 0->1 link that
+        # holds a chunk for 3 epochs. Once node 1 holds chunk 0, resending it
+        # cannot count as progress toward node 2: chunk 1 goes out at epoch
+        # 3, as when both chunks are broadcast to nodes 1 and 2.
+        t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 1 / 3), Edge(1, 2, 1.0)))
+        d = Demand(frozenset({(0, 0, 2), (0, 1, 2)}), 2, 1)
+        sched = astar_solve(t, d, EpochConfig(1.0, 2, 1), solver_opts=solver_opts)
+        rep = simulate(sched, t, d, SimOptions())
+        assert rep.violations == []
+        assert rep.completion_epoch == sched.completion_epoch == 8
+
+    def test_no_copy_switch_forwards_into_holders(self):
+        # Round 1 must forward chunks carried into the switch, and some can
+        # only go back to GPUs that already hold them.
+        edges = tuple(e for i in range(4)
+                      for e in (Edge(i, "h", 1.0, 1.0), Edge("h", i, 1.0, 1.0)))
+        t = Topology((0, 1, 2, 3, "h"), frozenset({"h"}), edges)
+        result = synthesize(t, generate_demand("allgather", t, 1, 1), "astar",
+                            switch_mode=NO_COPY)
+        assert result.report.ok
+        assert result.epochs == 7
 
     def test_rounds_see_overrides_at_their_own_epochs(self, solver_opts):
         # Only global epoch 1 carries 3 chunks; round 1 (epochs 2-3) must not

@@ -8,9 +8,10 @@ it learnt to hand over only the free columns, so any change to how models
 are built, stored or assembled must keep every model as it was. The digests
 were first recorded from the row-by-row model builders; the one-shot ones
 (`milp/*`, `coarse*/*`) again when those models began to fix every send that
-cannot reach a destination in time. The A* rounds after
-round 0 also pin the solve that seeds them: each round is solved by `solve`
-to seed the next. To print the digests of the current code:
+cannot reach a destination in time, and the A* rounds after round 0 again
+when rounds began to fix every send into a node that already holds the
+chunk. The A* rounds after round 0 also pin the solve that seeds them:
+each round is solved by `solve` to seed the next. To print the digests of the current code:
 
     PYTHONPATH=src python tests/test_model_digests.py
 """
@@ -195,14 +196,14 @@ GOLDEN = {
     'milp/ndv2x2-slice/alltoall/hyper-edge': 'e5645cdd1cc09c99',
     'milp/ndv2x2-slice/alltoall/no-copy': '625ae500bb1478aa',
     'astar/ndv2x2-slice/allgather/copy/0': '5332eef402e953cb',
-    'astar/ndv2x2-slice/allgather/copy/1': 'b66b95a405d9ee5e',
-    'astar/ndv2x2-slice/allgather/copy/2': 'dbeb7a201f7d3e87',
+    'astar/ndv2x2-slice/allgather/copy/1': '989545a105ef5930',
+    'astar/ndv2x2-slice/allgather/copy/2': 'c5b7c3301f0ffdea',
     'astar/ndv2x2-slice/alltoall/no-copy/0': '60902bfdcc95ea80',
-    'astar/ndv2x2-slice/alltoall/no-copy/1': 'e94e037d45034c58',
-    'astar/ndv2x2-slice/alltoall/no-copy/2': '14c94105cc87f4d1',
+    'astar/ndv2x2-slice/alltoall/no-copy/1': '5595cbb91a3ad01b',
+    'astar/ndv2x2-slice/alltoall/no-copy/2': 'f43ff1195be4867d',
     'astar/dgx2x2-slice/allgather/hyper-edge/0': '7dc09906db33ec80',
-    'astar/dgx2x2-slice/allgather/hyper-edge/1': '52747781e1bfdfde',
-    'astar/dgx2x2-slice/allgather/hyper-edge/2': '9cad2cdb1353fa48',
+    'astar/dgx2x2-slice/allgather/hyper-edge/1': '26e6edcfef39bd43',
+    'astar/dgx2x2-slice/allgather/hyper-edge/2': 'd04f8bf0435b70b8',
 }
 
 
