@@ -17,6 +17,9 @@ fixes it to zero unless a no-copy switch makes it (`milp.build_time_expanded`),
 and neither the term nor a progress counter can reward it. Other sends that
 nothing needs, such as a second copy made within the round, are pruned when
 the schedule is extracted.
+
+`astar_solve` plans the rounds once, link timing and round length included,
+and stitches their flows under the `meta` a one-shot model carries.
 """
 
 from __future__ import annotations
@@ -66,12 +69,6 @@ class RoundState:
     round_index: int
     demand: Demand  # the entries still unmet, in the solve's chunk-id space
     carry: Carry
-
-
-def max_future_epochs(t: Topology, cfg: EpochConfig, opts: ModelOptions | None = None) -> int:
-    """Largest link delay in epochs: how far into the next round chunks land."""
-    t_eff, _ = model_topology(t, opts or ModelOptions())
-    return link_timing(t_eff, cfg).max_delta
 
 
 def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
@@ -136,7 +133,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     # Progress counters: how many still-wanted chunks sit at (or move through)
     # each location, rewarded by closeness to the wanting destination. Per
     # (destination, k'): one cap row per location, then their sum.
-    wanted = sorted(dem.entries, key=lambda e: (str(e[0]), e[1], str(e[2])))
+    wanted = dem.ordered_entries
     dsts = sorted({dst for _, _, dst in wanted}, key=str)
     D = len(dsts)
     dpos = {dst: i for i, dst in enumerate(dsts)}
@@ -173,21 +170,22 @@ def initial_state(d: Demand) -> RoundState:
     return RoundState(0, d, Carry.at_sources(d))
 
 
-def advance_state(state: RoundState, sol, t_eff: Topology, cfg: EpochConfig,
-                  timing: LinkTiming) -> RoundState:
+def advance_state(state: RoundState, sol, timing: LinkTiming) -> RoundState:
     """Clear the demand entries a round met and carry forward what it leaves:
     the chunks each buffering node holds at the boundary, the arrivals that
-    land after it, and its sends still occupying a link's window."""
+    land after it, and its sends still occupying a link's window. Round
+    length and model topology are the solved round model's."""
+    K, t_eff = sol.model.meta["cfg"].K, sol.model.meta["eff_topology"]
     arrivals: dict = {}
     link_load: dict = {}
     for (s, c, i, j, k) in sol.family_values("F", 0.5):
-        kp = k + timing.delta[(i, j)] + 1 - cfg.K  # next round's epoch it is usable from
+        kp = k + timing.delta[(i, j)] + 1 - K  # next round's epoch it is usable from
         if kp > 0 or (kp == 0 and t_eff.is_switch(j)):
             arrivals[(s, c, j, kp)] = arrivals.get((s, c, j, kp), 0) + 1
-        for kn in range(k + timing.kappa[(i, j)] - cfg.K):
+        for kn in range(k + timing.kappa[(i, j)] - K):
             link_load[(i, j, kn)] = link_load.get((i, j, kn), 0) + 1
     buffers = sol.model.families["B"]
-    held = np.rint(sol.x[buffers.index[:, :, cfg.K]]).astype(np.int64)
+    held = np.rint(sol.x[buffers.index[:, :, K]]).astype(np.int64)
     commodities, nodes = buffers.axes[0].labels, buffers.axes[1].labels
     for ci, b in np.argwhere(held).tolist():
         arrivals[(*commodities[ci], nodes[b], 0)] = held[ci, b].item()
@@ -198,15 +196,23 @@ def advance_state(state: RoundState, sol, t_eff: Topology, cfg: EpochConfig,
                       Carry(arrivals, link_load))
 
 
-def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
-                max_rounds: int = 64, *, opts: ModelOptions | None = None,
+def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None = None,
+                gamma: float = 0.5, max_rounds: int = 64, *,
+                opts: ModelOptions | None = None,
                 solver_opts: SolverOptions | None = None) -> Schedule:
     """Solve round after round until every demand entry is met, then stitch
-    the per-round flows into one schedule on the global epoch axis."""
+    the per-round flows into one schedule on the global epoch axis. Rounds
+    last `epochs_per_round` epochs of `tau` seconds, by default 4 or the
+    largest link delay, whichever is more.
+    """
     check_demand_nodes(d, t)
     opts = opts or ModelOptions()
     t_eff, _ = model_topology(t, opts)
-    timing = link_timing(t_eff, cfg)
+    # Delays and kappa do not depend on K; each round derives its budgets.
+    timing = link_timing(t_eff, EpochConfig(tau, 1, d.chunk_size))
+    if epochs_per_round is None:
+        epochs_per_round = max(4, timing.max_delta)
+    cfg = EpochConfig(tau, epochs_per_round, d.chunk_size)
     fw = round_distance_table(t, cfg)
     for s, c, dst in d.entries:
         if not math.isfinite(fw[s, dst]):
@@ -226,18 +232,17 @@ def astar_solve(t: Topology, d: Demand, cfg: EpochConfig, gamma: float = 0.5,
         if sol.status == FEASIBLE_GAP:
             status = FEASIBLE_GAP
         offset = state.round_index * cfg.K
-        for (s, c, i, j, k), v in sol.family_values("F", 0.5).items():
+        for (s, c, i, j, k) in sol.family_values("F", 0.5):
             flows[(s, c, i, j, offset + k)] = 1.0
         prev = state
-        state = advance_state(state, sol, t_eff, cfg, timing)
+        state = advance_state(state, sol, timing)
         # A round that changes neither hands the next one its own state.
         if state.demand == prev.demand and state.carry == prev.carry:
             raise RoundLimitError(f"no progress in round {prev.round_index}")
 
-    meta = {"eff_topology": t_eff, "delta": timing.delta, "opts": opts,
-            "entries": set(d.entries)}
-    horizon = max(1, state.round_index * cfg.K)
-    sched = schedule_from_flows(flows, meta, cfg.with_horizon(horizon), d.chunk_size)
+    meta = {"eff_topology": t_eff, "delta": timing.delta, "opts": opts, "entries": set(d.entries),
+            "cfg": cfg.with_horizon(max(1, state.round_index * cfg.K))}
+    sched = schedule_from_flows(flows, meta)
     sched.meta.update({"rounds": state.round_index, "epochs_per_round": cfg.K, "gamma": gamma,
                        "status": status, "solver_wall_time_sec": highs_s})
     return sched

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 infeasible, 3 solver timeout, 4 validation failure.
-Failures print a machine-readable JSON error document to stdout.
+Exit codes: 0 success, 2 infeasible, 3 solver timeout, 4 validation failure,
+1 other (`FAILURES`). Failures print a JSON error document to stdout.
 """
 
 from __future__ import annotations
@@ -25,30 +25,20 @@ from .topology import COPY, SWITCH_MODES, topology_from_json, topology_to_json
 from .workflow import synthesize
 
 
+# The error type and exit code of a failure: those of the first class it is.
+FAILURES = ((HorizonInfeasibleError, "infeasible", 2), (RoundLimitError, "round-limit", 2),
+            (SolverTimeoutError, "timeout", 3),
+            ((ValidationError, EstimationError), "validation", 4), (CollschedError, "error", 1))
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HorizonInfeasibleError as exc:
-        _emit_error("infeasible", exc)
-        return 2
-    except RoundLimitError as exc:
-        _emit_error("round-limit", exc)
-        return 2
-    except SolverTimeoutError as exc:
-        _emit_error("timeout", exc)
-        return 3
-    except (ValidationError, EstimationError) as exc:
-        _emit_error("validation", exc)
-        return 4
     except CollschedError as exc:
-        _emit_error("error", exc)
-        return 1
-
-
-def _emit_error(kind: str, exc: Exception) -> None:
-    print(json.dumps({"error": {"type": kind, "message": str(exc)}}, sort_keys=True))
+        kind, code = next((kind, code) for cls, kind, code in FAILURES if isinstance(exc, cls))
+        print(json.dumps({"error": {"type": kind, "message": str(exc)}}, sort_keys=True))
+        return code
 
 
 def _dump(doc, path=None) -> None:

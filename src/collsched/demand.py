@@ -31,12 +31,22 @@ class Demand:
             raise ValidationError("chunk_size must be positive")
 
     @property
+    def ordered_entries(self) -> list[tuple[NodeId, int, NodeId]]:
+        """The entries in `entry_order`."""
+        return entry_order(self.entries)
+
+    @property
     def commodities(self) -> list[tuple[NodeId, int]]:
         """Demanded (source, chunk) pairs, sorted for determinism."""
         return sorted({(s, c) for s, c, _ in self.entries}, key=lambda x: (str(x[0]), x[1]))
 
     def total_bytes(self) -> int:
         return len(self.entries) * self.chunk_size
+
+
+def entry_order(entries) -> list[tuple[NodeId, int, NodeId]]:
+    """Entries by source, chunk, then destination, each node compared as text."""
+    return sorted(entries, key=lambda e: (str(e[0]), e[1], str(e[2])))
 
 
 def generate_demand(kind: str, t: Topology, chunks_per_pair: int = 1,
@@ -96,7 +106,7 @@ def demand_to_json(d: Demand) -> dict:
         "chunk_count": d.chunk_count,
         "entries": [
             {"src": s, "chunk": c, "dst": dst}
-            for s, c, dst in sorted(d.entries, key=lambda e: (str(e[0]), e[1], str(e[2])))
+            for s, c, dst in d.ordered_entries
         ],
     }
 

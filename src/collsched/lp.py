@@ -200,9 +200,9 @@ def _landing_epoch(need: float, ingress: list) -> int:
     return steady - 1 + math.ceil((need - landed) / rate)
 
 
-def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
-                         cfg: EpochConfig) -> Schedule:
-    """Decompose per-source link rates into per-chunk fractional path events.
+def lp_rates_to_schedule(sol: Solution, d: Demand) -> Schedule:
+    """Decompose per-source link rates into per-chunk fractional path events;
+    tau, horizon and chunk size are the solved model's (`meta["cfg"]`).
 
     Reads F, B and Rd once. Each demanded chunk peels paths (`_peel`) from
     its pair's earliest unconsumed reads until its fractions sum to 1; the
@@ -212,10 +212,10 @@ def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
     """
     if not sol.feasible:
         raise ValidationError(f"cannot schedule a solution with status {sol.status}")
-    delta = sol.model.meta["delta"]
+    cfg, delta = sol.model.meta["cfg"], sol.model.meta["delta"]
     fres, bres, rres = (_above_tol(sol, family) for family in ("F", "B", "Rd"))
     by_pair: dict[tuple, list[int]] = {}
-    for s, c, dst in sorted(d.entries, key=lambda e: (str(e[0]), e[1], str(e[2]))):
+    for s, c, dst in d.ordered_entries:
         by_pair.setdefault((s, dst), []).append(c)
 
     fractions: dict[tuple, float] = {}
@@ -252,7 +252,7 @@ def lp_rates_to_schedule(sol: Solution, t: Topology, d: Demand,
                         fractions[key] = fractions.get(key, 0.0) + got
     events = tuple(ScheduleEvent(*key, f) for key, f in fractions.items())
     return Schedule(tau=cfg.tau, events=events, completion_epoch=completion_epoch(sol),
-                    chunk_size=d.chunk_size)
+                    chunk_size=cfg.chunk_size)
 
 
 def _above_tol(sol: Solution, family: str) -> dict:

@@ -2,15 +2,16 @@
 
 A schedule is the deliverable: which chunk crosses which edge in which epoch.
 Solver output first passes a reverse trace that zeroes every flow not needed
-to account for some demanded delivery.
+to account for some demanded delivery. Extraction reads all else from the
+model's `meta` (epoch config, model topology, delays, switch mode, entries),
+which A* gives its stitched flows too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .demand import Demand
-from .epochs import EpochConfig
+from .demand import entry_order
 from .errors import ConservationError
 from .solver import Solution
 from .topology import NO_COPY, NodeId, Topology
@@ -50,7 +51,7 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # Reverse-trace pruning
 
-def prune_unused_flows(sol: Solution, d: Demand, t: Topology) -> Solution:
+def prune_unused_flows(sol: Solution) -> Solution:
     """Zero every flow that no demanded delivery depends on.
 
     Walks backward from each destination's earliest delivery, preferring the
@@ -60,11 +61,13 @@ def prune_unused_flows(sol: Solution, d: Demand, t: Topology) -> Solution:
     """
     m = sol.model
     flows = sol.family_values("F", 0.5)
-    keep = trace_required_flows(flows, m.meta, set(m.meta["entries"]))
-    return sol.replace_values({m.var("F", *key): 0.0 for key in flows if key not in keep})
+    keep = trace_required_flows(flows, m.meta)
+    x = sol.x.copy()
+    x[[m.var("F", *key) for key in flows if key not in keep]] = 0.0
+    return replace(sol, x=x)
 
 
-def trace_required_flows(flows: dict, meta: dict, entries: set) -> set:
+def trace_required_flows(flows: dict, meta: dict) -> set:
     """The subset of whole-chunk flows needed to justify every delivery.
 
     flows: (s, c, i, j, k) -> value (>0 whole sends). Raises if some demanded
@@ -80,8 +83,6 @@ def trace_required_flows(flows: dict, meta: dict, entries: set) -> set:
         lst.sort(key=lambda a: (a[0], str(a[1])))
 
     keep: set = set()
-    # At no-copy switches each arrival unit justifies exactly one forward.
-    consumed: dict[tuple, int] = {}
     # (s, c, n) -> earliest epoch-end by which possession was already traced.
     possession: dict[tuple, int] = {}
 
@@ -96,29 +97,28 @@ def trace_required_flows(flows: dict, meta: dict, entries: set) -> set:
         options = [a for a in arrivals.get((s, c, n), ()) if a[0] <= by_end]
         if switch:
             # A switch cannot hold a chunk across epochs: the arrival must land
-            # exactly at by_end (copy) and each unit forwards once (no-copy).
+            # exactly at by_end (copy) and each unit forwards once (no-copy),
+            # so a no-copy switch takes no arrival already kept.
             options = [a for a in options if a[0] == by_end]
             if no_copy_switch:
-                options = [a for a in options if consumed.get((s, c, n, a[1], a[2]), 0) < 1]
+                options = [a for a in options if (s, c, a[1], n, a[2]) not in keep]
         if not options:
             raise ConservationError(
                 f"cannot account for chunk {c} of {s!r} at {n!r} by epoch {by_end}")
         arr, i, k_send = options[0]
-        if no_copy_switch and switch:
-            consumed[(s, c, n, i, k_send)] = consumed.get((s, c, n, i, k_send), 0) + 1
         if not switch:
-            possession[(s, c, n)] = arr if prev is None else min(prev, arr)
+            possession[(s, c, n)] = arr  # below any earlier trace: arr <= by_end < prev
         if (s, c, i, n, k_send) not in keep:
             keep.add((s, c, i, n, k_send))
             justify(s, c, i, k_send - 1)
 
-    deliveries = delivery_epochs(flows, meta, entries)
-    for (s, c, dst) in sorted(entries, key=lambda e: (str(e[0]), e[1], str(e[2]))):
+    deliveries = delivery_epochs(flows, meta)
+    for (s, c, dst) in entry_order(meta["entries"]):
         justify(s, c, dst, deliveries[(s, c, dst)])
     return keep
 
 
-def delivery_epochs(flows: dict, meta: dict, entries: set) -> dict:
+def delivery_epochs(flows: dict, meta: dict) -> dict:
     """Earliest arrival epoch of each demanded (s, c, d); raises if missing."""
     delta = meta["delta"]
     # Earliest arrival of each (source, chunk) at each receiving node.
@@ -129,7 +129,7 @@ def delivery_epochs(flows: dict, meta: dict, entries: set) -> dict:
         if key not in possession or arr < possession[key]:
             possession[key] = arr
     out = {}
-    for (s, c, dst) in entries:
+    for (s, c, dst) in meta["entries"]:
         arr = possession.get((s, c, dst))
         if arr is None:
             raise ConservationError(f"no delivery of chunk {c} from {s!r} to {dst!r}")
@@ -137,28 +137,25 @@ def delivery_epochs(flows: dict, meta: dict, entries: set) -> dict:
     return out
 
 
-def schedule_from_flows(flows: dict, meta: dict, cfg: EpochConfig, chunk_size: int,
-                        prune: bool = True) -> Schedule:
+def schedule_from_flows(flows: dict, meta: dict, prune: bool = True) -> Schedule:
     """Build a schedule straight from whole-chunk flow values.
 
-    Flows may come from one solve or from several chained ones; completion is
-    the latest arrival among demanded deliveries.
+    Flows may come from one solve or from several chained ones; `meta` is
+    their model's. Completion is the latest arrival among demanded deliveries.
     """
-    entries = set(meta["entries"])
-    if not entries:
-        return Schedule(cfg.tau, (), -1, chunk_size)
-    kept_keys = trace_required_flows(flows, meta, entries) if prune else set(flows)
-    kept = {k: flows[k] for k in kept_keys}
-    completion = max(delivery_epochs(kept, meta, entries).values())
+    cfg = meta["cfg"]
+    if not meta["entries"]:
+        return Schedule(cfg.tau, (), -1, cfg.chunk_size)
+    kept = {k: flows[k] for k in trace_required_flows(flows, meta)} if prune else flows
+    completion = max(delivery_epochs(kept, meta).values())
     events = tuple(ScheduleEvent(s, c, i, j, k, 1.0) for (s, c, i, j, k) in kept)
-    return Schedule(cfg.tau, events, completion, chunk_size)
+    return Schedule(cfg.tau, events, completion, cfg.chunk_size)
 
 
-def extract_schedule(sol: Solution, t: Topology, d: Demand, cfg: EpochConfig) -> Schedule:
+def extract_schedule(sol: Solution) -> Schedule:
     """One event per whole-chunk flow of a solved model; completion is the
     latest demanded arrival."""
-    return schedule_from_flows(sol.family_values("F", 0.5), sol.model.meta, cfg,
-                               d.chunk_size, prune=False)
+    return schedule_from_flows(sol.family_values("F", 0.5), sol.model.meta, prune=False)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +188,6 @@ def schedule_from_json(doc: dict) -> Schedule:
 
 def msccl_style_steps(s: Schedule) -> list[dict]:
     """Informational exporter: one ordered step per event, runtime-agnostic."""
-    steps = []
-    for n, e in enumerate(s.events):
-        steps.append({
-            "step": n, "type": "send", "src_rank": e.src, "dst_rank": e.dst,
-            "src_buf_rank": e.source, "chunk": e.chunk, "epoch": e.epoch,
-            "fraction": e.fraction,
-        })
-    return steps
+    return [{"step": n, "type": "send", "src_rank": e.src, "dst_rank": e.dst,
+             "src_buf_rank": e.source, "chunk": e.chunk, "epoch": e.epoch,
+             "fraction": e.fraction} for n, e in enumerate(s.events)]

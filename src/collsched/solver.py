@@ -106,13 +106,6 @@ class Solution:
             raise ValueError(f"no values available (status={self.status})")
         return self.x
 
-    def replace_values(self, updates: dict[int, float]) -> "Solution":
-        x = np.array(self.x, copy=True)
-        for idx, v in updates.items():
-            x[idx] = v
-        return Solution(self.status, self.model, x, self.objective,
-                        self.achieved_gap, self.solve_wall_time)
-
 
 def milp(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset=0.0) -> dict:
     """Minimise c @ x + offset subject to lb <= x <= ub and

@@ -6,7 +6,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-from .astar import astar_solve, max_future_epochs
+from .astar import astar_solve
 from .demand import Demand
 from .epochs import EpochConfig, FASTEST, epoch_duration
 from .errors import EstimationError, HorizonInfeasibleError, ValidationError
@@ -36,7 +36,8 @@ class SynthesisResult:
     `epochs` - 1; its objective then includes each later epoch's reward for
     reads already complete.
     `solver_wall_time` sums the solve time of every horizon probe; the
-    estimator's coarse solves are not in it.
+    estimator's coarse solves are not in it; A*'s sums its rounds'. Every
+    schedule takes tau and chunk size from its solved model's `meta`.
     """
 
     schedule: Schedule
@@ -63,6 +64,9 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
 
     The emitted schedule always passed simulation; a schedule that fails its
     own replay raises instead of being returned.
+
+    A* takes no horizon: `astar_solve` runs rounds of `epochs_per_round`
+    epochs (None: its default) until the demand is met or `max_rounds` is.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r} (one of {METHODS})")
@@ -78,12 +82,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
         if epochs is not None or search_horizon:
             raise ValidationError("A* sets its own horizon, round by round: use "
                                   "epochs_per_round, not epochs or search_horizon")
-        kpr = epochs_per_round
-        if kpr is None:
-            cfg_probe = EpochConfig(tau, 1, d.chunk_size)
-            kpr = max(4, max_future_epochs(t, cfg_probe, opts))
-        cfg = EpochConfig(tau, kpr, d.chunk_size)
-        sched = astar_solve(t, d, cfg, gamma, max_rounds, opts=opts,
+        sched = astar_solve(t, d, tau, epochs_per_round, gamma, max_rounds, opts=opts,
                             solver_opts=solver_opts)
         report = _checked_replay(sched, t, d, switch_mode)
         return SynthesisResult(sched, report, method, sched.meta["status"],
@@ -146,12 +145,8 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
         with open(dump_model_path, "w") as f:
             f.write(sol.model.to_lp_text())
 
-    cfg = sol.model.meta["cfg"]
-    if method == "lp":
-        sched = lp_rates_to_schedule(sol, t, d, cfg)
-    else:
-        pruned = prune_unused_flows(sol, d, t)
-        sched = extract_schedule(pruned, t, d, cfg)
+    sched = (lp_rates_to_schedule(sol, d) if method == "lp"
+             else extract_schedule(prune_unused_flows(sol)))
     report = _checked_replay(sched, t, d, switch_mode)
     wall = time.perf_counter() - start
     return SynthesisResult(sched, report, method, sol.status, solver_s,

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from collsched import astar
 from collsched.astar import (RoundState, advance_state, astar_solve, build_round_model,
-                             initial_state, max_future_epochs, round_distance_table)
+                             initial_state, round_distance_table)
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig, epoch_duration, link_timing
 from collsched.errors import RoundLimitError, SolverBackendError, ValidationError
-from collsched.milp import COPY, HYPER_EDGE, NO_COPY, Carry, ModelOptions
+from collsched.milp import COPY, HYPER_EDGE, NO_COPY, Carry, ModelOptions, model_topology
 from collsched.simulator import SimOptions, simulate
 from collsched.solver import solve
 from collsched.topology import Edge, Topology, all_pairs_distances, dgx1, line, ring, star
@@ -157,13 +157,13 @@ class TestAstarSolve:
     def test_empty_demand_zero_rounds(self, solver_opts):
         t = line(2)
         d = Demand(frozenset(), 1, 1)
-        sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
+        sched = astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
         assert sched.events == () and sched.meta["rounds"] == 0
         assert sched.transfer_time == 0.0
 
     def test_star3_single_epoch_rounds(self, star3, solver_opts):
         t, d = star3
-        sched = astar_solve(t, d, EpochConfig(1.0, 1), solver_opts=solver_opts)
+        sched = astar_solve(t, d, 1.0, 1, solver_opts=solver_opts)
         assert sched.meta["rounds"] == 2
         assert sched.completion_epoch == 1  # matches the one-shot optimum
         assert len(sched.events) == 4
@@ -171,7 +171,7 @@ class TestAstarSolve:
     def test_line3_moves_then_delivers(self, solver_opts):
         t = line(3)
         d = Demand(frozenset({(0, 0, 2)}), 1, 1)
-        sched = astar_solve(t, d, EpochConfig(1.0, 1), solver_opts=solver_opts)
+        sched = astar_solve(t, d, 1.0, 1, solver_opts=solver_opts)
         assert sched.meta["rounds"] == 2
         assert [(e.src, e.dst, e.epoch) for e in sched.events] == [(0, 1, 0), (1, 2, 1)]
 
@@ -179,7 +179,29 @@ class TestAstarSolve:
         t = star(3)
         d = Demand(frozenset({("d1", 0, "d2")}), 1, 1)
         with pytest.raises(ValidationError, match="unreachable"):
-            astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
+            astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
+
+    def test_round_limit(self, solver_opts):
+        # One-epoch rounds need two to move the chunk over two hops.
+        t = line(3)
+        d = Demand(frozenset({(0, 0, 2)}), 1, 1)
+        with pytest.raises(RoundLimitError, match="residual demand after 1 rounds"):
+            astar_solve(t, d, 1.0, 1, max_rounds=1, solver_opts=solver_opts)
+
+    def test_round_that_changes_nothing_is_refused(self, monkeypatch, solver_opts):
+        # With every send fixed to zero a round leaves its state as it found it.
+        real = astar.build_round_model
+
+        def frozen(*args, **kwargs):
+            m = real(*args, **kwargs)
+            m.fix([idx for _, idx in m.family_items("F")], 0.0)
+            return m
+
+        monkeypatch.setattr(astar, "build_round_model", frozen)
+        t = line(3)
+        d = Demand(frozenset({(0, 0, 2)}), 1, 1)
+        with pytest.raises(RoundLimitError, match="no progress in round 0"):
+            astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
 
     def test_residual_demand_never_grows(self, solver_opts):
         from collsched.astar import advance_state
@@ -196,7 +218,7 @@ class TestAstarSolve:
             if not state.demand.entries:
                 break
             sol = solve(brm(t, state, cfg, fw), solver_opts)
-            state = advance_state(state, sol, t, cfg, timing)
+            state = advance_state(state, sol, timing)
             sizes.append(len(state.demand.entries))
         assert sizes[-1] == 0
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))
@@ -207,7 +229,7 @@ class TestAstarSolve:
         # the independent replay of the stitched schedule proves no loss.
         t = line(4, alpha=1.0)
         d = Demand(frozenset({(0, 0, 3), (0, 0, 2)}), 1, 1)
-        sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
+        sched = astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
         rep = simulate(sched, t, d, SimOptions())
         assert rep.violations == []
         assert rep.completion_epoch == sched.completion_epoch
@@ -218,7 +240,7 @@ class TestAstarSolve:
         t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 1 / 3), Edge(1, 0, 1 / 3),
                                               Edge(1, 2, 1.0), Edge(2, 1, 1.0)))
         d = generate_demand("alltoall", t, 1, 1)
-        sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
+        sched = astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
         rep = simulate(sched, t, d, SimOptions())
         assert rep.violations == []
         assert rep.completion_epoch == sched.completion_epoch == 8
@@ -239,12 +261,12 @@ class TestAstarSolve:
         while states[-1].demand.entries:
             sol = solve(build_round_model(t, states[-1], cfg, fw), solver_opts)
             placed.append(sol.family_values("F", 0.5))
-            states.append(advance_state(states[-1], sol, t, cfg, timing))
+            states.append(advance_state(states[-1], sol, timing))
         waiting, after = states[2], states[3]
         assert placed[2] == {} and after.demand == waiting.demand
         [c] = [c for (_, c, n, k) in waiting.carry.arrivals if (n, k) == (1, cfg.K)]
         assert after.carry.arrivals[(0, c, 1, 0)] == 1
-        sched = astar_solve(t, d, cfg, solver_opts=solver_opts)
+        sched = astar_solve(t, d, cfg.tau, cfg.K, solver_opts=solver_opts)
         rep = simulate(sched, t, d, SimOptions())
         assert rep.violations == []
         assert rep.completion_epoch == sched.completion_epoch == 8
@@ -257,7 +279,7 @@ class TestAstarSolve:
         # 3, as when both chunks are broadcast to nodes 1 and 2.
         t = Topology((0, 1, 2), frozenset(), (Edge(0, 1, 1 / 3), Edge(1, 2, 1.0)))
         d = Demand(frozenset({(0, 0, 2), (0, 1, 2)}), 2, 1)
-        sched = astar_solve(t, d, EpochConfig(1.0, 2, 1), solver_opts=solver_opts)
+        sched = astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
         rep = simulate(sched, t, d, SimOptions())
         assert rep.violations == []
         assert rep.completion_epoch == sched.completion_epoch == 8
@@ -279,7 +301,7 @@ class TestAstarSolve:
         t = Topology((0, 1), frozenset(), (Edge(0, 1, 1.0), Edge(1, 0, 1.0)),
                      {(0, 1, 1): 3.0})
         d = Demand(frozenset((0, c, 1) for c in range(8)), 8, 1)
-        sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
+        sched = astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
         per_epoch = Counter(e.epoch for e in sched.events)
         assert per_epoch[1] == 3
         assert all(n <= 1 for k, n in per_epoch.items() if k != 1)
@@ -293,14 +315,22 @@ class TestAstarSolve:
         k_opt, _, _ = min_feasible_horizon(
             lambda k: build_general_model(t, d, EpochConfig(1.0, k), ModelOptions()),
             1, 10, solver_opts)
-        sched = astar_solve(t, d, EpochConfig(1.0, 2), solver_opts=solver_opts)
+        sched = astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
         assert sched.completion_epoch + 1 >= k_opt
 
 
-def test_max_future_epochs():
-    t = line(3, alpha=2.5)
-    assert max_future_epochs(t, EpochConfig(1.0, 4)) == 3
-    assert max_future_epochs(line(3, alpha=0.0), EpochConfig(1.0, 4)) == 0
+@pytest.mark.parametrize("alpha, epochs", [(5.5, 6), (0.0, 4)])
+def test_default_round_length(alpha, epochs, solver_opts):
+    # 4 epochs, or the largest link delay when that is longer.
+    d = Demand(frozenset({(0, 0, 2)}), 1, 1)
+    sched = astar_solve(line(3, alpha=alpha), d, 1.0, solver_opts=solver_opts)
+    assert sched.meta["epochs_per_round"] == epochs
+
+
+def test_zero_round_length_is_refused():
+    d = Demand(frozenset({(0, 0, 2)}), 1, 1)
+    with pytest.raises(ValidationError, match="K must be >= 1"):
+        astar_solve(line(3), d, 1.0, 0)
 
 
 @st.composite
@@ -325,16 +355,17 @@ def _astar_inputs(draw):
     d = generate_demand(draw(st.sampled_from(["allgather", "alltoall"])), t,
                         draw(st.integers(1, 2)))
     opts = ModelOptions(switch_mode=draw(st.sampled_from([COPY, NO_COPY, HYPER_EDGE])))
-    k = max(draw(st.integers(1, 4)), max_future_epochs(t, EpochConfig(1.0, 1), opts))
-    return t, d, opts, EpochConfig(1.0, k)
+    k = max(draw(st.integers(1, 4)),
+            link_timing(model_topology(t, opts)[0], EpochConfig(1.0, 1)).max_delta)
+    return t, d, opts, k
 
 
 @settings(max_examples=60, deadline=None)
 @given(_astar_inputs())
 def test_returned_schedules_replay_as_claimed(case):
-    t, d, opts, cfg = case
+    t, d, opts, k = case
     try:
-        sched = astar_solve(t, d, cfg, opts=opts)
+        sched = astar_solve(t, d, 1.0, k, opts=opts)
     except (RoundLimitError, SolverBackendError):
         return  # no schedule came back, so nothing is claimed
     rep = simulate(sched, t, d, SimOptions(opts.switch_mode))
@@ -376,5 +407,5 @@ def test_early_sends_only_break_ties(monkeypatch, solver_opts):
             plain = solve(build_round_model(t, state, cfg, fw, timing=timing), solver_opts)
         assert _progress(sol) == pytest.approx(plain.objective, abs=1e-9)
         assert sol.objective > plain.objective  # the term is in the objective
-        state, rounds = advance_state(state, sol, t, cfg, timing), rounds + 1
+        state, rounds = advance_state(state, sol, timing), rounds + 1
     assert rounds >= 3

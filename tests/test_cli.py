@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from collsched import cli, solver
+from collsched.errors import ConservationError, SolverTimeoutError
 
 
 def _run(capsys, *argv):
@@ -132,6 +133,42 @@ def test_solve_exit_codes(ring4, tmp_path, capsys, method, extra, code, kind):
     got, doc, _ = _solve(capsys, ring4, tmp_path, method, *extra)
     assert got == code
     assert doc["error"]["type"] == kind and doc["error"]["message"]
+
+
+def test_solve_exits_2_on_a_round_limit(ring4, tmp_path, capsys):
+    # One-epoch rounds cannot finish the all-to-all (by epoch 2) in one round.
+    got, doc, _ = _solve(capsys, ring4, tmp_path, "astar",
+                         "--epochs-per-round", 1, "--max-rounds", 1)
+    assert got == 2
+    assert doc["error"] == {"type": "round-limit", "message": "residual demand after 1 rounds"}
+
+
+@pytest.mark.parametrize("exc, code, kind", [
+    (SolverTimeoutError("no incumbent"), 3, "timeout"),
+    (ConservationError("no delivery"), 1, "error"),
+])
+def test_solve_exit_codes_of_other_failures(ring4, tmp_path, capsys, monkeypatch,
+                                            exc, code, kind):
+    # No small input times out or breaks conservation, so `synthesize` raises.
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "synthesize", fail)
+    got, doc, _ = _solve(capsys, ring4, tmp_path, "milp")
+    assert got == code
+    assert doc["error"] == {"type": kind, "message": str(exc)}
+
+
+@pytest.mark.parametrize("argv, gpus, switches", [
+    (["star"], 4, 1), (["star", "--leaves", 5], 6, 1), (["ndv2", "--chassis", 2], 16, 1)])
+def test_gen_topology_star_and_chassis(tmp_path, capsys, argv, gpus, switches):
+    # A star is one source and its leaves around a switch; two ndv2 chassis
+    # share one switch.
+    out = tmp_path / "topology.json"
+    assert _run(capsys, "gen-topology", *argv, "--out", out) == (0, None)
+    nodes = json.loads(out.read_text())["nodes"]
+    assert sum(not n["is_switch"] for n in nodes) == gpus
+    assert sum(n["is_switch"] for n in nodes) == switches
 
 
 def test_solve_refuses_an_oversized_horizon(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,7 +37,7 @@ def test_single_path_decomposes_to_one_event(solver_opts):
     d = Demand(frozenset({(0, 0, 1)}), 1, 1)
     cfg = EpochConfig(1.0, 1)
     sol = solve(build_lp_model(t, d, cfg, ModelOptions()), solver_opts)
-    sched = lp_rates_to_schedule(sol, t, d, cfg)
+    sched = lp_rates_to_schedule(sol, d)
     assert len(sched.events) == 1
     e = sched.events[0]
     assert (e.source, e.chunk, e.src, e.dst, e.epoch) == (0, 0, 0, 1, 0)
@@ -51,7 +53,7 @@ def test_parallel_paths_split_fractions(solver_opts):
     cfg = EpochConfig(1.0, 2)
     sol = solve(build_lp_model(t, d, cfg, ModelOptions()), solver_opts)
     assert sol.feasible
-    sched = lp_rates_to_schedule(sol, t, d, cfg)
+    sched = lp_rates_to_schedule(sol, d)
     by_chunk = sum(e.fraction for e in sched.events if e.src == "s")
     assert by_chunk == pytest.approx(1.0)
     fractions = sorted(e.fraction for e in sched.events)
@@ -65,9 +67,11 @@ def test_zero_rate_solution_raises_conservation_error(solver_opts):
     d = Demand(frozenset({(0, 0, 1)}), 1, 1)
     cfg = EpochConfig(1.0, 2)
     sol = solve(build_lp_model(t, d, cfg, ModelOptions()), solver_opts)
-    corrupt = sol.replace_values({idx: 0.0 for _, idx in sol.model.family_items("F")})
+    x = sol.x.copy()
+    x[[idx for _, idx in sol.model.family_items("F")]] = 0.0
+    corrupt = dataclasses.replace(sol, x=x)
     with pytest.raises(ConservationError, match="residue|backing"):
-        lp_rates_to_schedule(corrupt, t, d, cfg)
+        lp_rates_to_schedule(corrupt, d)
 
 
 def test_lp_schedule_respects_capacity(solver_opts):
@@ -75,7 +79,7 @@ def test_lp_schedule_respects_capacity(solver_opts):
     d = generate_demand("alltoall", t, 1, 1)
     builder = lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions())
     k, sol, _ = min_feasible_horizon(builder, 1, 8, solver_opts)
-    sched = lp_rates_to_schedule(sol, t, d, EpochConfig(1.0, k))
+    sched = lp_rates_to_schedule(sol, d)
     load = {}
     for e in sched.events:
         load[(e.src, e.dst, e.epoch)] = load.get((e.src, e.dst, e.epoch), 0.0) + e.fraction
@@ -87,7 +91,7 @@ def test_mass_conservation_per_pair(solver_opts):
     d = generate_demand("alltoall", t, 2, 1)
     builder = lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions())
     k, sol, _ = min_feasible_horizon(builder, 1, 8, solver_opts)
-    sched = lp_rates_to_schedule(sol, t, d, EpochConfig(1.0, k))
+    sched = lp_rates_to_schedule(sol, d)
     rep = simulate(sched, t, d, SimOptions())
     assert rep.violations == []
     # every demanded chunk fully delivered exactly once
@@ -169,7 +173,7 @@ def test_decomposition_matches_reference(t, kind, chunks, solver_opts):
     d = generate_demand(kind, t, chunks, 1)
     builder = lambda k: build_lp_model(t, d, EpochConfig(1.0, k), ModelOptions())
     k, sol, _ = min_feasible_horizon(builder, 1, 16, solver_opts)
-    sched = lp_rates_to_schedule(sol, t, d, EpochConfig(1.0, k))
+    sched = lp_rates_to_schedule(sol, d)
     got = [(e.source, e.chunk, e.src, e.dst, e.epoch, e.fraction) for e in sched.events]
     assert got == _reference_rates_to_schedule(sol, d, k)
 

@@ -133,7 +133,7 @@ class TestWindowedCapacity:
         k, sol, _ = min_feasible_horizon(builder, 1, 12, solver_opts)
         assert k == 4
         cfg = EpochConfig(1.0, k)
-        sched = extract_schedule(prune_unused_flows(sol, d, t), t, d, cfg)
+        sched = extract_schedule(prune_unused_flows(sol))
         rep = simulate(sched, t, d)
         assert rep.violations == []
         assert sched.completion_epoch == rep.completion_epoch == 3

@@ -108,7 +108,7 @@ def _astar_rounds(name, coll, mode):
     for _ in range(3):
         m = build_round_model(t, state, cfg, fw, 0.5, opts)
         models.append(m)
-        state = advance_state(state, solver.solve(m), t_eff, cfg, timing)
+        state = advance_state(state, solver.solve(m), timing)
         carries.append(state.carry)
     return models, carries, t_eff, timing
 

@@ -28,7 +28,7 @@ class TestReplayBasics:
         t, d = star3
         cfg = EpochConfig(1.0, 2)
         sol = solve(build_general_model(t, d, cfg, ModelOptions()), solver_opts)
-        sched = extract_schedule(prune_unused_flows(sol, d, t), t, d, cfg)
+        sched = extract_schedule(prune_unused_flows(sol))
         rep = simulate(sched, t, d, SimOptions())
         assert rep.violations == []
         assert rep.completion_epoch == 1
@@ -127,6 +127,18 @@ class TestExecutedReplay:
         assert rep.per_entry_completion == {(0, 0, 1): 0, (0, 1, 1): 1}
         assert rep.completion_epoch == 1
 
+    def test_send_woken_before_its_queued_epoch_runs_once(self):
+        # 2->3 first waits for the slow 0->2 arrival at epoch 6; the relayed
+        # arrival at 2 wakes it at epoch 2, leaving the epoch-6 entry stale.
+        edges = (Edge(0, 1, 1.0), Edge(0, 2, 1.0, 5.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0))
+        t = Topology((0, 1, 2, 3), frozenset(), edges)
+        d = Demand(frozenset({(0, 0, 3)}), 1, 1)
+        sched = _sched([ScheduleEvent(0, 0, 0, 1, 0), ScheduleEvent(0, 0, 0, 2, 0),
+                        ScheduleEvent(0, 0, 1, 2, 1), ScheduleEvent(0, 0, 2, 3, 0)])
+        rep = simulate(sched, t, d, SimOptions())
+        assert rep.completion_epoch == 2
+        assert [(v.kind, v.epoch) for v in rep.violations] == [("causality", 0)]
+
     def test_send_of_a_chunk_never_held_is_never_made(self):
         t = line(3)
         d = Demand(frozenset({(0, 0, 2)}), 1, 1)
@@ -207,7 +219,7 @@ class TestLatencyChain:
         t, d = latency_chain
         cfg = EpochConfig(1.0, 8)
         sol = solve(build_general_model(t, d, cfg, ModelOptions()), solver_opts)
-        sched = extract_schedule(prune_unused_flows(sol, d, t), t, d, cfg)
+        sched = extract_schedule(prune_unused_flows(sol))
         rep = simulate(sched, t, d, SimOptions())
         assert rep.violations == []
         alpha2, beta = 5.0, 1.0
@@ -219,7 +231,7 @@ class TestLatencyChain:
         t, d = latency_chain
         cfg = EpochConfig(1.0, 8)
         sol = solve(build_general_model(t, d, cfg, ModelOptions()), solver_opts)
-        sched = extract_schedule(prune_unused_flows(sol, d, t), t, d, cfg)
+        sched = extract_schedule(prune_unused_flows(sol))
         rep = simulate(sched, t, d, SimOptions())
         assert rep.transfer_time == pytest.approx(sched.transfer_time)
 
@@ -242,7 +254,7 @@ class TestAlphaSensitivity:
                                                ModelOptions()),
                 1, 16, solver_opts)
             cfg = EpochConfig(1.0, k)
-            sched = extract_schedule(prune_unused_flows(sol, d, t_model), t_model, d, cfg)
+            sched = extract_schedule(prune_unused_flows(sol))
             results[label] = simulate(sched, microtopo(alpha), d, SimOptions())
         # the comparison is between executed times of a valid schedule and
         # of one that forwards chunks before the slow links deliver them

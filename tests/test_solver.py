@@ -534,7 +534,7 @@ def test_lp_alone_goes_to_the_interior_point_solver(build, ipm, monkeypatch):
 
 
 @pytest.mark.parametrize("run, jump", [
-    (lambda t, d: astar_solve(t, d, EpochConfig(1.0, 2)), False),
+    (lambda t, d: astar_solve(t, d, 1.0, 2), False),
     (lambda t, d: solve(build_general_model(t, d, EpochConfig(1.0, 3), ModelOptions())), False),
     (lambda t, d: solve(build_lp_model(t, d, EpochConfig(1.0, 3), ModelOptions())), False),
     (lambda t, d: estimate_epoch_upper_bound(t, d, 1.0), True),
