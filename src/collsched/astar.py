@@ -173,10 +173,13 @@ def initial_state(d: Demand) -> RoundState:
 def advance_state(state: RoundState, sol, timing: LinkTiming) -> RoundState:
     """Clear the demand entries a round met and carry forward what it leaves:
     the chunks each buffering node holds at the boundary, the arrivals that
-    land after it, and its sends still occupying a link's window. Round
-    length and model topology are the solved round model's."""
+    land after it, and its sends still occupying a link's window. A carried
+    arrival at a switch usable from epoch K, where the round has no switch
+    row, is carried again from the next round's epoch 0. Round length and
+    model topology are the solved round model's."""
     K, t_eff = sol.model.meta["cfg"].K, sol.model.meta["eff_topology"]
-    arrivals: dict = {}
+    arrivals = {(s, c, n, 0): v for (s, c, n, k), v in state.carry.arrivals.items()
+                if k == K and t_eff.is_switch(n)}
     link_load: dict = {}
     for (s, c, i, j, k) in sol.family_values("F", 0.5):
         kp = k + timing.delta[(i, j)] + 1 - K  # next round's epoch it is usable from
@@ -197,13 +200,15 @@ def advance_state(state: RoundState, sol, timing: LinkTiming) -> RoundState:
 
 
 def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None = None,
-                gamma: float = 0.5, max_rounds: int = 64, *,
-                opts: ModelOptions | None = None,
+                gamma: float = 0.5, *, opts: ModelOptions | None = None,
                 solver_opts: SolverOptions | None = None) -> Schedule:
     """Solve round after round until every demand entry is met, then stitch
     the per-round flows into one schedule on the global epoch axis. Rounds
     last `epochs_per_round` epochs of `tau` seconds, by default 4 or the
-    largest link delay, whichever is more.
+    largest link delay, whichever is more. It raises `RoundLimitError` once
+    no entry has been met for stall = ceil(N (max_delta + 1) / K) + 1 rounds,
+    N the model topology's node count, so it runs at most stall * (entries +
+    1) rounds.
     """
     check_demand_nodes(d, t)
     opts = opts or ModelOptions()
@@ -218,12 +223,16 @@ def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None
         if not math.isfinite(fw[s, dst]):
             raise ValidationError(f"demanded pair ({s!r},{dst!r}) unreachable")
 
+    # A path crosses fewer than N edges of at most max_delta + 1 epochs, and an entry is met
+    # once a copy is in flight to it: chunks still moving meet one within `stall` rounds.
+    stall = math.ceil(len(t_eff.nodes) * (timing.max_delta + 1) / cfg.K) + 1
     state = initial_state(d)
     flows: dict = {}
-    status, highs_s = OPTIMAL_PER_ROUND, 0.0
+    status, highs_s, last_met = OPTIMAL_PER_ROUND, 0.0, 0
     while state.demand.entries:
-        if state.round_index >= max_rounds:
-            raise RoundLimitError(f"residual demand after {max_rounds} rounds")
+        if state.round_index - last_met >= stall:
+            raise RoundLimitError(f"no demand entry met in the {stall} rounds to round "
+                                  f"{state.round_index - 1}: {len(state.demand.entries)} unmet")
         m = build_round_model(t, state, cfg, fw, gamma, opts, timing=timing)
         sol = solve(m, solver_opts)
         if not sol.feasible:
@@ -234,11 +243,9 @@ def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None
         offset = state.round_index * cfg.K
         for (s, c, i, j, k) in sol.family_values("F", 0.5):
             flows[(s, c, i, j, offset + k)] = 1.0
-        prev = state
+        unmet = len(state.demand.entries)
         state = advance_state(state, sol, timing)
-        # A round that changes neither hands the next one its own state.
-        if state.demand == prev.demand and state.carry == prev.carry:
-            raise RoundLimitError(f"no progress in round {prev.round_index}")
+        last_met = state.round_index if len(state.demand.entries) < unmet else last_met
 
     meta = {"eff_topology": t_eff, "delta": timing.delta, "opts": opts, "entries": set(d.entries),
             "cfg": cfg.with_horizon(max(1, state.round_index * cfg.K))}

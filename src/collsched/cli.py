@@ -99,8 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gap", type=float, default=0.0)
     g.add_argument("--time-limit", type=float, default=300.0)
     g.add_argument("--gamma", type=float, default=0.5)
-    g.add_argument("--epochs-per-round", type=int, default=None)
-    g.add_argument("--max-rounds", type=int, default=64)
+    g.add_argument("--epochs-per-round", type=int, default=None,
+                   help="A* round length (default: 4 or the largest link delay); A* stops "
+                        "with a round-limit error once a window of rounds derived from the "
+                        "network meets no demand entry")
     g.add_argument("--out", default=None, help="schedule JSON path")
     g.add_argument("--steps-out", default=None, help="also emit a step-list export")
     g.add_argument("--dump-model", default=None,
@@ -185,8 +187,7 @@ def cmd_solve(args) -> int:
         epoch_mode=args.epoch_mode, em=args.em, epochs=args.epochs,
         search_horizon=args.search_horizon, gap=args.gap,
         time_limit=args.time_limit, gamma=args.gamma,
-        epochs_per_round=args.epochs_per_round, max_rounds=args.max_rounds,
-        dump_model_path=args.dump_model)
+        epochs_per_round=args.epochs_per_round, dump_model_path=args.dump_model)
     sched = result.schedule
     sched.meta.update({
         "method": result.method, "status": result.status,

@@ -40,5 +40,5 @@ class ScheduleError(CollschedError):
 
 
 class RoundLimitError(CollschedError):
-    """Round-decomposed solve ran out of rounds, or stopped progressing, with
-    demand left over."""
+    """Round-decomposed solve met no demand entry for a window of rounds
+    derived from its network, with demand left over."""

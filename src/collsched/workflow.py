@@ -59,17 +59,20 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
                epochs: int | None = None, search_horizon: bool = False,
                gap: float = 0.0, time_limit: float = 300.0,
                gamma: float = 0.5, epochs_per_round: int | None = None,
-               max_rounds: int = 64, dump_model_path=None) -> SynthesisResult:
+               dump_model_path=None) -> SynthesisResult:
     """Produce a schedule with the requested solver and verify it by replay.
 
     The emitted schedule always passed simulation; a schedule that fails its
     own replay raises instead of being returned.
 
     A* takes no horizon: `astar_solve` runs rounds of `epochs_per_round`
-    epochs (None: its default) until the demand is met or `max_rounds` is.
+    epochs (None: its default) until the demand is met, or raises
+    `RoundLimitError` once its stall window (see there) meets no entry.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r} (one of {METHODS})")
+    if method == "lp" and switch_mode == HYPER_EDGE:
+        raise ValidationError("hyper-edge switches apply to the whole-chunk model only")
     notes: list[str] = []
     start = time.perf_counter()
     tau = epoch_duration(t, d.chunk_size, epoch_mode, em)
@@ -82,7 +85,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
         if epochs is not None or search_horizon:
             raise ValidationError("A* sets its own horizon, round by round: use "
                                   "epochs_per_round, not epochs or search_horizon")
-        sched = astar_solve(t, d, tau, epochs_per_round, gamma, max_rounds, opts=opts,
+        sched = astar_solve(t, d, tau, epochs_per_round, gamma, opts=opts,
                             solver_opts=solver_opts)
         report = _checked_replay(sched, t, d, switch_mode)
         return SynthesisResult(sched, report, method, sched.meta["status"],
@@ -109,8 +112,6 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
             notes.append("demand is multicast: the copy-free program only bounds "
                          "what copy-capable schedules achieve")
             warnings.warn(notes[-1])
-        if switch_mode == HYPER_EDGE:
-            raise ValidationError("hyper-edge switches apply to the whole-chunk model only")
         builder = lambda K: build_lp_model(t, d, cfg.with_horizon(K), opts)
     else:
         builder = lambda K: build_general_model(t, d, cfg.with_horizon(K), opts)

@@ -181,27 +181,32 @@ class TestAstarSolve:
         with pytest.raises(ValidationError, match="unreachable"):
             astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
 
-    def test_round_limit(self, solver_opts):
-        # One-epoch rounds need two to move the chunk over two hops.
-        t = line(3)
-        d = Demand(frozenset({(0, 0, 2)}), 1, 1)
-        with pytest.raises(RoundLimitError, match="residual demand after 1 rounds"):
-            astar_solve(t, d, 1.0, 1, max_rounds=1, solver_opts=solver_opts)
+    def test_rounds_run_while_entries_are_met(self, solver_opts):
+        # One chunk a round over one link: 80 rounds, far past any fixed cap,
+        # each of which meets an entry.
+        d = Demand(frozenset((0, c, 1) for c in range(80)), 80, 1)
+        sched = astar_solve(line(2), d, 1.0, 1, solver_opts=solver_opts)
+        assert sched.meta["rounds"] == 80
+        assert sched.completion_epoch == 79
 
     def test_round_that_changes_nothing_is_refused(self, monkeypatch, solver_opts):
-        # With every send fixed to zero a round leaves its state as it found it.
-        real = astar.build_round_model
+        # With every send fixed to zero no round meets an entry. line(3) with
+        # 2-epoch rounds: N = 3, max_delta 0 and K = 2 give a 3-round window.
+        real, built = astar.build_round_model, []
 
         def frozen(*args, **kwargs):
             m = real(*args, **kwargs)
             m.fix([idx for _, idx in m.family_items("F")], 0.0)
+            built.append(m)
             return m
 
         monkeypatch.setattr(astar, "build_round_model", frozen)
         t = line(3)
         d = Demand(frozenset({(0, 0, 2)}), 1, 1)
-        with pytest.raises(RoundLimitError, match="no progress in round 0"):
+        with pytest.raises(RoundLimitError,
+                           match=r"no demand entry met in the 3 rounds to round 2: 1 unmet"):
             astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
+        assert len(built) == 3
 
     def test_residual_demand_never_grows(self, solver_opts):
         from collsched.astar import advance_state
@@ -294,6 +299,21 @@ class TestAstarSolve:
                             switch_mode=NO_COPY)
         assert result.report.ok
         assert result.epochs == 7
+
+    def test_switch_arrival_at_the_round_boundary_is_carried(self):
+        # a->h runs at 1% for epochs 0-2 and takes 4 s, so a send at epoch 3
+        # lands at the copy switch at round 1's epoch 4, where that round has
+        # no switch row. Round 2 forwards it: completion 8, the MILP's
+        # optimum (9 when the arrival was dropped and the chunk resent).
+        t = Topology(("a", "h", "b"), frozenset({"h"}),
+                     (Edge("a", "h", 1.0, 4.0), Edge("h", "b", 1.0)),
+                     {("a", "h", k): 0.01 for k in range(3)})
+        d = Demand(frozenset({("a", 0, "b")}), 1, 1)
+        result = synthesize(t, d, "astar")
+        assert result.report.ok
+        assert [(e.src, e.dst, e.epoch) for e in result.schedule.events] == [
+            ("a", "h", 3), ("h", "b", 8)]
+        assert synthesize(t, d, "milp", search_horizon=True).epochs == result.epochs == 9
 
     def test_rounds_see_overrides_at_their_own_epochs(self, solver_opts):
         # Only global epoch 1 carries 3 chunks; round 1 (epochs 2-3) must not

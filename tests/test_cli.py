@@ -3,13 +3,14 @@ all-to-all demand (12 one-chunk entries, finished by epoch 2)."""
 
 import ast
 import csv
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from collsched import cli, solver
-from collsched.errors import ConservationError, SolverTimeoutError
+from collsched import cli, solver, workflow
+from collsched.errors import ConservationError, RoundLimitError, SolverTimeoutError
 
 
 def _run(capsys, *argv):
@@ -135,21 +136,16 @@ def test_solve_exit_codes(ring4, tmp_path, capsys, method, extra, code, kind):
     assert doc["error"]["type"] == kind and doc["error"]["message"]
 
 
-def test_solve_exits_2_on_a_round_limit(ring4, tmp_path, capsys):
-    # One-epoch rounds cannot finish the all-to-all (by epoch 2) in one round.
-    got, doc, _ = _solve(capsys, ring4, tmp_path, "astar",
-                         "--epochs-per-round", 1, "--max-rounds", 1)
-    assert got == 2
-    assert doc["error"] == {"type": "round-limit", "message": "residual demand after 1 rounds"}
-
-
 @pytest.mark.parametrize("exc, code, kind", [
+    (RoundLimitError("no demand entry met in the 3 rounds to round 2: 1 unmet"), 2,
+     "round-limit"),
     (SolverTimeoutError("no incumbent"), 3, "timeout"),
     (ConservationError("no delivery"), 1, "error"),
 ])
 def test_solve_exit_codes_of_other_failures(ring4, tmp_path, capsys, monkeypatch,
                                             exc, code, kind):
-    # No small input times out or breaks conservation, so `synthesize` raises.
+    # No small input stalls, times out or breaks conservation, so `synthesize`
+    # raises.
     def fail(*args, **kwargs):
         raise exc
 
@@ -212,3 +208,16 @@ def test_only_the_cli_reads_and_writes_files():
                 calls.setdefault(path.name, []).append(name)
     assert {"open", "json.load"} <= set(calls.pop("cli.py"))
     assert calls == {"workflow.py": ["open"]}
+
+
+def test_solve_passes_every_synthesis_option():
+    # `collsched solve` and `synthesize` offer one set of options: the call
+    # in `cmd_solve` names every keyword-only parameter, and no other.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    solve_fn = next(n for n in tree.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "cmd_solve")
+    call = next(n for n in ast.walk(solve_fn) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "synthesize")
+    keyword_only = {name for name, p in inspect.signature(workflow.synthesize).parameters.items()
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert {kw.arg for kw in call.keywords} == keyword_only

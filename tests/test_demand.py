@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from collsched.demand import (Demand, demand_from_json, demand_to_json,
+from collsched.demand import (Demand, check_demand_nodes, demand_from_json, demand_to_json,
                               generate_demand, merge_demands)
 from collsched.errors import ValidationError
 from collsched.topology import dgx1, line, star
@@ -78,6 +78,20 @@ def test_no_self_demand_enforced():
 def test_chunk_owned_by_two_sources_rejected():
     with pytest.raises(ValidationError):
         Demand(frozenset({(0, 0, 1), (1, 0, 2)}), 1, 1)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Demand(frozenset({(0, 1, 1)}), 1, 1), r"chunk id 1 outside \[0, 1\)"),
+    (lambda: Demand(frozenset({(0, 0, 1)}), 1, 0), "chunk_size must be positive"),
+    (lambda: generate_demand("allgather", line(2), 0), "chunks_per_pair must be >= 1"),
+    (lambda: generate_demand("broadcast", line(2)), "unknown collective kind 'broadcast'"),
+    (lambda: merge_demands([]), "nothing to merge"),
+    (lambda: check_demand_nodes(Demand(frozenset({("s", 0, "h")}), 1, 1), star(3)),
+     "demand endpoint 'h' is a switch"),
+], ids=["chunk-id", "chunk-size", "chunks-per-pair", "kind", "merge-nothing", "switch-endpoint"])
+def test_refusals(make, match):
+    with pytest.raises(ValidationError, match=match):
+        make()
 
 
 def test_json_round_trip():

@@ -67,6 +67,14 @@ def test_epoch_config_validation():
         epoch_duration(line(2), 1, "sideways")
 
 
+def test_epoch_arithmetic_refusals():
+    with pytest.raises(ValidationError, match="topology has no edges"):
+        epoch_duration(Topology((0,), frozenset(), ()), 1)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="tau must be positive"):
+            compute_delta(Edge(0, 1, 1.0, 1.0), tau)
+
+
 @given(alpha=st.floats(0, 1e-3), tau_a=st.floats(1e-9, 1e-3), tau_b=st.floats(1e-9, 1e-3))
 def test_delta_monotone_in_tau(alpha, tau_a, tau_b):
     lo, hi = sorted([tau_a, tau_b])

@@ -74,6 +74,15 @@ def test_zero_rate_solution_raises_conservation_error(solver_opts):
         lp_rates_to_schedule(corrupt, d)
 
 
+def test_infeasible_solution_is_not_scheduled(solver_opts):
+    # The all-to-all on ring(4) needs two hops, so one epoch is too few.
+    t = ring(4)
+    d = generate_demand("alltoall", t)
+    sol = solve(build_lp_model(t, d, EpochConfig(1.0, 1), ModelOptions()), solver_opts)
+    with pytest.raises(ValidationError, match="cannot schedule a solution with status infeasible"):
+        lp_rates_to_schedule(sol, d)
+
+
 def test_lp_schedule_respects_capacity(solver_opts):
     t = ring(4)
     d = generate_demand("alltoall", t, 1, 1)

@@ -81,6 +81,13 @@ class TestReplayBasics:
             simulate(Schedule(1.0, (ScheduleEvent(0, 0, 0, 1, epoch, fraction),), 0, 1),
                      t, d, SimOptions())
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_non_positive_epoch_duration_rejected(self, tau):
+        t = line(2)
+        d = Demand(frozenset({(0, 0, 1)}), 1, 1)
+        with pytest.raises(ScheduleError, match="non-positive epoch duration"):
+            simulate(Schedule(tau, (ScheduleEvent(0, 0, 0, 1, 0),), 0, 1), t, d, SimOptions())
+
     @pytest.mark.parametrize("mode, first, second, rests", [
         # a whole arrival forwarded as half a chunk: copied at a copying
         # switch, half of it left behind at a no-copy one

@@ -16,7 +16,8 @@ from collsched.astar import astar_solve, build_round_model, initial_state, round
 from collsched.demand import generate_demand
 from collsched.epochs import EpochConfig, link_timing
 from collsched.estimator import default_candidates, estimate_epoch_upper_bound
-from collsched.errors import HorizonInfeasibleError, SolverBackendError, ValidationError
+from collsched.errors import (ConservationError, HorizonInfeasibleError, SolverBackendError,
+                              SolverTimeoutError, ValidationError)
 from collsched.lp import build_lp_model
 from collsched.milp import ModelOptions, build_general_model, build_time_expanded, model_topology
 from collsched.model import BINARY, CONTINUOUS, INF, Axis, Model
@@ -92,6 +93,27 @@ def test_horizon_range_exhausted(star3, solver_opts):
     builder = lambda k: build_general_model(t, d, EpochConfig(1.0, k), ModelOptions())
     with pytest.raises(HorizonInfeasibleError):
         min_feasible_horizon(builder, 1, 1, solver_opts)
+
+
+@pytest.mark.parametrize("k_lo, k_hi", [(0, 3), (3, 2)])
+def test_bad_horizon_range_is_refused(k_lo, k_hi):
+    with pytest.raises(ValidationError, match=rf"bad horizon range \[{k_lo}, {k_hi}\]"):
+        min_feasible_horizon(lambda k: _reads_model(k, 1, 0), k_lo, k_hi)
+
+
+def test_probe_without_an_incumbent_stops_the_search(monkeypatch):
+    monkeypatch.setattr(solver, "solve", lambda m, opts: solver.Solution(TIMEOUT, m))
+    with pytest.raises(SolverTimeoutError, match="no incumbent within 5.0s at horizon K=2"):
+        min_feasible_horizon(lambda k: _reads_model(k, 1, 0), 1, 4, SolverOptions(time_limit=5.0))
+
+
+def test_reads_that_never_reach_the_demand_are_refused():
+    m = Model()
+    reads = m.columns(3) + np.arange(3)[None, :]
+    m.add_family("R", [Axis(["d"]), Axis(range(3))], reads, ub=1.0)
+    m.meta["reads"] = "R"
+    with pytest.raises(ConservationError, match="reads of 'd' never reach the demand"):
+        completion_epoch(solver.Solution(OPTIMAL, m, np.full(3, 0.5)))
 
 
 def test_feasibility_monotone_in_horizon(star3, solver_opts):

@@ -58,6 +58,21 @@ def test_self_loop_and_duplicate_edges_flagged():
     assert any("duplicate edge" in v for v in report)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((("a", "a", "b"), frozenset(), (Edge("a", "b", 1.0),)), "duplicate node ids"),
+    ((("a", "b"), frozenset({"sw"}), (Edge("a", "b", 1.0),)), "switch 'sw' is not a node"),
+    ((("a", "b"), frozenset(), (Edge("a", "c", 1.0),)), "edge ('a','c') references unknown node"),
+    ((("a", "b"), frozenset(), (Edge("a", "b", 1.0, -1.0),)), "negative alpha on ('a','b')"),
+    ((("a", "b", "sw"), frozenset({"sw"}), (Edge("sw", "a", 1.0), Edge("a", "b", 1.0))),
+     "switch 'sw' has no incoming edge"),
+    ((("a", "b"), frozenset(), (Edge("a", "b", 1.0),), {("a", "b", 2): 0.0}),
+     "non-positive capacity override on ('a','b') at epoch 2"),
+], ids=["duplicate-node", "unknown-switch", "unknown-node", "negative-alpha", "switch-no-in",
+        "override-non-positive"])
+def test_violation_messages(fields, message):
+    assert violations_of(*fields) == [message]
+
+
 def test_every_way_to_make_a_topology_validates():
     with pytest.raises(ValidationError, match="override for unknown edge"):
         dataclasses.replace(line(3), capacity_overrides={(0, 2, 1): 2.0})

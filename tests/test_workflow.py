@@ -127,6 +127,22 @@ def test_unreachable_demand_is_refused_before_any_solve(monkeypatch, method):
     assert calls == []
 
 
+@pytest.mark.parametrize("method, switch_mode, match", [
+    ("lp", "hyper-edge", "hyper-edge switches apply to the whole-chunk model only"),
+    ("greedy", "copy", "unknown method 'greedy'"),
+], ids=["hyper-edge-lp", "unknown-method"])
+def test_bad_arguments_are_refused_before_any_bound_or_estimate(
+        monkeypatch, method, switch_mode, match):
+    calls = []
+    for name in ("estimate_epoch_upper_bound", "horizon_lower_bound"):
+        monkeypatch.setattr(workflow, name, lambda *a, name=name, **k: calls.append(name))
+    t = ring(4)
+    with pytest.raises(ValidationError, match=match):
+        synthesize(t, generate_demand("alltoall", t), method, switch_mode=switch_mode,
+                   search_horizon=True)
+    assert calls == []
+
+
 def test_solver_time_sums_every_horizon_probe(monkeypatch):
     real = solver.solve
     probes = []
