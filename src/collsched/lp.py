@@ -4,7 +4,7 @@ Suited to demands where every destination wants distinct data; for multicast
 demands it stays valid but models each (source, destination) unit separately,
 so it only bounds what copy-capable schedules achieve.
 
-The model is built in family blocks: F, B, Rd and Rc are index arrays over
+The model is built in family blocks: F, B and Rd are index arrays over
 (source or (source, destination) pair, edge or node, epoch), and each
 constraint family is one block of rows computed from them; the solution is
 read back through the same arrays.
@@ -33,10 +33,11 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     what they receive.
 
     Columns run source by source (F over (edge, epoch), then B over
-    (buffering node, epoch 0..K)), then the reads of each (source,
-    destination) pair, Rd and Rc alternating epoch by epoch. Each constraint
-    family is one block of rows built by index arithmetic over (source,
-    edge, epoch).
+    (buffering node, epoch 0..K)), then the per-epoch reads Rd of each
+    (source, destination) pair, epoch by epoch. Each constraint family is
+    one block of rows built by index arithmetic over (source, edge, epoch).
+    The objective weighs a read at epoch k by the sum of 1/(j + 1) over
+    j = k..K-1, which is 1/(j + 1) on each epoch j's cumulative reads.
     """
     opts = opts or ModelOptions()
     check_demand_nodes(d, t)
@@ -58,26 +59,24 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     p_dst = np.array([net.pos[dst] for _, dst in pairs], dtype=np.int64)
     u = np.array([units[pair] for pair in pairs], dtype=float)
     per_s = E * K + NB * (K + 1)
-    check_columns(K, S * per_s + 2 * U * K)
+    check_columns(K, S * per_s + U * K)
 
     m = Model()
-    m.meta.update({"cfg": cfg, "delta": delta, "sources": sources, "reads": "Rc"})
+    m.meta.update({"cfg": cfg, "delta": delta, "sources": sources, "reads": "Rd",
+                   "per_epoch_reads": True})
 
     ar = np.arange
-    first = m.columns(S * per_s + 2 * U * K)
+    first = m.columns(S * per_s + U * K)
     off = first + ar(S)[:, None, None] * per_s
     F = off + (ar(E)[:, None] * K + ar(K))[None]
     B = off + E * K + (ar(NB)[:, None] * (K + 1) + ar(K + 1))[None]
-    Rd = first + S * per_s + (ar(U)[:, None] * K + ar(K)) * 2
-    Rc = Rd + 1
+    Rd = first + S * per_s + ar(U)[:, None] * K + ar(K)
     m.add_family("F", [Axis(sources), Axis(net.pairs, 2), Axis(range(K))], F)
     m.add_family("B", [Axis(sources), Axis(net.buffers), Axis(range(K + 1))], B)
-    for family, index in (("Rd", Rd), ("Rc", Rc)):
-        m.add_family(family, [Axis(pairs, 2), Axis(range(K))], index, ub=u[:, None])
+    m.add_family("Rd", [Axis(pairs, 2), Axis(range(K))], Rd, ub=u[:, None])
     # Only the source holds anything yet.
     m.fix(F[:, :, 0][net.src[None, :] != spos[:, None]], 0.0)
     m.fix(B[:, :, 0][np.flatnonzero(~net.switch)[None, :] != spos[:, None]], 0.0)
-    m.fix(Rc[:, kk], u)
 
     # Source initialization: the source holds its full outgoing demand, less
     # whatever it already committed to epoch-0 sends.
@@ -122,16 +121,15 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     total = int(count.sum())
     m.add_rows(np.zeros(total), np.zeros(total), *terms)
 
-    rows = ar(U)[:, None] * K + kv
-    m.add_rows(np.zeros(U * K), np.zeros(U * K),
-               (rows, Rc, 1.0), (rows, Rd, -1.0), (rows[:, 1:], Rc[:, :-1], -1.0))
+    # Demand: each pair reads its units by the last epoch.
+    m.add_rows(u, u, (np.broadcast_to(ar(U)[:, None], Rd.shape), Rd, 1.0))
 
     if opts.buffer_limit is not None:
         rows = np.broadcast_to(ar(NB * (K + 1)).reshape(NB, K + 1, 1), (NB, K + 1, S))
         m.add_rows(np.full(NB * (K + 1), -INF), np.full(NB * (K + 1), float(opts.buffer_limit)),
                    (rows, B.transpose(1, 2, 0), 1.0))
 
-    m.add_objective(Rc, 1.0 / (kv + 1)[None, :])
+    m.add_objective(Rd, np.cumsum(1.0 / (kv + 1)[::-1])[::-1][None, :])
     return m
 
 

@@ -230,16 +230,18 @@ def _outcome(res: dict, relative_gap: float) -> str:
 
 
 def completion_epoch(sol: Solution) -> int:
-    """Earliest epoch by which every cumulative read of a solved model meets
-    its demand; -1 if the model reads nothing.
+    """Earliest epoch by which every demand's reads in a solved model meet
+    it; -1 if the model reads nothing.
 
-    The model names its cumulative-read family in `meta["reads"]` (`Rc` in
-    the copy-free LP, `R` in the whole-chunk model), one row of epochs per
-    demand; the one-shot models fix each row's last epoch to its demand.
+    The model names its read family in `meta["reads"]`, one row of epochs
+    per demand bounded by it: cumulative (`R` in the whole-chunk model), or
+    per epoch and summed here if `meta["per_epoch_reads"]` (`Rd` in the LP).
     """
     reads = sol.model.families[sol.model.meta["reads"]]
     demand = sol.model.ub[reads.index[:, -1:]]
-    met = sol._values()[reads.index] >= demand - TOL * np.maximum(1.0, demand)
+    got = sol._values()[reads.index]
+    got = np.cumsum(got, axis=1) if sol.model.meta.get("per_epoch_reads") else got
+    met = got >= demand - TOL * np.maximum(1.0, demand)
     never = ~met.any(axis=1)
     if never.any():
         raise ConservationError(

@@ -33,8 +33,8 @@ class SynthesisResult:
     as "horizon lower bound L"; when L is feasible it is the only probe. The
     schedule, `objective` and `achieved_gap` come from the solved model that
     proved it, which may be a longer probe whose reads complete by epoch
-    `epochs` - 1; its objective then includes each later epoch's reward for
-    reads already complete.
+    `epochs` - 1; its objective then includes the reward of each later
+    epoch j, 1/(j + 1) per unit, for reads already made.
     `solver_wall_time` sums the solve time of every horizon probe; the
     estimator's coarse solves are not in it; A*'s sums its rounds'. Every
     schedule takes tau and chunk size from its solved model's `meta`.

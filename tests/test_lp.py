@@ -189,11 +189,12 @@ def test_decomposition_matches_reference(t, kind, chunks, solver_opts):
 
 @st.composite
 def _bound_inputs(draw):
-    """A small line, ring or star (around a switch) with per-edge capacities
-    of 2 to 1/3 chunks per epoch, alphas of 0 to 2 epochs, overrides that
-    raise or lower an edge's capacity at one of the first epochs, and a
-    unicast (alltoall) or multicast (allgather) demand."""
-    shape = draw(st.sampled_from(["line", "ring", "star"]))
+    """A small line, ring, star (around a switch) or two linked pairs joined
+    by a bridge of 1/4 chunk per epoch, with per-edge capacities of 2 to
+    1/3 chunks per epoch, alphas of 0 to 2 epochs, overrides that raise or
+    lower an edge's capacity at one of the first epochs, and a unicast
+    (alltoall) or multicast (allgather) demand."""
+    shape = draw(st.sampled_from(["line", "ring", "star", "bridge"]))
     n = draw(st.integers(3 if shape == "ring" else 2, 4))
 
     def link(i, j):
@@ -203,10 +204,17 @@ def _bound_inputs(draw):
     if shape == "star":
         nodes, switches = tuple(range(n)) + ("h",), frozenset({"h"})
         pairs = [(i, "h") for i in range(n)]
+    elif shape == "bridge":
+        # Every unit between the pairs crosses the bridge: a cut that
+        # neither the ingress nor the link-volume cut of the bound sees.
+        nodes, switches = (0, 1, 2, 3), frozenset()
+        pairs = [(0, 1), (2, 3)]
     else:
         nodes, switches = tuple(range(n)), frozenset()
         pairs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * (shape == "ring")
     edges = tuple(e for i, j in pairs for e in (link(i, j), link(j, i)))
+    if shape == "bridge":
+        edges += (Edge(0, 2, 0.25), Edge(2, 0, 0.25))
     overrides = draw(st.dictionaries(
         st.tuples(st.sampled_from([(e.src, e.dst) for e in edges]), st.integers(0, 3)),
         st.sampled_from([4.0, 0.25]), max_size=3))

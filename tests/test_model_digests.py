@@ -10,7 +10,8 @@ were first recorded from the row-by-row model builders; the one-shot ones
 (`milp/*`, `coarse*/*`) again when those models began to fix every send that
 cannot reach a destination in time, and the A* rounds after round 0 again
 when rounds began to fix every send into a node that already holds the
-chunk. The A* rounds after round 0 also pin the solve that seeds them:
+chunk, and the LP ones (`lp/*`) again when the LP stopped carrying
+cumulative reads. The A* rounds after round 0 also pin the solve that seeds them:
 each round is solved by `solve` to seed the next. To print the digests of the current code:
 
     PYTHONPATH=src python tests/test_model_digests.py
@@ -151,26 +152,26 @@ GOLDEN = {
     'coarse8/ndv2x2-slice/alltoall/copy': '0b49bcdd7876871f',
     'coarse8/ndv2x2-slice/alltoall/hyper-edge': 'e219e6b1eb59ba09',
     'coarse8/ndv2x2-slice/alltoall/no-copy': 'd67fe9754a25fed4',
-    'lp/dgx1-override/allgather/buffer-limit': '2e683847b612be93',
-    'lp/dgx1-override/allgather/copy': '0e11609590069d1a',
-    'lp/dgx1-override/alltoall/buffer-limit': '2e683847b612be93',
-    'lp/dgx1-override/alltoall/copy': '0e11609590069d1a',
-    'lp/dgx1/allgather/buffer-limit': 'e3c598c946114b69',
-    'lp/dgx1/allgather/copy': '5fa94c54ea18c880',
-    'lp/dgx1/alltoall/buffer-limit': 'e3c598c946114b69',
-    'lp/dgx1/alltoall/copy': '5fa94c54ea18c880',
-    'lp/dgx2x2-slice/allgather/buffer-limit': '39daf694d2f7f557',
-    'lp/dgx2x2-slice/allgather/copy': '35c61de475cc3e86',
-    'lp/dgx2x2-slice/allgather/no-copy': '35c61de475cc3e86',
-    'lp/dgx2x2-slice/alltoall/buffer-limit': '39daf694d2f7f557',
-    'lp/dgx2x2-slice/alltoall/copy': '35c61de475cc3e86',
-    'lp/dgx2x2-slice/alltoall/no-copy': '35c61de475cc3e86',
-    'lp/ndv2x2-slice/allgather/buffer-limit': '44a8d2e09ce7f290',
-    'lp/ndv2x2-slice/allgather/copy': '7691419606636d3a',
-    'lp/ndv2x2-slice/allgather/no-copy': '7691419606636d3a',
-    'lp/ndv2x2-slice/alltoall/buffer-limit': '44a8d2e09ce7f290',
-    'lp/ndv2x2-slice/alltoall/copy': '7691419606636d3a',
-    'lp/ndv2x2-slice/alltoall/no-copy': '7691419606636d3a',
+    'lp/dgx1-override/allgather/buffer-limit': '4d533ea2f8369667',
+    'lp/dgx1-override/allgather/copy': 'df91d3538959f35b',
+    'lp/dgx1-override/alltoall/buffer-limit': '4d533ea2f8369667',
+    'lp/dgx1-override/alltoall/copy': 'df91d3538959f35b',
+    'lp/dgx1/allgather/buffer-limit': 'cbf70230941acd74',
+    'lp/dgx1/allgather/copy': '114e540cc11f7e45',
+    'lp/dgx1/alltoall/buffer-limit': 'cbf70230941acd74',
+    'lp/dgx1/alltoall/copy': '114e540cc11f7e45',
+    'lp/dgx2x2-slice/allgather/buffer-limit': '1d26eb673e32ac52',
+    'lp/dgx2x2-slice/allgather/copy': '9aa73548d632d0e1',
+    'lp/dgx2x2-slice/allgather/no-copy': '9aa73548d632d0e1',
+    'lp/dgx2x2-slice/alltoall/buffer-limit': '1d26eb673e32ac52',
+    'lp/dgx2x2-slice/alltoall/copy': '9aa73548d632d0e1',
+    'lp/dgx2x2-slice/alltoall/no-copy': '9aa73548d632d0e1',
+    'lp/ndv2x2-slice/allgather/buffer-limit': 'b67040923fade0fe',
+    'lp/ndv2x2-slice/allgather/copy': '1c59b68db7810f71',
+    'lp/ndv2x2-slice/allgather/no-copy': '1c59b68db7810f71',
+    'lp/ndv2x2-slice/alltoall/buffer-limit': 'b67040923fade0fe',
+    'lp/ndv2x2-slice/alltoall/copy': '1c59b68db7810f71',
+    'lp/ndv2x2-slice/alltoall/no-copy': '1c59b68db7810f71',
     'milp/dgx1-override/allgather/buffer-limit': '25dc4d8348291997',
     'milp/dgx1-override/allgather/copy': '3f0627bfac505527',
     'milp/dgx1-override/alltoall/buffer-limit': '4ff73ea00f8144f4',
@@ -213,6 +214,30 @@ ONE_SHOT = _one_shot_inputs()
 @pytest.mark.parametrize("name", sorted(ONE_SHOT))
 def test_one_shot_models_reach_highs_unchanged(name):
     assert _digest(ONE_SHOT[name]()) == GOLDEN[name]
+
+
+# Each dgx1 input's optimum at its smallest feasible horizon, K* = 7, as
+# the LP gave it while it carried cumulative reads as columns. Allgather and
+# alltoall give the same copy-free LP, and a buffer of 8 never binds.
+LP_OPTIMA = {"dgx1": 56.066666667, "dgx1-override": 56.291666667}
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(ONE_SHOT) if n.startswith("lp/dgx1")])
+def test_lp_per_epoch_reads_keep_the_cumulative_optimum(name):
+    # Weighing the read at epoch k by the suffix sum of 1/(j + 1), j >= k,
+    # is the early-delivery objective on cumulative reads, so K* and the
+    # optimum stay as they were.
+    _, topo, coll, mode = name.split("/")
+    t = _topologies()[topo]
+    d = generate_demand(coll, t, 1, MIB)
+    opts = (ModelOptions(buffer_limit=len(t.gpus)) if mode == "buffer-limit"
+            else ModelOptions(switch_mode=mode))
+    build = lambda K: build_lp_model(t, d, EpochConfig(epoch_duration(t, MIB), K, MIB), opts)
+    assert solver.solve(build(6)).status == solver.INFEASIBLE
+    sol = solver.solve(build(7))
+    assert sol.objective == pytest.approx(LP_OPTIMA[topo], rel=1e-9)
+    reads = np.cumsum(sol.x[sol.model.families["Rd"].index], axis=1)
+    assert sol.objective == pytest.approx((reads / np.arange(1, 8)).sum(), rel=1e-9)
 
 
 ASTAR = [("ndv2x2-slice", "allgather", "copy"), ("ndv2x2-slice", "alltoall", "no-copy"),

@@ -116,6 +116,28 @@ def test_reads_that_never_reach_the_demand_are_refused():
         completion_epoch(solver.Solution(OPTIMAL, m, np.full(3, 0.5)))
 
 
+def _per_epoch_reads(values) -> solver.Solution:
+    """A solved model whose one demand, of 1, is read per epoch as `values`."""
+    m = Model()
+    reads = m.columns(len(values)) + np.arange(len(values))[None, :]
+    m.add_family("Rd", [Axis(["d"]), Axis(range(len(values)))], reads, ub=1.0)
+    m.meta.update({"reads": "Rd", "per_epoch_reads": True})
+    return solver.Solution(OPTIMAL, m, np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("values, epoch", [
+    ([0.0, 0.0, 0.5, 0.0, 0.5, 0.0], 4),
+    ([0.0, 0.5, 0.5 - TOL / 2, 0.0], 2),
+], ids=["split", "within-tol"])
+def test_per_epoch_reads_complete_once_their_sum_meets_the_demand(values, epoch):
+    assert completion_epoch(_per_epoch_reads(values)) == epoch
+
+
+def test_per_epoch_reads_that_never_reach_the_demand_are_refused():
+    with pytest.raises(ConservationError, match="reads of 'd' never reach the demand"):
+        completion_epoch(_per_epoch_reads([0.25, 0.25, 0.25]))
+
+
 def test_feasibility_monotone_in_horizon(star3, solver_opts):
     t, d = star3
     feasible = []
@@ -496,11 +518,11 @@ def test_first_incumbent_stop_as_scipy():
     assert solver._outcome(ours, 0.0) == FEASIBLE_GAP
 
 
-@pytest.mark.parametrize("build", [
-    lambda t, d: build_general_model(t, d, EpochConfig(1.0, 3), ModelOptions()),
-    lambda t, d: build_lp_model(t, d, EpochConfig(1.0, 3), ModelOptions()),
+@pytest.mark.parametrize("build, moved", [
+    (lambda t, d: build_general_model(t, d, EpochConfig(1.0, 3), ModelOptions()), True),
+    (lambda t, d: build_lp_model(t, d, EpochConfig(1.0, 3), ModelOptions()), False),
 ], ids=["milp", "lp"])
-def test_solve_hands_scipy_the_same_model(build, monkeypatch):
+def test_solve_hands_scipy_the_same_model(build, moved, monkeypatch):
     t = ring(4)
     m = build(t, generate_demand("alltoall", t))
     pairs = []
@@ -518,8 +540,9 @@ def test_solve_hands_scipy_the_same_model(build, monkeypatch):
     assert sol.status == OPTIMAL
     [(ref, ours, shifted, offset)] = pairs
     _same_solve(ref, ours)
-    # The offset moves the objective and nothing else.
-    assert offset != 0
+    # The offset moves the objective and nothing else. No fixed column of
+    # the LP carries objective weight, so its offset is 0.
+    assert offset != 0 if moved else offset == 0.0
     assert shifted["x"].tobytes() == ours["x"].tobytes()
     assert shifted["fun"] == pytest.approx(ref.fun + offset, rel=1e-12)
     assert sol.objective == -shifted["fun"]
@@ -607,12 +630,12 @@ def test_undecided_interior_point_run_falls_back_to_simplex(monkeypatch):
 
 def test_infeasible_lp_the_interior_point_solver_leaves_undecided(monkeypatch):
     # On its free columns, HiGHS 1.12's interior-point solver ends this LP
-    # at K = 7 in kSolveError after presolve; simplex proves it infeasible.
-    # K = 8 is the smallest feasible horizon. (Found by searching random
-    # small LPs; about one interior-point run in a thousand ends so.)
+    # at K = 6 in kSolveError after presolve; simplex proves it infeasible.
+    # K = 7 is the smallest feasible horizon. (Found by searching random
+    # small LPs; about two interior-point runs in a thousand end so.)
     t = Topology((0, 1, 2), frozenset(), (
-        Edge(0, 1, 1.0, 2.0), Edge(1, 0, 1 / 3, 1.0), Edge(1, 2, 2.0, 2.0), Edge(2, 1, 0.5, 0.5)),
-        {(0, 1, 3): 4.0, (1, 0, 0): 0.25})
+        Edge(0, 1, 2.0, 0.5), Edge(1, 0, 1 / 3, 1.0), Edge(1, 2, 2.0, 0.0), Edge(2, 1, 1 / 3, 0.0)),
+        {(1, 2, 3): 4.0, (0, 1, 0): 4.0})
     d = generate_demand("alltoall", t)
     runs = []
 
@@ -623,7 +646,7 @@ def test_infeasible_lp_the_interior_point_solver_leaves_undecided(monkeypatch):
 
     monkeypatch.setattr(solver, "milp", recorded)
     statuses = [solve(build_lp_model(t, d, EpochConfig(1.0, K), ModelOptions())).status
-                for K in (7, 8)]
+                for K in (6, 7)]
     assert statuses == [INFEASIBLE, OPTIMAL]
     (first, undecided), (second, proved), (third, _) = runs
     assert (first, second, third) == ("ipm", "simplex", "ipm")
