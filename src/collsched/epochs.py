@@ -68,7 +68,8 @@ def cap_chunks(t: Topology, cfg: EpochConfig) -> dict:
     """Capacity of every edge (src, dst) during each epoch k < K, in chunks
     per epoch: `link_timing`'s budgets over one-epoch windows."""
     timing = link_timing(t, cfg)
-    return _budgets(dict.fromkeys(timing.rate, 1), timing.rate, timing.overrides, 0, cfg.K)
+    base = {pair: float(r) for pair, r in timing.rate.items()}
+    return _budgets(dict.fromkeys(base, 1), timing.rate, base, timing.overrides, 0, cfg.K)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ class LinkTiming:
     delta: dict  # epochs from a send to its arrival at the far end
     budget: dict  # per epoch k < K: chunks the kappa-epoch window ending at k may carry
     rate: dict  # chunks per epoch at the edge's base capacity
+    base: dict  # the budget of a window at base capacity, kappa * rate, as a float
     overrides: dict  # (src, dst, epoch) -> chunks per epoch, every override of the topology
 
     @property
@@ -89,7 +91,8 @@ class LinkTiming:
         """The timing of a K-epoch model whose epoch 0 is epoch k0 here: the
         same kappa and delays, budgets from the overrides of epochs k0 on,
         epochs before k0 counting at k0's capacity."""
-        return replace(self, budget=_budgets(self.kappa, self.rate, self.overrides, k0, K))
+        return replace(self, budget=_budgets(self.kappa, self.rate, self.base, self.overrides,
+                                             k0, K))
 
 
 def link_timing(t: Topology, cfg: EpochConfig) -> LinkTiming:
@@ -112,11 +115,14 @@ def link_timing(t: Topology, cfg: EpochConfig) -> LinkTiming:
     overrides = {key: _chunks_per_epoch(c, cfg) for key, c in t.capacity_overrides.items()}
     widen = max(kap.values(), default=1) - 1
     delta = {(e.src, e.dst): compute_delta(e, cfg.tau) + widen for e in t.edges}
-    return LinkTiming(kap, delta, _budgets(kap, rate, overrides, 0, cfg.K), rate, overrides)
+    base = {pair: float(w * rate[pair]) for pair, w in kap.items()}
+    return LinkTiming(kap, delta, _budgets(kap, rate, base, overrides, 0, cfg.K), rate, base,
+                      overrides)
 
 
-def _budgets(kap: dict, rate: dict, overrides: dict, k0: int, K: int) -> dict:
-    """Window budgets of epochs k0..k0+K-1, epochs before k0 at k0's capacity."""
+def _budgets(kap: dict, rate: dict, base: dict, overrides: dict, k0: int, K: int) -> dict:
+    """Window budgets of epochs k0..k0+K-1, epochs before k0 at k0's capacity:
+    `base` on an edge with no override in those epochs, else exact sums."""
     cap: dict = {}
     for (i, j, k), c in overrides.items():
         if 0 <= k - k0 < K:
@@ -125,7 +131,7 @@ def _budgets(kap: dict, rate: dict, overrides: dict, k0: int, K: int) -> dict:
     for pair, w in kap.items():
         per_epoch = cap.get(pair)
         if per_epoch is None:
-            budget[pair] = [float(w * rate[pair])] * K
+            budget[pair] = [base[pair]] * K
             continue
         window = w * per_epoch[0]
         budget[pair] = [float(window)]

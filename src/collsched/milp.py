@@ -196,7 +196,10 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     # (`head_holds`): a copying node never drops a copy, so the send is never
     # needed, and all it could earn is the early-send credit and progress
     # credit for a duplicate. Sends out of a no-copy switch are exempt, as
-    # the switch must forward every arrival.
+    # the switch must forward every arrival. Such a round also fixes each
+    # buffer B[k] that no free send can land in by epoch k to what the carry
+    # and the fixed sends put there, and omits its recurrence row, which
+    # then holds by construction.
     seeds: dict[tuple, dict] = {}
     for (s, c, n, k), v in arrivals.items():
         if v:
@@ -331,20 +334,19 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     rhs_n = arr[:, gn, :K]
     lo[:, slot_n] = rhs_n
     hi[:, slot_n] = rhs_n
-    rid = np.cumsum(keep.ravel()) - 1
-    rows_e = rid[cS + slot_e[None]]  # (C, edge group, k_out)
+    rows_e = cS + slot_e[None]  # (C, edge group, k_out)
     kv = ar(K)[None, None, :]
     cc = ar(C)[:, None, None]
     bn = net.bpos[n_of]
     buffered = np.broadcast_to(~sw_of[None, :, None], rows_e.shape)
     held = B[cc, np.maximum(bn, 0)[None, :, None], np.maximum(kv - 1, 0)]
-    terms = [(rows_e[~drop], F[:, ge, :][~drop], -1.0),
+    terms = [(rows_e, F[:, ge, :], -1.0),
              (rows_e[buffered], np.broadcast_to(held, rows_e.shape)[buffered], 1.0)]
     ok = np.broadcast_to(has_in[None], (C, len(pair_g), K))
     terms.append((rows_e[:, pair_g, :][ok],
                   F[cc, pair_e[None, :, None], np.maximum(kin, 0)[None]][ok], 1.0))
     if len(gn):
-        rows_n = rid[cS + slot_n[None]]  # (C, switch group, k_out)
+        rows_n = cS + slot_n[None]  # (C, switch group, k_out)
         og, oe = net.edges_out(gn)
         ig, ie = net.edges_in(gn)
         terms.append((rows_n[:, og, :].ravel(), F[:, oe, :].ravel(), 1.0))
@@ -352,8 +354,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         ok = np.broadcast_to(kin_n >= 0, (C, len(ig), K))
         terms.append((rows_n[:, ig, :][ok],
                       F[cc, ie[None, :, None], np.maximum(kin_n, 0)[None]][ok], -1.0))
-    kept = keep.ravel()
-    m.add_rows(lo.ravel()[kept], hi.ravel()[kept], *terms)
+    m.add_rows(lo, hi, *terms, keep=keep)
 
     # Buffer recurrence: each start-of-epoch buffer accumulates last epoch's
     # arrivals (minus explicit removals when a limit is in force).
@@ -364,10 +365,18 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     ib, iedge = net.edges_in(bnodes)
     kin_b = ar(K)[None, :] - net.delta[iedge][:, None]  # k - 1 - delta for k = 1..K
     ok = np.broadcast_to(kin_b >= 0, (C, len(ib), K))
-    terms.append((rb[:, ib, :][ok],
-                  F[cc, iedge[None, :, None], np.maximum(kin_b, 0)[None]][ok], -1.0))
-    rhs_b = arr[:, bnodes, 1:].ravel()
-    m.add_rows(rhs_b, rhs_b, *terms)
+    rows_in = rb[:, ib, :][ok]
+    lands = F[cc, iedge[None, :, None], np.maximum(kin_b, 0)[None]][ok]
+    terms.append((rows_in, lands, -1.0))
+    decided = np.zeros((C, NB, K), dtype=bool)  # at k: B[k + 1] holds only fixed terms
+    if not (one_shot or limited):
+        free = np.bincount(rows_in, m.lb[lands] != m.ub[lands], C * NB * K).reshape(C, NB, K)
+        sent = np.bincount(rows_in, m.lb[lands], C * NB * K).reshape(C, NB, K)
+        decided = np.logical_and.accumulate(free == 0, axis=2)
+        value = arr[:, bnodes, :1] + np.cumsum(arr[:, bnodes, 1:] + sent, axis=2)
+        m.fix(B[:, :, 1:][decided], value[decided])
+    rhs_b = arr[:, bnodes, 1:]
+    m.add_rows(rhs_b, rhs_b, *terms, keep=~decided)
 
     # Destination reads: R is capped by demand (declared R vars only) and by
     # what the buffer holds at the next boundary; monotone so a read is never

@@ -11,7 +11,8 @@ so builders address whole families by index arithmetic and `var` finds a
 key's column from the axes alone. `fix` pins columns to values.
 
 `add_rows` appends rows lb <= sum(coef * var) <= ub as (row, column,
-coefficient) triples with a bound pair per row, dropping zero coefficients;
+coefficient) triples with a bound pair per row, dropping zero coefficients
+and the rows a builder flags as holding by construction (`keep`);
 `add_objective` adds terms to the objective, whose sense is always maximize.
 A model keeps its terms as added, a block per term: rows and columns as
 int32 (int64 only where an index does not fit), and the coefficients as one
@@ -215,13 +216,19 @@ class Model:
 
     # -- rows and objective --------------------------------------------------
 
-    def add_rows(self, lb, ub, *terms) -> None:
+    def add_rows(self, lb, ub, *terms, keep=None) -> None:
         """Append a block of rows. lb and ub give one bound per row; each term
         is (rows, columns, coefficients), rows numbered from 0 within the
         block, arrays or scalars broadcast together. A term's rows and
         columns are kept as int32, or as int64 where an index does not fit,
-        so none is ever wrapped; a scalar coefficient is kept as one float."""
+        so none is ever wrapped; a scalar coefficient is kept as one float.
+        `keep`, one flag per row, omits the rows it flags False, with their
+        entries, and numbers the rest in order."""
         lb, ub = np.broadcast_arrays(np.asarray(lb, dtype=float), np.asarray(ub, dtype=float))
+        if keep is not None:
+            keep = np.asarray(keep, dtype=bool).ravel()
+            rid = np.cumsum(keep) - 1
+            lb, ub = lb.ravel()[keep], ub.ravel()[keep]
         for r, c, v in terms:
             r, c = np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64)
             if np.ndim(v) == 0:
@@ -231,8 +238,12 @@ class Model:
                 r, c = np.broadcast_arrays(r, c)
             else:
                 r, c, v = np.broadcast_arrays(r, c, np.asarray(v, dtype=float))
-                keep = v != 0
-                r, c, v = r[keep], c[keep], v[keep]
+                nonzero = v != 0
+                r, c, v = r[nonzero], c[nonzero], v[nonzero]
+            if keep is not None:
+                on = keep[r]
+                r, c = rid[r[on]], c[on]
+                v = v if np.ndim(v) == 0 else v[on]
             self._blocks.append((_narrow(r + self.num_rows), _narrow(c), v))
         self._row_lb.append(np.array(lb, dtype=float))
         self._row_ub.append(np.array(ub, dtype=float))

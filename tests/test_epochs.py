@@ -96,3 +96,36 @@ def test_window_budget_sums_overridden_capacities():
     assert timing.kappa[("a", "b")] == 2
     assert timing.delta[("a", "b")] == 3 + 1  # ceil(2.5) plus kappa - 1
     assert timing.budget[("a", "b")] == [1.0, 1.0, 2.0, 2.0, 1.0]
+
+
+def _exact_budgets(kap, rate, overrides, k0, K):
+    """Window budgets summed in exact arithmetic on every edge, each
+    converted to a float once: how `_budgets` computed every edge before it
+    took the base windows' floats from `link_timing`."""
+    budget = {}
+    for pair, w in kap.items():
+        per_epoch = [rate[pair]] * K
+        for (i, j, k), c in overrides.items():
+            if (i, j) == pair and 0 <= k - k0 < K:
+                per_epoch[k - k0] = c
+        window = w * per_epoch[0]
+        budget[pair] = [float(window)]
+        for k in range(1, K):
+            window += per_epoch[k] - per_epoch[max(k - w, 0)]
+            budget[pair].append(float(window))
+    return budget
+
+
+@pytest.mark.parametrize("overrides", [{}, {(0, 1, 1): 100e9, (0, 1, 2): 25e9, (2, 3, 0): 100e9,
+                                            (5, 4, 9): 1e9}])
+def test_base_window_budgets_are_the_exact_sums(overrides):
+    # dgx1 at a 0.3 us epoch: kappa 2 and 4, and rates (0.6 and 0.3 chunks
+    # per epoch) that no float holds exactly.
+    base = dgx1()
+    t = Topology(base.nodes, base.switches, base.edges, overrides)
+    timing = link_timing(t, EpochConfig(0.3e-6, 6, 25000))
+    assert sorted(set(timing.kappa.values())) == [2, 4]
+    assert timing.budget == _exact_budgets(timing.kappa, timing.rate, timing.overrides, 0, 6)
+    for k0 in (0, 1, 4, 9):
+        got = timing.from_epoch(k0, 4).budget
+        assert got == _exact_budgets(timing.kappa, timing.rate, timing.overrides, k0, 4)

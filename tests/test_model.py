@@ -28,6 +28,16 @@ def test_rows_sum_a_repeated_column_and_keep_a_cancelled_entry():
                             ([(x[1, 0], 0.0)], -INF, 1.0)]
 
 
+def test_rows_a_block_omits_are_gone_with_their_entries():
+    m = Model()
+    x = _grid(m)
+    m.add_rows([0.0, 1.0, 2.0], [5.0, 6.0, 7.0],
+               ([0, 1, 2], [x[0, 0], x[0, 2], x[1, 0]], [1.0, 2.0, 3.0]),
+               ([1, 2], x[1, 1], 4.0), keep=[True, False, True])
+    assert list(m.rows) == [([(x[0, 0], 1.0)], 0.0, 5.0),
+                            ([(x[1, 1], 4.0), (x[1, 0], 3.0)], 2.0, 7.0)]
+
+
 def test_rows_list_the_entries_handed_to_the_solver(monkeypatch):
     m = Model()
     x = _grid(m)

@@ -11,25 +11,30 @@ were first recorded from the row-by-row model builders; the one-shot ones
 cannot reach a destination in time, and the A* rounds after round 0 again
 when rounds began to fix every send into a node that already holds the
 chunk, and the LP ones (`lp/*`) again when the LP stopped carrying
-cumulative reads. The A* rounds after round 0 also pin the solve that seeds them:
-each round is solved by `solve` to seed the next. To print the digests of the current code:
+cumulative reads, and every A* round (`astar/*`) again when rounds began to
+fix the buffers, look-ahead and progress counters their carry decides. The
+A* rounds after round 0 also pin the solve that seeds them: each round is
+solved by `solve` to seed the next. To print the digests of the current
+code, or with `--changed` only those that differ from `GOLDEN`, as
+`key: old → new`:
 
-    PYTHONPATH=src python tests/test_model_digests.py
+    PYTHONPATH=src python tests/test_model_digests.py [--changed]
 """
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
-from collsched import solver
+from collsched import astar, solver
 from collsched.astar import advance_state, build_round_model, initial_state, round_distance_table
 from collsched.demand import generate_demand
 from collsched.epochs import EpochConfig, epoch_duration, link_timing
 from collsched.estimator import default_candidates
 from collsched.lp import build_lp_model
 from collsched.milp import ModelOptions, build_time_expanded, model_topology
-from collsched.topology import Topology, dgx1, dgx2, ndv2
+from collsched.topology import Topology, dgx1, dgx2, line, ndv2
 
 MIB = 1 << 20
 
@@ -93,10 +98,18 @@ def _one_shot_inputs():
     return out
 
 
-def _astar_rounds(name, coll, mode):
-    """Models of A* rounds 0-2, each round solved to seed the next."""
-    t = _topologies()[name]
-    d = generate_demand(coll, t, 1, MIB)
+def _round_input(name, coll):
+    """The topology and demand of an A* input: a digest topology, or line6,
+    a 6-node line with no latency, where a send lands within its round."""
+    t = line(6) if name == "line6" else _topologies()[name]
+    return t, generate_demand(coll, t, 1, MIB)
+
+
+def _solved_rounds(name, coll, mode):
+    """A* rounds 0-2, each solved to seed the next: the states that seed
+    rounds 0-3, the round models, their solutions, the model topology and
+    the link timing."""
+    t, d = _round_input(name, coll)
     opts = ModelOptions(switch_mode=mode)
     tau = epoch_duration(t, MIB)
     t_eff = model_topology(t, opts)[0]
@@ -104,14 +117,19 @@ def _astar_rounds(name, coll, mode):
     cfg = EpochConfig(tau, K, MIB)
     timing = link_timing(t_eff, cfg)
     fw = round_distance_table(t, cfg)
-    state = initial_state(d)
-    models, carries = [], []
+    states, models, sols = [initial_state(d)], [], []
     for _ in range(3):
-        m = build_round_model(t, state, cfg, fw, 0.5, opts)
-        models.append(m)
-        state = advance_state(state, solver.solve(m), timing)
-        carries.append(state.carry)
-    return models, carries, t_eff, timing
+        models.append(build_round_model(t, states[-1], cfg, fw, 0.5, opts))
+        sols.append(solver.solve(models[-1]))
+        states.append(advance_state(states[-1], sols[-1], timing))
+    return states, models, sols, t_eff, timing
+
+
+def _astar_rounds(name, coll, mode):
+    """Models of A* rounds 0-2, each round solved to seed the next, the
+    carries they hand on, the model topology and the link timing."""
+    states, models, _, t_eff, timing = _solved_rounds(name, coll, mode)
+    return models, [s.carry for s in states[1:]], t_eff, timing
 
 
 def _digest(m) -> str:
@@ -196,15 +214,15 @@ GOLDEN = {
     'milp/ndv2x2-slice/alltoall/copy': 'a1e106abd5f505e2',
     'milp/ndv2x2-slice/alltoall/hyper-edge': 'e5645cdd1cc09c99',
     'milp/ndv2x2-slice/alltoall/no-copy': '625ae500bb1478aa',
-    'astar/ndv2x2-slice/allgather/copy/0': '5332eef402e953cb',
-    'astar/ndv2x2-slice/allgather/copy/1': '989545a105ef5930',
-    'astar/ndv2x2-slice/allgather/copy/2': 'c5b7c3301f0ffdea',
-    'astar/ndv2x2-slice/alltoall/no-copy/0': '60902bfdcc95ea80',
-    'astar/ndv2x2-slice/alltoall/no-copy/1': '5595cbb91a3ad01b',
-    'astar/ndv2x2-slice/alltoall/no-copy/2': 'f43ff1195be4867d',
-    'astar/dgx2x2-slice/allgather/hyper-edge/0': '7dc09906db33ec80',
-    'astar/dgx2x2-slice/allgather/hyper-edge/1': '26e6edcfef39bd43',
-    'astar/dgx2x2-slice/allgather/hyper-edge/2': 'd04f8bf0435b70b8',
+    'astar/ndv2x2-slice/allgather/copy/0': '7e7c3ab86993737c',
+    'astar/ndv2x2-slice/allgather/copy/1': 'bad5a3831a09c165',
+    'astar/ndv2x2-slice/allgather/copy/2': '1c878763459a4288',
+    'astar/ndv2x2-slice/alltoall/no-copy/0': '7a0f77a2b89c68c9',
+    'astar/ndv2x2-slice/alltoall/no-copy/1': '550ab91095d5a91d',
+    'astar/ndv2x2-slice/alltoall/no-copy/2': '4e57c044b1e4c6e5',
+    'astar/dgx2x2-slice/allgather/hyper-edge/0': '54908c670a622e23',
+    'astar/dgx2x2-slice/allgather/hyper-edge/1': '3670a05aca5568b1',
+    'astar/dgx2x2-slice/allgather/hyper-edge/2': '86eb68c676f0970f',
 }
 
 
@@ -256,6 +274,74 @@ def test_astar_round_models_reach_highs_unchanged(name, coll, mode):
     assert any(timing.kappa[(i, j)] > 1 for c in carries for (i, j, _) in c.link_load)
 
 
+# The optimum of A* rounds 0-2 as `_solved_rounds` reaches them, given by
+# the round builder from the same states before rounds fixed the buffers,
+# look-ahead and progress counters their carry decides. On line6 a send
+# lands within its round, so a round's buffers are only partly decided.
+ROUND_OPTIMA = {
+    ("ndv2x2-slice", "allgather", "copy"): [32.520933224465324, 7.362889312102464,
+                                            8.181200611723831],
+    ("ndv2x2-slice", "alltoall", "no-copy"): [32.18251493286339, 6.478092001229404,
+                                              4.813504695274837],
+    ("dgx2x2-slice", "allgather", "hyper-edge"): [81.6301209690617, 56.62409706080107,
+                                                  25.556099765277708],
+    ("line6", "alltoall", "copy"): [54.00208333333333, 14.002083333333333, 6.334733333333333],
+}
+
+
+def _carried(m, carry) -> np.ndarray:
+    """What the carry alone has put in each buffer B[c, b, k] by epoch k."""
+    b = m.families["B"]
+    com, node = b.axes[0].position, b.axes[1].position
+    got = np.zeros(b.index.shape)
+    for (s, c, n, k), v in carry.arrivals.items():
+        if (s, c) in com and n in node and k < got.shape[2]:
+            got[com[(s, c)], node[n], k] += v
+    return np.cumsum(got, axis=2)
+
+
+def _decidable(m) -> set:
+    """Columns of B and Q still free though an equality row holds no other
+    free column, so that the row alone decides them."""
+    free = m.lb != m.ub
+    a = m.matrix().transpose()  # column i is row i
+    lo, hi = m.row_bounds()
+    row = np.repeat(np.arange(len(lo)), np.diff(a.indptr))
+    on = free[a.indices] & (a.data != 0)
+    alone = (lo == hi) & (np.bincount(row[on], minlength=len(lo)) == 1)
+    cols = set(a.indices[on & alone[row]].tolist())
+    return cols & set(np.concatenate([m.families[f].index.ravel() for f in "BQ"]).tolist())
+
+
+@pytest.mark.parametrize("name, coll, mode", sorted(ROUND_OPTIMA))
+def test_round_models_fix_what_their_carry_decides(name, coll, mode):
+    states, models, sols, _, _ = _solved_rounds(name, coll, mode)
+    assert [s.objective for s in sols] == pytest.approx(ROUND_OPTIMA[name, coll, mode],
+                                                        rel=1e-9, abs=1e-9)
+    for state, m in zip(states, models):
+        b = m.families["B"].index
+        fixed = m.lb[b] == m.ub[b]
+        assert np.array_equal(m.lb[b][fixed], _carried(m, state.carry)[fixed])
+        assert fixed[:, :, 1:].any()
+        if name == "line6":
+            assert not fixed.all()
+
+
+@pytest.mark.parametrize("name, coll, mode", sorted(ROUND_OPTIMA))
+def test_no_round_leaves_a_decided_buffer_or_look_ahead_free(name, coll, mode, monkeypatch):
+    models = []
+
+    def solve(m, opts=None):
+        models.append(m)
+        return solver.solve(m, opts)
+
+    monkeypatch.setattr(astar, "solve", solve)
+    t, d = _round_input(name, coll)
+    astar.astar_solve(t, d, epoch_duration(t, MIB), opts=ModelOptions(switch_mode=mode))
+    assert len(models) >= 3
+    assert [_decidable(m) for m in models] == [set()] * len(models)
+
+
 def _record():
     out = {name: _digest(build()) for name, build in sorted(ONE_SHOT.items())}
     for name, coll, mode in ASTAR:
@@ -265,7 +351,13 @@ def _record():
 
 
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for key, value in _record().items():
-        print(f"    {key!r}: {value!r},")
-    print("}")
+    got = _record()
+    if sys.argv[1:] == ["--changed"]:
+        for key, value in got.items():
+            if GOLDEN.get(key) != value:
+                print(f"{key}: {GOLDEN.get(key)} → {value}")
+    else:
+        print("GOLDEN = {")
+        for key, value in got.items():
+            print(f"    {key!r}: {value!r},")
+        print("}")
