@@ -22,9 +22,10 @@ A round also states what its carry already decides. A buffer that no free
 send can reach by an epoch, a look-ahead count whose predecessor and feeding
 sends are all fixed, and a progress counter at a location that no wanted
 chunk can reach are fixed to the value their own row forces (0 for the
-counter), and the buffer and look-ahead rows, which then hold by
-construction, are omitted. On ndv2x2 allgather that decides every buffer
-and most of the look-ahead, and HiGHS gets about a quarter of the nonzeros.
+counter). On ndv2x2 allgather that decides every buffer and most of the
+look-ahead, and HiGHS gets about a quarter of the nonzeros. The round is
+then settled (`Model.settle`): the rows those fixings decide, the buffer
+and look-ahead rows among them, are dropped or become column bounds.
 
 `astar_solve` plans the rounds once, link timing and round length included,
 and stitches their flows under the `meta` a one-shot model carries.
@@ -87,8 +88,10 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     look-ahead accounting (Q), progress counters (P), the distance reward and
     the early-send tie-break (`EARLY_SEND`). A Q whose predecessor (the
     terminal buffer or the Q before it) and feeding sends are all fixed is
-    fixed to their sum, without its row; a P whose wanted chunks' Q at its
-    location are all fixed at 0 is fixed at 0.
+    fixed to their sum; a P whose wanted chunks' Q at its location are all
+    fixed at 0 is fixed at 0. Settling is the last step (`Model.settle`), so
+    the round keeps only the rows with two or more free columns, and any row
+    that cannot hold.
 
     gamma < 1 keeps any in-transit reward below the payoff of a chunk sitting
     at its destination. `timing` is the link timing of the whole solve (the
@@ -138,7 +141,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
                          (C, len(pn), M))
     sends = F[cc, pe[None, :, None], np.clip(k_send, 0, kk)[None]][ok]
     # A Q whose predecessor and feeding sends are all fixed is decided: fix
-    # it to their sum and omit its row. A switch's Q has no predecessor.
+    # it to their sum. A switch's Q has no predecessor.
     at = ((cc * N + pn[None, :, None]) * M + ar(M))[ok]  # (commodity, node, k') of each send
     decided = np.bincount(at, m.lb[sends] != m.ub[sends], C * N * M).reshape(C, N, M) == 0
     value = np.bincount(at, m.lb[sends], C * N * M).reshape(C, N, M)
@@ -152,7 +155,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     m.add_rows(np.zeros(count), np.zeros(count),
                (rq[has_q], Q[has_q], 1.0),
                (rq[prev], qref[:, :, :-1][prev[:, :, 1:]], -1.0),
-               (rq[:, pn, :][ok], sends, -1.0), keep=~fixed[has_q])
+               (rq[:, pn, :][ok], sends, -1.0))
 
     # Progress counters: how many still-wanted chunks sit at (or move through)
     # each location, rewarded by closeness to the wanting destination. Per
@@ -191,6 +194,7 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
         reward = np.where(np.isfinite(dist), gamma / (kp1 * (1.0 + dist)), 0.0)
     m.add_objective(P, np.where(at_dst, 1.0 / kp1, reward))
     m.add_objective(F, EARLY_SEND / (ar(K) + 1)[None, None, :])
+    m.settle()
     return m
 
 

@@ -38,6 +38,8 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
     one block of rows built by index arithmetic over (source, edge, epoch).
     The objective weighs a read at epoch k by the sum of 1/(j + 1) over
     j = k..K-1, which is 1/(j + 1) on each epoch j's cumulative reads.
+    Settling is the last step (`Model.settle`), so the model keeps only the
+    rows with two or more free columns, and any row that cannot hold.
     """
     opts = opts or ModelOptions()
     check_demand_nodes(d, t)
@@ -130,6 +132,7 @@ def build_lp_model(t: Topology, d: Demand, cfg: EpochConfig,
                    (rows, B.transpose(1, 2, 0), 1.0))
 
     m.add_objective(Rd, np.cumsum(1.0 / (kv + 1)[::-1])[::-1][None, :])
+    m.settle()
     return m
 
 

@@ -138,7 +138,9 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     over (buffering node, epoch 0..K), R over (destination, epoch) and, with
     a buffer limit, X over (buffering node, epoch). Each constraint family
     is one block of rows built by index arithmetic over (commodity, edge,
-    epoch).
+    epoch). Settling is the last step (`Model.settle`), so the model keeps
+    only the rows with two or more free columns, and any row that cannot
+    hold.
     """
     check_demand_nodes(d, t)
     if opts.buffer_limit is not None:
@@ -198,8 +200,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     # credit for a duplicate. Sends out of a no-copy switch are exempt, as
     # the switch must forward every arrival. Such a round also fixes each
     # buffer B[k] that no free send can land in by epoch k to what the carry
-    # and the fixed sends put there, and omits its recurrence row, which
-    # then holds by construction.
+    # and the fixed sends put there; settling then drops its recurrence row.
     seeds: dict[tuple, dict] = {}
     for (s, c, n, k), v in arrivals.items():
         if v:
@@ -326,10 +327,8 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     drop = sw_of[None, :, None] & (n_in == 0)[None] & (rhs_e == 0.0)
     m.fix(F[:, ge, :][drop], 0.0)
 
-    keep = np.ones((C, S), dtype=bool)
     lo = np.zeros((C, S))
     hi = np.full((C, S), INF)
-    keep[:, slot_e] = ~drop
     lo[:, slot_e] = rhs_e
     rhs_n = arr[:, gn, :K]
     lo[:, slot_n] = rhs_n
@@ -354,7 +353,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         ok = np.broadcast_to(kin_n >= 0, (C, len(ig), K))
         terms.append((rows_n[:, ig, :][ok],
                       F[cc, ie[None, :, None], np.maximum(kin_n, 0)[None]][ok], -1.0))
-    m.add_rows(lo, hi, *terms, keep=keep)
+    m.add_rows(lo, hi, *terms)
 
     # Buffer recurrence: each start-of-epoch buffer accumulates last epoch's
     # arrivals (minus explicit removals when a limit is in force).
@@ -368,15 +367,15 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     rows_in = rb[:, ib, :][ok]
     lands = F[cc, iedge[None, :, None], np.maximum(kin_b, 0)[None]][ok]
     terms.append((rows_in, lands, -1.0))
-    decided = np.zeros((C, NB, K), dtype=bool)  # at k: B[k + 1] holds only fixed terms
     if not (one_shot or limited):
         free = np.bincount(rows_in, m.lb[lands] != m.ub[lands], C * NB * K).reshape(C, NB, K)
         sent = np.bincount(rows_in, m.lb[lands], C * NB * K).reshape(C, NB, K)
+        # At k: B[k + 1] holds only fixed terms.
         decided = np.logical_and.accumulate(free == 0, axis=2)
         value = arr[:, bnodes, :1] + np.cumsum(arr[:, bnodes, 1:] + sent, axis=2)
         m.fix(B[:, :, 1:][decided], value[decided])
     rhs_b = arr[:, bnodes, 1:]
-    m.add_rows(rhs_b, rhs_b, *terms, keep=~decided)
+    m.add_rows(rhs_b, rhs_b, *terms)
 
     # Destination reads: R is capped by demand (declared R vars only) and by
     # what the buffer holds at the next boundary; monotone so a read is never
@@ -420,4 +419,5 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                    (at(base + 1 + len(srcs) + rd[None, None, :]), cols, 1.0))
 
     m.add_objective(R, 1.0 / (ar(K) + 1)[None, :])
+    m.settle()
     return m

@@ -11,8 +11,7 @@ so builders address whole families by index arithmetic and `var` finds a
 key's column from the axes alone. `fix` pins columns to values.
 
 `add_rows` appends rows lb <= sum(coef * var) <= ub as (row, column,
-coefficient) triples with a bound pair per row, dropping zero coefficients
-and the rows a builder flags as holding by construction (`keep`);
+coefficient) triples with a bound pair per row, dropping zero coefficients;
 `add_objective` adds terms to the objective, whose sense is always maximize.
 A model keeps its terms as added, a block per term: rows and columns as
 int32 (int64 only where an index does not fit), and the coefficients as one
@@ -27,6 +26,15 @@ Given a subset of the columns, `matrix` assembles only the entries on them.
 `scipy.sparse` calls them, so each matrix is byte for byte the one
 `scipy.sparse.csc_matrix` builds from the same entries, without importing
 `scipy.sparse`.
+
+`settle` is every builder's last step: it takes out the rows the model's
+column bounds already decide. A row with no open column (lb < ub, nonzero
+summed coefficient) that holds within TOL at its fixed columns' values is
+dropped; a row with one open column becomes that column's bounds, rounded
+inward on a binary, and is dropped; and that repeats while it fixes new
+columns. A row that cannot hold stays, so the solver still proves the model
+infeasible. The feasible set and every optimum stay as they were, and a
+settled model's rows that can hold have two or more open columns each.
 """
 
 from __future__ import annotations
@@ -50,6 +58,13 @@ INF = float("inf")
 # benchmark solve (about 10^5), far below one that exhausts memory.
 MAX_COLUMNS = 10 ** 7
 _INT32_MAX = np.iinfo(np.int32).max
+TOL = 1e-6  # relative feasibility slack solvers are allowed
+
+
+def holds(value: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Whether each value lies in [lb, ub], within TOL of the bound's size."""
+    return ((value >= lb - TOL * np.maximum(1.0, np.abs(lb)))
+            & (value <= ub + TOL * np.maximum(1.0, np.abs(ub))))
 
 
 def check_columns(K: int, count: int) -> None:
@@ -216,19 +231,13 @@ class Model:
 
     # -- rows and objective --------------------------------------------------
 
-    def add_rows(self, lb, ub, *terms, keep=None) -> None:
+    def add_rows(self, lb, ub, *terms) -> None:
         """Append a block of rows. lb and ub give one bound per row; each term
         is (rows, columns, coefficients), rows numbered from 0 within the
         block, arrays or scalars broadcast together. A term's rows and
         columns are kept as int32, or as int64 where an index does not fit,
-        so none is ever wrapped; a scalar coefficient is kept as one float.
-        `keep`, one flag per row, omits the rows it flags False, with their
-        entries, and numbers the rest in order."""
+        so none is ever wrapped; a scalar coefficient is kept as one float."""
         lb, ub = np.broadcast_arrays(np.asarray(lb, dtype=float), np.asarray(ub, dtype=float))
-        if keep is not None:
-            keep = np.asarray(keep, dtype=bool).ravel()
-            rid = np.cumsum(keep) - 1
-            lb, ub = lb.ravel()[keep], ub.ravel()[keep]
         for r, c, v in terms:
             r, c = np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64)
             if np.ndim(v) == 0:
@@ -240,14 +249,67 @@ class Model:
                 r, c, v = np.broadcast_arrays(r, c, np.asarray(v, dtype=float))
                 nonzero = v != 0
                 r, c, v = r[nonzero], c[nonzero], v[nonzero]
-            if keep is not None:
-                on = keep[r]
-                r, c = rid[r[on]], c[on]
-                v = v if np.ndim(v) == 0 else v[on]
             self._blocks.append((_narrow(r + self.num_rows), _narrow(c), v))
-        self._row_lb.append(np.array(lb, dtype=float))
-        self._row_ub.append(np.array(ub, dtype=float))
-        self.num_rows += len(lb)
+        self._row_lb.append(np.array(lb, dtype=float).ravel())
+        self._row_ub.append(np.array(ub, dtype=float).ravel())
+        self.num_rows += lb.size
+        self._rows = None
+
+    def settle(self) -> None:
+        """Take out the rows the column bounds decide, and tighten the
+        bounds they imply. With `matrix()` assembled once, each pass reads
+        every remaining row's open entries (free column, nonzero summed
+        coefficient) and its fixed columns' share `moved`:
+        - a row with no open entry that holds within TOL is dropped;
+        - the rows with one open entry on a column bound it to
+          (lb - moved) / coef .. (ub - moved) / coef, intersected with its
+          bounds and rounded inward on a binary, and are dropped; where the
+          intersection is empty they stay, and the bounds stay as they were.
+        Passes repeat while one fixes a column. The remaining rows keep
+        their order, and their entries their order within each block."""
+        a = self.matrix()
+        ones = CSC(a.indptr, a.indices, (a.data != 0).astype(float), a.shape)
+        lo, hi = self.row_bounds()
+        alive = np.ones(self.num_rows, dtype=bool)
+        column = np.arange(self.num_vars, dtype=float)
+        while True:
+            # Per row, by three products: its fixed columns' share, its open
+            # entries and, for a row with one, that entry's column and
+            # coefficient.
+            free = self.lb != self.ub
+            moved = a @ np.where(free, 0.0, self.lb)
+            count = ones @ free.astype(float)
+            alive &= (count > 0) | ~holds(moved, lo, hi)
+            r = np.flatnonzero(alive & (count == 1))
+            c = (ones @ np.where(free, column, 0.0))[r].astype(np.int64)
+            v = (a @ free.astype(float))[r]
+            at_lb, at_ub = (lo[r] - moved[r]) / v, (hi[r] - moved[r]) / v
+            bound_lb, bound_ub = self.lb.copy(), self.ub.copy()
+            np.maximum.at(bound_lb, c, np.where(v > 0, at_lb, at_ub))
+            np.minimum.at(bound_ub, c, np.where(v > 0, at_ub, at_lb))
+            hit = np.zeros(self.num_vars, dtype=bool)
+            hit[c] = True  # not np.unique, which imports numpy.ma
+            touched = np.flatnonzero(hit)
+            lb, ub, binary = bound_lb[touched], bound_ub[touched], self.binary[touched]
+            lb[binary], ub[binary] = np.ceil(lb[binary] - TOL), np.floor(ub[binary] + TOL)
+            ok = lb <= ub
+            settled = touched[ok]
+            self.lb[settled], self.ub[settled] = lb[ok] + 0.0, ub[ok] + 0.0  # no -0.0
+            hit[touched[~ok]] = False
+            alive[r[hit[c]]] = False
+            if not np.any(lb[ok] == ub[ok]):
+                break
+        if alive.all():
+            return
+        rid = np.cumsum(alive) - 1  # a row's new number is at most its old one
+        blocks = []
+        for r, c, v in self._blocks:
+            on = alive[r]
+            blocks.append((rid[r[on]].astype(r.dtype), c[on],
+                           v[on] if isinstance(v, np.ndarray) else v))
+        self._blocks = blocks
+        self._row_lb, self._row_ub = [lo[alive]], [hi[alive]]
+        self.num_rows = int(alive.sum())
         self._rows = None
 
     def add_objective(self, idx, coef) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (ConservationError, HorizonInfeasibleError, SolverBackendError,
                      SolverTimeoutError, ValidationError)
 from .extensions import load
-from .model import Model
+from .model import TOL, Model, holds
 
 _core = load("scipy.optimize._highspy._core")
 HighsModelStatus, HighsStatus, _Highs = _core.HighsModelStatus, _core.HighsStatus, _core._Highs
@@ -49,7 +49,6 @@ INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
 
 _GAP_EPS = 1e-9
-TOL = 1e-6  # relative feasibility slack solvers are allowed
 
 
 # A MILP stopped by one of these may still hold an incumbent.
@@ -158,7 +157,9 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     offset, so the objective and the MIP gap HiGHS reports are the whole
     model's. The values come back with every fixed column at its bound. A
     model with no free column never reaches HiGHS: it is optimal if every
-    row holds within TOL at the fixed values, else infeasible.
+    row holds within TOL at the fixed values, else infeasible. Every
+    builder settles its model (`Model.settle`), so HiGHS gets only rows
+    with two or more free columns, and the rows that cannot hold.
 
     HiGHS runs single-threaded here, so results are deterministic for a fixed
     model.
@@ -174,8 +175,7 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     row_lb, row_ub = m.row_bounds()
     offset = float(c @ x)
     if not free.any():
-        met = np.all((moved >= row_lb - TOL * np.maximum(1.0, np.abs(row_lb)))
-                     & (moved <= row_ub + TOL * np.maximum(1.0, np.abs(row_ub))))
+        met = np.all(holds(moved, row_lb, row_ub))
         # 0.0 - offset, not -offset: a model with no objective reports 0.0, not -0.0.
         return Solution(OPTIMAL, m, x, 0.0 - offset) if met else Solution(INFEASIBLE, m)
     a = m.matrix(np.flatnonzero(free))

@@ -9,8 +9,8 @@ from collsched.epochs import EpochConfig, epoch_duration
 from collsched.errors import EstimationError
 from collsched.estimator import default_candidates, estimate_epoch_upper_bound
 from collsched.milp import ModelOptions, build_general_model
-from collsched.solver import SolverOptions, solve
-from collsched.topology import dgx1, line, ring, star
+from collsched.solver import INFEASIBLE, Solution, SolverOptions, solve
+from collsched.topology import dgx1, dgx2, line, ring, star
 
 
 def test_star3_candidate_ladder(star3, solver_opts):
@@ -107,3 +107,31 @@ def test_coarse_models_ignore_capacity_overrides(monkeypatch):
     d = Demand(frozenset({(0, 0, 1), (0, 1, 1)}), 2, 1)
     assert estimate_epoch_upper_bound(t, d, 1.0, candidates=[8.0]) == 8
     assert seen and all(overrides == {} for overrides in seen)
+
+
+class _Built(Exception):
+    pass
+
+
+def test_the_coarse_dgx2_alltoall_model_is_settled(monkeypatch):
+    # The estimator's first 8-epoch coarse MILP sets the memory peak of
+    # dgx2 alltoall's LP synthesis: 88,336 rows before every builder
+    # settled its model, 34,000 after, the rest decided by its fixings.
+    # Only models are built here; none is solved.
+    t = dgx2()
+    d = generate_demand("alltoall", t, chunk_size=1 << 20)
+    real, built = estimator.build_time_expanded, []
+
+    def build(*args):
+        built.append(real(*args))
+        if built[-1].meta["cfg"].K == 8:
+            raise _Built
+        return built[-1]
+
+    monkeypatch.setattr(estimator, "build_time_expanded", build)
+    monkeypatch.setattr(estimator, "solve", lambda m, opts: Solution(INFEASIBLE, m))
+    with pytest.raises(_Built):
+        estimate_epoch_upper_bound(t, d, epoch_duration(t, 1 << 20))
+    assert [m.meta["cfg"].K for m in built] == [4, 8]
+    assert built[-1].meta["cfg"].tau * 8 == default_candidates(t, d)[0]
+    assert built[-1].num_rows <= 40_000

@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from collsched import solver
-from collsched.model import INF, Axis, Model
+from collsched.model import BINARY, INF, TOL, Axis, Model, holds
 from collsched.solver import Solution, solve
 
 
@@ -28,14 +30,42 @@ def test_rows_sum_a_repeated_column_and_keep_a_cancelled_entry():
                             ([(x[1, 0], 0.0)], -INF, 1.0)]
 
 
-def test_rows_a_block_omits_are_gone_with_their_entries():
+def test_settle_takes_out_the_rows_the_bounds_decide():
     m = Model()
     x = _grid(m)
-    m.add_rows([0.0, 1.0, 2.0], [5.0, 6.0, 7.0],
-               ([0, 1, 2], [x[0, 0], x[0, 2], x[1, 0]], [1.0, 2.0, 3.0]),
-               ([1, 2], x[1, 1], 4.0), keep=[True, False, True])
-    assert list(m.rows) == [([(x[0, 0], 1.0)], 0.0, 5.0),
-                            ([(x[1, 1], 4.0), (x[1, 0], 3.0)], 2.0, 7.0)]
+    m.fix(x[0, 0], 2.0)
+    m.add_rows([1.0, 1.0, 1.0, -INF, 0.0, 5.0], [INF, 3.0, 1.0, 0.5, 1.0, 5.0],
+               ([0, 1, 2, 4], x[0, 0], 1.0),
+               ([1, 3, 3, 5, 5, 5, 5], [x[0, 2], x[1, 2], x[1, 2], x[1, 1], x[1, 1], x[0, 2],
+                                        x[1, 0]], [2.0, 3.0, -2.0, 1.0, -1.0, 1.0, 1.0]),
+               (2, x[1, 0], 1.0))
+    m.settle()
+    # Row 0 holds at x[0, 0] = 2 and goes. Rows 1 and 3 (whose x[1, 2]
+    # coefficients sum to 1) become the bounds x[0, 2] <= 0.5 and
+    # x[1, 2] <= 0.5 and go. Row 2 would need x[1, 0] = -1, below its
+    # bound, and row 4 fails at x[0, 0] = 2: neither can hold, so both stay.
+    # Row 5 keeps two open columns, and its cancelled x[1, 1] entry.
+    assert list(m.rows) == [([(x[1, 0], 1.0), (x[0, 0], 1.0)], 1.0, 1.0),
+                            ([(x[0, 0], 1.0)], 0.0, 1.0),
+                            ([(x[1, 1], 0.0), (x[0, 2], 1.0), (x[1, 0], 1.0)], 5.0, 5.0)]
+    assert m.ub[x[0, 2]] == m.ub[x[1, 2]] == 0.5
+    assert (m.lb[x[1, 0]], m.ub[x[1, 0]]) == (0.0, INF)
+    assert m.lb[x[[0, 1, 1], [2, 1, 2]]].tolist() == [0.0] * 3
+
+
+def test_settle_fixes_a_binary_and_repeats_while_it_fixes_columns():
+    m = Model()
+    first = m.columns(3)
+    x = np.arange(3) + first
+    m.add_family("x", [Axis(range(3))], x, BINARY)
+    # 2 x0 <= 1 rounds x0 down to 0; then x1 + x0 >= 1 fixes x1 at 1; then
+    # x2 - x1 = 0 fixes x2 at 1, and every row is gone.
+    m.add_rows([-INF, 1.0, 0.0], [1.0, INF, 0.0],
+               ([0, 1, 1], [x[0], x[0], x[1]], [2.0, 1.0, 1.0]),
+               ([2, 2], [x[2], x[1]], [1.0, -1.0]))
+    m.settle()
+    assert m.num_rows == 0 and list(m.rows) == []
+    assert m.lb.tolist() == m.ub.tolist() == [0.0, 1.0, 1.0]
 
 
 def test_rows_list_the_entries_handed_to_the_solver(monkeypatch):
@@ -120,24 +150,25 @@ _COEFS = st.sampled_from([0.1, 0.2, 0.3, -0.3, 1.0, -1.0, 2.5, 1e16, -1e16, 3e-9
 
 
 @st.composite
-def _models(draw):
+def _models(draw, coefs=_COEFS, bounds=st.just((0.0, 1.0))):
     """A model of up to 6 rows and 6 columns, its entries added in blocks as
     (row, column, coefficient) triples, repeated (row, column) pairs,
-    empty rows and empty columns all likely; the entries in the order
-    added; a permutation of the columns; a subset of them, in any order;
-    and a vector."""
+    empty rows and empty columns all likely, each row's (lb, ub) drawn from
+    `bounds`; the entries in the order added; a permutation of the columns;
+    a subset of them, in any order; and a vector."""
     n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     m = Model()
     m.columns(n_cols)
     entries = []
+    row_bounds = lambda size: np.array(draw(st.lists(bounds, min_size=size, max_size=size))).T
     while m.num_rows < n_rows and draw(st.booleans()):
         size = draw(st.integers(1, n_rows - m.num_rows))
-        cell = st.tuples(st.integers(0, size - 1), st.integers(0, max(n_cols - 1, 0)), _COEFS)
+        cell = st.tuples(st.integers(0, size - 1), st.integers(0, max(n_cols - 1, 0)), coefs)
         triples = draw(st.lists(cell, max_size=12)) if n_cols else []
         entries += [(m.num_rows + r, c, v) for r, c, v in triples]
-        m.add_rows(np.zeros(size), np.ones(size), *triples)
+        m.add_rows(*row_bounds(size), *triples)
     if m.num_rows < n_rows:
-        m.add_rows(np.zeros(n_rows - m.num_rows), np.ones(n_rows - m.num_rows))
+        m.add_rows(*row_bounds(n_rows - m.num_rows))
     order = np.array(draw(st.permutations(range(n_cols))), dtype=np.int64)
     subset = np.array(draw(st.permutations(range(n_cols)))[:draw(st.integers(0, n_cols))],
                       dtype=np.int64)
@@ -190,3 +221,42 @@ def test_matrix_rows_and_product_are_scipys_to_the_byte(drawn):
     _same(ours, ref)
     assert ours.shape == ref.shape
     assert (ours @ x[subset]).tobytes() == (ref @ x[subset]).tobytes()
+
+
+# -- settling keeps every optimum ---------------------------------------------
+
+# Coefficients and row bounds whose optima HiGHS finds exactly, pairs that
+# cancel among them; each column's (lb, ub, binary): free, binary or fixed.
+_SMALL = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, 3.0])
+_ROW_BOUNDS = st.sampled_from([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (-INF, 1.0), (-INF, 0.0),
+                               (0.0, INF), (1.0, INF), (-1.0, 2.0), (0.5, 1.5)])
+_COLUMNS = st.sampled_from([(0.0, 2.0, False), (-1.0, 1.0, False), (0.0, 1.0, True),
+                            (0.0, 0.0, False), (1.0, 1.0, False), (0.5, 0.5, False),
+                            (0.0, 0.0, True), (1.0, 1.0, True)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models(_SMALL, _ROW_BOUNDS), st.data())
+def test_settle_keeps_the_status_and_the_optimum(drawn, data):
+    m = drawn[0]
+    n = m.num_vars
+    columns = data.draw(st.lists(_COLUMNS, min_size=n, max_size=n))
+    lb, ub = (np.array([col[i] for col in columns], dtype=float) for i in (0, 1))
+    m.lb, m.ub = lb.copy(), ub.copy()
+    m.binary = np.array([col[2] for col in columns], dtype=bool)
+    m.add_objective(np.arange(n), data.draw(st.lists(_SMALL, min_size=n, max_size=n)))
+    settled = copy.deepcopy(m)
+    settled.settle()
+    before, after = solve(m), solve(settled)
+    assert after.status == before.status
+    if before.feasible:
+        assert after.objective == pytest.approx(before.objective, rel=1e-9, abs=1e-9)
+        # The settled optimum meets every row of the model as built.
+        row_lb, row_ub = m.row_bounds()
+        assert np.all(holds(m.matrix() @ after.x, row_lb, row_ub))
+        assert np.all((after.x >= lb - TOL) & (after.x <= ub + TOL))
+        # No row with fewer than two open columns is left where the rows can hold.
+        free = settled.lb != settled.ub
+        assert all(sum(1 for j, v in coeffs if free[j] and v != 0) >= 2
+                   for coeffs, _, _ in settled.rows)
+    assert np.all(settled.lb >= lb) and np.all(settled.ub <= ub)

@@ -629,13 +629,15 @@ def test_undecided_interior_point_run_falls_back_to_simplex(monkeypatch):
 
 
 def test_infeasible_lp_the_interior_point_solver_leaves_undecided(monkeypatch):
-    # On its free columns, HiGHS 1.12's interior-point solver ends this LP
-    # at K = 6 in kSolveError after presolve; simplex proves it infeasible.
+    # On its free columns, HiGHS 1.12's interior-point solver ends this
+    # settled LP at K = 6 in kSolveError; simplex proves it infeasible.
     # K = 7 is the smallest feasible horizon. (Found by searching random
-    # small LPs; about two interior-point runs in a thousand end so.)
+    # small LPs: 3-node lines with random capacities, latencies and
+    # overrides, K = 1 up to the first feasible horizon; about two
+    # interior-point runs in a thousand end so.)
     t = Topology((0, 1, 2), frozenset(), (
-        Edge(0, 1, 2.0, 0.5), Edge(1, 0, 1 / 3, 1.0), Edge(1, 2, 2.0, 0.0), Edge(2, 1, 1 / 3, 0.0)),
-        {(1, 2, 3): 4.0, (0, 1, 0): 4.0})
+        Edge(0, 1, 2.0, 0.5), Edge(1, 0, 1 / 3, 0.5), Edge(1, 2, 2.0, 1.0), Edge(2, 1, 3.0, 1.0)),
+        {(2, 1, 2): 4.0, (0, 1, 3): 4.0, (1, 0, 2): 0.5})
     d = generate_demand("alltoall", t)
     runs = []
 
@@ -818,12 +820,20 @@ def _exactness_models():
 EXACTNESS = _exactness_models()
 
 
+# Inputs whose model settles to every column fixed: `solve` decides them
+# without HiGHS.
+ALL_FIXED = {"milp/star3/copy/1", "milp/star3/no-copy/1"}
+
+
 @pytest.mark.parametrize("name", sorted(EXACTNESS))
-def test_free_columns_solve_as_the_whole_model(name):
+def test_free_columns_solve_as_the_whole_model(name, monkeypatch):
     m = EXACTNESS[name]()
     fixed = m.lb == m.ub
-    assert fixed.any() and not fixed.all()
-    ref, sol = _full_model_solve(m), solve(m)
+    assert fixed.any() and fixed.all() == (name in ALL_FIXED)
+    ref = _full_model_solve(m)
+    if fixed.all():
+        monkeypatch.setattr(solver, "milp", _never_highs)
+    sol = solve(m)
     assert sol.status == solver._outcome(ref, 0.0)
     if not sol.feasible:
         assert sol.x is None
