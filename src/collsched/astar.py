@@ -14,9 +14,13 @@ far below any progress reward, so among those optima the round takes one
 that starts its sends soonest. A send of a chunk into a node that holds it
 from the carry by the time the send lands is never needed, so the round
 fixes it to zero unless a no-copy switch makes it (`milp.build_time_expanded`),
-and neither the term nor a progress counter can reward it. Other sends that
-nothing needs, such as a second copy made within the round, are pruned when
-the schedule is extracted.
+and neither the term nor a progress counter can reward it. Nor is a second
+copy made within the round: a buffering node never drops a copy, so one row
+per (commodity, buffering node) lets it receive each chunk at most once a
+round (sends out of a no-copy switch are exempt, and with a buffer limit
+the rows stay out). Without it a duplicate would earn progress credit,
+since a progress counter sums copies. Other sends that nothing needs are
+pruned when the schedule is extracted.
 
 A round also states what its carry already decides. A buffer that no free
 send can reach by an epoch, a look-ahead count whose predecessor and feeding
@@ -27,12 +31,20 @@ look-ahead, and HiGHS gets about a quarter of the nonzeros. The round is
 then settled (`Model.settle`): the rows those fixings decide, the buffer
 and look-ahead rows among them, are dropped or become column bounds.
 
+A round is solved as its LP relaxation first (`solve_round`), by dual
+simplex with HiGHS's presolve off, which on rounds this small costs more
+than the solve itself. An optimal vertex whose binaries are all 0 or 1 is
+an optimum of the round; on every seed-1 benchmark input each one is.
+Only a fractional vertex, or a relaxation that is not optimal, sends the
+round to HiGHS's MILP solver, presolve and branch and bound included.
+
 `astar_solve` plans the rounds once, link timing and round length included,
 and stitches their flows under the `meta` a one-shot model carries.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -44,8 +56,8 @@ from .errors import RoundLimitError, SolverBackendError, ValidationError
 from .milp import Carry, ModelOptions, build_time_expanded, model_topology
 from .model import INF, Axis, Model
 from .schedule import Schedule, schedule_from_flows
-from .solver import FEASIBLE_GAP, SolverOptions, solve
-from .topology import Topology, all_pairs_distances
+from .solver import FEASIBLE_GAP, OPTIMAL, Solution, SolverOptions, solve
+from .topology import NO_COPY, Topology, all_pairs_distances
 
 # Status of an A* solve whose every round was solved to optimality; a round
 # stopped by its time limit with an incumbent makes it FEASIBLE_GAP.
@@ -54,10 +66,16 @@ OPTIMAL_PER_ROUND = "optimal-per-round"
 # Weight of a round's send at epoch k is EARLY_SEND / (k + 1), like a read's
 # 1 / (k + 1) but far below the smallest progress (P) reward (about 5e-3 on
 # ndv2x2), so it only breaks ties between a round's optima: toward starting
-# sends sooner. 1e-6, 1e-5 and 1e-3 give the same completions on the seed-1
-# ndv2x2 benchmark inputs; far smaller weights would near HiGHS's
-# tolerances (1e-6 to 1e-7).
+# sends sooner. Which tied optimum a round gets used to depend on HiGHS's
+# MILP presolve as well; rounds solved by dual simplex with presolve off
+# see only this term. 1e-6, 1e-5 and 1e-3 give the same completions on the
+# seed-1 ndv2x2 benchmark inputs (with no term, 59-67 instead of 59-63);
+# far smaller weights would near HiGHS's tolerances (1e-6 to 1e-7).
 EARLY_SEND = 1e-4
+
+# How far from 0 or 1 a binary column of a round's relaxed optimum may lie
+# for the vertex to count as integral: HiGHS's own MIP feasibility tolerance.
+INTEGRAL = 1e-6
 
 
 def round_distance_table(t: Topology, cfg: EpochConfig) -> dict:
@@ -85,8 +103,10 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
                       opts: ModelOptions | None = None, *,
                       timing: LinkTiming | None = None) -> Model:
     """One round: the general model seeded with the state's carry, plus
-    look-ahead accounting (Q), progress counters (P), the distance reward and
-    the early-send tie-break (`EARLY_SEND`). A Q whose predecessor (the
+    look-ahead accounting (Q), progress counters (P), the distance reward,
+    the early-send tie-break (`EARLY_SEND`) and, with no buffer limit, one
+    row per (commodity, buffering node) that caps its receptions, sends out
+    of a no-copy switch aside, at one. A Q whose predecessor (the
     terminal buffer or the Q before it) and feeding sends are all fixed is
     fixed to their sum; a P whose wanted chunks' Q at its location are all
     fixed at 0 is fixed at 0. Settling is the last step (`Model.settle`), so
@@ -194,26 +214,67 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
         reward = np.where(np.isfinite(dist), gamma / (kp1 * (1.0 + dist)), 0.0)
     m.add_objective(P, np.where(at_dst, 1.0 / kp1, reward))
     m.add_objective(F, EARLY_SEND / (ar(K) + 1)[None, None, :])
+
+    # A buffering node never drops a copy, so it needs each chunk at most
+    # once a round: one row per (commodity, buffering node) caps its
+    # receptions at 1. Sends out of a no-copy switch are exempt, as the
+    # switch must forward every arrival; with a buffer limit a node may
+    # drop a copy, so the rows stay out.
+    if opts.buffer_limit is None:
+        bn = np.flatnonzero(~net.switch)
+        owner, into = net.edges_in(bn)
+        keep = ~(net.switch & (opts.switch_mode == NO_COPY))[net.src[into]]
+        owner, into = owner[keep], into[keep]
+        once = ar(C)[:, None, None] * len(bn) + owner[None, :, None]
+        m.add_rows(np.full(C * len(bn), -INF), np.ones(C * len(bn)),
+                   (np.broadcast_to(once, (C, len(into), K)), F[:, into, :], 1.0))
     m.settle()
     return m
+
+
+def solve_round(m: Model, opts: SolverOptions | None = None) -> Solution:
+    """Solve a round model as its LP relaxation first, by dual simplex
+    (`SolverOptions.vertex`); an optimal vertex whose every binary column
+    lies within `INTEGRAL` of 0 or 1 is an optimum of the round itself.
+    On any other outcome, a fractional vertex or any status but optimal,
+    the round is solved as the MILP with the time left. The returned
+    solution's `solve_wall_time` sums both solves."""
+    opts = opts or SolverOptions()
+    relaxed = copy.copy(m)  # shares every array; `solve` changes none
+    relaxed.binary = np.zeros_like(m.binary)
+    sol = solve(relaxed, replace(opts, vertex=True))
+    if sol.status == OPTIMAL:
+        x = sol.x[m.binary]
+        if np.all(np.abs(x - np.rint(x)) <= INTEGRAL):
+            sol.model = m
+            return sol
+    rest = replace(opts, vertex=False,
+                   time_limit=max(opts.time_limit - sol.solve_wall_time, 1e-3))
+    whole = solve(m, rest)
+    whole.solve_wall_time += sol.solve_wall_time
+    return whole
 
 
 def initial_state(d: Demand) -> RoundState:
     return RoundState(0, d, Carry.at_sources(d))
 
 
-def advance_state(state: RoundState, sol, timing: LinkTiming) -> RoundState:
+def advance_state(state: RoundState, sol, timing: LinkTiming,
+                  sent: dict | None = None) -> RoundState:
     """Clear the demand entries a round met and carry forward what it leaves:
     the chunks each buffering node holds at the boundary, the arrivals that
     land after it, and its sends still occupying a link's window. A carried
     arrival at a switch usable from epoch K, where the round has no switch
     row, is carried again from the next round's epoch 0. Round length and
-    model topology are the solved round model's."""
+    model topology are the solved round model's. `sent` is the round's
+    sends as `sol.family_values("F", 0.5)` gives them, for a caller that has
+    read them already; they are read when not given."""
     K, t_eff = sol.model.meta["cfg"].K, sol.model.meta["eff_topology"]
     arrivals = {(s, c, n, 0): v for (s, c, n, k), v in state.carry.arrivals.items()
                 if k == K and t_eff.is_switch(n)}
     link_load: dict = {}
-    for (s, c, i, j, k) in sol.family_values("F", 0.5):
+    sent = sol.family_values("F", 0.5) if sent is None else sent
+    for (s, c, i, j, k) in sent:
         kp = k + timing.delta[(i, j)] + 1 - K  # next round's epoch it is usable from
         if kp > 0 or (kp == 0 and t_eff.is_switch(j)):
             arrivals[(s, c, j, kp)] = arrivals.get((s, c, j, kp), 0) + 1
@@ -266,17 +327,18 @@ def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None
             raise RoundLimitError(f"no demand entry met in the {stall} rounds to round "
                                   f"{state.round_index - 1}: {len(state.demand.entries)} unmet")
         m = build_round_model(t, state, cfg, fw, gamma, opts, timing=timing)
-        sol = solve(m, solver_opts)
+        sol = solve_round(m, solver_opts)
         if not sol.feasible:
             raise SolverBackendError(f"round {state.round_index} came back {sol.status}")
         highs_s += sol.solve_wall_time
         if sol.status == FEASIBLE_GAP:
             status = FEASIBLE_GAP
         offset = state.round_index * cfg.K
-        for (s, c, i, j, k) in sol.family_values("F", 0.5):
+        sent = sol.family_values("F", 0.5)
+        for (s, c, i, j, k) in sent:
             flows[(s, c, i, j, offset + k)] = 1.0
         unmet = len(state.demand.entries)
-        state = advance_state(state, sol, timing)
+        state = advance_state(state, sol, timing, sent)
         last_met = state.round_index if len(state.demand.entries) < unmet else last_met
 
     meta = {"eff_topology": t_eff, "delta": timing.delta, "opts": opts, "entries": set(d.entries),

@@ -138,9 +138,10 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     over (buffering node, epoch 0..K), R over (destination, epoch) and, with
     a buffer limit, X over (buffering node, epoch). Each constraint family
     is one block of rows built by index arithmetic over (commodity, edge,
-    epoch). Settling is the last step (`Model.settle`), so the model keeps
-    only the rows with two or more free columns, and any row that cannot
-    hold.
+    epoch). Settling is the last step of a one-shot model (`Model.settle`),
+    so the model keeps only the rows with two or more free columns, and any
+    row that cannot hold; a round's model is settled by the round builder,
+    once its own rows are in (`astar.build_round_model`).
     """
     check_demand_nodes(d, t)
     if opts.buffer_limit is not None:
@@ -419,5 +420,6 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                    (at(base + 1 + len(srcs) + rd[None, None, :]), cols, 1.0))
 
     m.add_objective(R, 1.0 / (ar(K) + 1)[None, :])
-    m.settle()
+    if one_shot:
+        m.settle()
     return m

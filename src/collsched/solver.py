@@ -22,7 +22,10 @@ into one value per column and maps HiGHS's model status to `OPTIMAL`,
 `FEASIBLE_GAP`, `INFEASIBLE` or `TIMEOUT`; a model with no free column is
 checked against its rows without HiGHS. A model with no binary free column
 goes to HiGHS's interior-point solver with crossover, and to simplex if that
-run ends undecided.
+run ends undecided. The vertex path (`SolverOptions.vertex`) is for small
+LPs, such as an A* round's relaxation, whose presolve would cost more than
+their solve: HiGHS's dual simplex with presolve off, which ends at a basic
+optimum, a vertex of the LP.
 `min_feasible_horizon` searches for the smallest feasible horizon.
 """
 
@@ -67,6 +70,7 @@ class SolverOptions:
     time_limit: float = 300.0
     relative_gap: float = 0.0  # early-stop when the primal-dual gap falls below
     first_incumbent: bool = False  # stop a MILP at its first feasible solution
+    vertex: bool = False  # solve an LP by dual simplex, presolve off, to a vertex
 
     def __post_init__(self):
         if not (0 <= self.relative_gap < 1):
@@ -161,6 +165,10 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
     builder settles its model (`Model.settle`), so HiGHS gets only rows
     with two or more free columns, and the rows that cannot hold.
 
+    With `opts.vertex`, a model with no binary free column is solved by
+    dual simplex with presolve off, and the values are a vertex of its LP;
+    a model with one is refused.
+
     HiGHS runs single-threaded here, so results are deterministic for a fixed
     model.
     """
@@ -190,7 +198,11 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
         options["mip_max_improving_sols"] = 1
     binary = m.binary[free]
     lp = not binary.any()
-    if lp:
+    if opts.vertex:
+        if not lp:
+            raise ValidationError("a vertex solve takes a model with no binary free column")
+        options.update(solver="simplex", presolve="off")
+    elif lp:
         # Interior point, then crossover to a vertex (the LP's decomposition
         # peels paths off one): about twice as fast as simplex on the
         # copy-free LP of dgx2 alltoall.
@@ -200,7 +212,7 @@ def solve(m: Model, opts: SolverOptions | None = None) -> Solution:
                        options=options, offset=offset)
     start = time.perf_counter()
     res = run()
-    if lp and res["status"] not in _IPM_DECIDED:
+    if lp and not opts.vertex and res["status"] not in _IPM_DECIDED:
         # The interior-point solver can stop undecided on an infeasible LP
         # that simplex proves infeasible; simplex gets the time left.
         options.update(solver="simplex", time_limit=max(

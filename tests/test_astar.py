@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from collsched import astar
 from collsched.astar import (RoundState, advance_state, astar_solve, build_round_model,
-                             initial_state, round_distance_table)
+                             initial_state, round_distance_table, solve_round)
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig, epoch_duration, link_timing
 from collsched.errors import RoundLimitError, SolverBackendError, ValidationError
@@ -393,6 +393,59 @@ def test_returned_schedules_replay_as_claimed(case):
     assert rep.completion_epoch == sched.completion_epoch
 
 
+@settings(max_examples=40, deadline=None)
+@given(_astar_inputs())
+def test_relaxation_first_rounds_keep_the_milp_optimum(case):
+    # Each round solved as its LP relaxation first ends at the optimum of
+    # the round's MILP, with every binary within 1e-6 of 0 or 1.
+    t, d, opts, k = case
+    rounds = []
+
+    def both(m, solver_opts=None):
+        rounds.append((solve_round(m, solver_opts), solve(m, solver_opts)))
+        return rounds[-1][0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(astar, "solve_round", both)
+        try:
+            astar_solve(t, d, 1.0, k, opts=opts)
+        except (RoundLimitError, SolverBackendError):
+            pass  # the rounds solved so far are still checked
+    for first, whole in rounds:
+        assert first.status == whole.status
+        if whole.feasible:
+            scale = max(1.0, abs(whole.objective))
+            assert abs(first.objective - whole.objective) <= 1e-9 * scale
+            binaries = first.x[first.model.binary]
+            assert np.all(np.abs(binaries - np.rint(binaries)) <= 1e-6)
+
+
+def test_fractional_relaxation_falls_back_to_the_round_milp(monkeypatch, solver_opts):
+    # With every relaxation made fractional, each round is solved again as
+    # its MILP: the schedule is the one that solving every round as its MILP
+    # gives, and the HiGHS time sums both solves of every round.
+    t = ring(6)
+    d = generate_demand("alltoall", t)
+    real, times = astar.solve, []
+
+    def fractional(m, opts=None):
+        sol = real(m, opts)
+        times.append(sol.solve_wall_time)
+        if opts.vertex:
+            sol.x = sol.x.copy()
+            sol.x[m.families["F"].index.flat[0]] = 0.5
+        return sol
+
+    monkeypatch.setattr(astar, "solve", fractional)
+    fell_back = astar_solve(t, d, 1.0, 2, solver_opts=solver_opts)
+    rounds = fell_back.meta["rounds"]
+    assert rounds >= 2 and len(times) == 2 * rounds
+    assert fell_back.meta["solver_wall_time_sec"] == pytest.approx(sum(times), rel=1e-12)
+    assert fell_back.meta["status"] == astar.OPTIMAL_PER_ROUND
+    monkeypatch.setattr(astar, "solve_round", lambda m, opts=None: solve(m, opts))
+    assert fell_back.events == astar_solve(t, d, 1.0, 2, solver_opts=solver_opts).events
+
+
 @pytest.mark.parametrize("t, chunk, by", [
     (dgx1(), 1 << 20, 14),
     (line(8, alpha=1.0), 1, 43),
@@ -421,10 +474,10 @@ def test_early_sends_only_break_ties(monkeypatch, solver_opts):
     timing, fw = link_timing(t, cfg), round_distance_table(t, cfg)
     state, rounds = initial_state(d), 0
     while state.demand.entries:
-        sol = solve(build_round_model(t, state, cfg, fw, timing=timing), solver_opts)
+        sol = solve_round(build_round_model(t, state, cfg, fw, timing=timing), solver_opts)
         with monkeypatch.context() as mp:
             mp.setattr(astar, "EARLY_SEND", 0.0)
-            plain = solve(build_round_model(t, state, cfg, fw, timing=timing), solver_opts)
+            plain = solve_round(build_round_model(t, state, cfg, fw, timing=timing), solver_opts)
         assert _progress(sol) == pytest.approx(plain.objective, abs=1e-9)
         assert sol.objective > plain.objective  # the term is in the objective
         state, rounds = advance_state(state, sol, timing), rounds + 1

@@ -14,11 +14,13 @@ chunk, and the LP ones (`lp/*`) again when the LP stopped carrying
 cumulative reads, and every A* round (`astar/*`) again when rounds began to
 fix the buffers, look-ahead and progress counters their carry decides, and
 all of them again when every builder began to settle its model
-(`Model.settle`), dropping the rows its fixings decide. The
-A* rounds after round 0 also pin the solve that seeds them: each round is
-solved by `solve` to seed the next. To print the digests of the current
-code, or with `--changed` only those that differ from `GOLDEN`, as
-`key: old → new`:
+(`Model.settle`), dropping the rows its fixings decide, and the A* rounds
+again when rounds gained one row per (commodity, buffering node) capping
+its receptions at one and began to be solved as their LP relaxation first.
+The A* rounds after round 0 also pin the solve that seeds them: each round
+is solved by `astar.solve_round` to seed the next. To print the digests and
+`ROUND_OPTIMA` of the current code, or with `--changed` only the entries
+that differ, as `key: old → new`:
 
     PYTHONPATH=src python tests/test_model_digests.py [--changed]
 """
@@ -30,7 +32,8 @@ import numpy as np
 import pytest
 
 from collsched import astar, solver
-from collsched.astar import advance_state, build_round_model, initial_state, round_distance_table
+from collsched.astar import (advance_state, build_round_model, initial_state,
+                             round_distance_table, solve_round)
 from collsched.demand import generate_demand
 from collsched.epochs import EpochConfig, epoch_duration, link_timing
 from collsched.estimator import default_candidates
@@ -123,7 +126,7 @@ def _solved_rounds(name, coll, mode):
     states, models, sols = [initial_state(d)], [], []
     for _ in range(3):
         models.append(build_round_model(t, states[-1], cfg, fw, 0.5, opts))
-        sols.append(solver.solve(models[-1]))
+        sols.append(solve_round(models[-1]))
         states.append(advance_state(states[-1], sols[-1], timing))
     return states, models, sols, t_eff, timing
 
@@ -217,15 +220,15 @@ GOLDEN = {
     'milp/ndv2x2-slice/alltoall/copy': '201b0723ad8466f2',
     'milp/ndv2x2-slice/alltoall/hyper-edge': '8f18abdadb0cfd58',
     'milp/ndv2x2-slice/alltoall/no-copy': '201b0723ad8466f2',
-    'astar/ndv2x2-slice/allgather/copy/0': 'f5aab3f82ce9b831',
-    'astar/ndv2x2-slice/allgather/copy/1': 'b6fba04fb42017d0',
-    'astar/ndv2x2-slice/allgather/copy/2': '5917b1c3227eab8c',
-    'astar/ndv2x2-slice/alltoall/no-copy/0': '8591e1093e3f5c8a',
-    'astar/ndv2x2-slice/alltoall/no-copy/1': 'a769f771d2278984',
-    'astar/ndv2x2-slice/alltoall/no-copy/2': '1f237a2bfa3f7a2b',
-    'astar/dgx2x2-slice/allgather/hyper-edge/0': '4d0efc60e769cf27',
-    'astar/dgx2x2-slice/allgather/hyper-edge/1': '8d2e140b49a6d190',
-    'astar/dgx2x2-slice/allgather/hyper-edge/2': '7e63dcf48c5aec27',
+    'astar/ndv2x2-slice/allgather/copy/0': '1be135c1f3ce5e4d',
+    'astar/ndv2x2-slice/allgather/copy/1': '04978b90c43e4eb5',
+    'astar/ndv2x2-slice/allgather/copy/2': 'c87c4aa90cad8a93',
+    'astar/ndv2x2-slice/alltoall/no-copy/0': 'eede80fac6ad2b44',
+    'astar/ndv2x2-slice/alltoall/no-copy/1': 'd81bcfb29b15d3c2',
+    'astar/ndv2x2-slice/alltoall/no-copy/2': 'c441d67a6156c4dd',
+    'astar/dgx2x2-slice/allgather/hyper-edge/0': '56667c6969a5fd2c',
+    'astar/dgx2x2-slice/allgather/hyper-edge/1': '862987c9819f645c',
+    'astar/dgx2x2-slice/allgather/hyper-edge/2': '131fcf80f26d48fd',
 }
 
 
@@ -277,19 +280,23 @@ def test_astar_round_models_reach_highs_unchanged(name, coll, mode):
     assert any(timing.kappa[(i, j)] > 1 for c in carries for (i, j, _) in c.link_load)
 
 
-# The optimum of A* rounds 0-2 as `_solved_rounds` reaches them, given by
-# the round builder from the same states before rounds fixed the buffers,
-# look-ahead and progress counters their carry decides, and again, bit for
-# bit, by the round builder from before rounds were settled. On line6 a
-# send lands within its round, so a round's buffers are only partly decided.
+# The optimum of A* rounds 0-2 as `_solved_rounds` reaches them, each round
+# solved by `astar.solve_round`. Recorded when rounds gained their
+# one-arrival rows and began to be solved as their LP relaxation first; the
+# MILP of each round model gives the same optimum within 2e-14. Before,
+# they were given by the round builder from before rounds fixed the
+# buffers, look-ahead and progress counters their carry decides, and again,
+# bit for bit, by the round builder from before rounds were settled. On
+# line6 a send lands within its round, so a round's buffers are only partly
+# decided.
 ROUND_OPTIMA = {
-    ("ndv2x2-slice", "allgather", "copy"): [32.520933224465324, 7.362889312102464,
-                                            8.181200611723831],
-    ("ndv2x2-slice", "alltoall", "no-copy"): [32.18251493286339, 6.478092001229404,
-                                              4.81363802860817],
-    ("dgx2x2-slice", "allgather", "hyper-edge"): [81.6301209690617, 41.34428037965779,
-                                                  18.266594759381597],
-    ("line6", "alltoall", "copy"): [54.00208333333333, 14.002083333333333, 5.501191666666666],
+    ("ndv2x2-slice", "allgather", "copy"): [26.085213832476995, 7.362889312102462,
+                                            7.879509077724377],
+    ("ndv2x2-slice", "alltoall", "no-copy"): [25.690266338127334, 5.283890586015713,
+                                              6.8630875054475355],
+    ("dgx2x2-slice", "allgather", "hyper-edge"): [65.65126798530859, 31.607440750548573,
+                                                  16.371402167810775],
+    ("line6", "alltoall", "copy"): [47.66874999999999, 9.668433333333333, 7.3340000000000005],
 }
 
 
@@ -365,17 +372,29 @@ def _record():
     for name, coll, mode in ASTAR:
         for r, m in enumerate(_astar_rounds(name, coll, mode)[0]):
             out[f"astar/{name}/{coll}/{mode}/{r}"] = _digest(m)
-    return out
+    optima = {key: [s.objective for s in _solved_rounds(*key)[2]] for key in sorted(ROUND_OPTIMA)}
+    return out, optima
+
+
+def _same_optima(old, new) -> bool:
+    return old is not None and new == pytest.approx(old, rel=1e-9, abs=1e-9)
 
 
 if __name__ == "__main__":
-    got = _record()
+    got, optima = _record()
     if sys.argv[1:] == ["--changed"]:
         for key, value in got.items():
             if GOLDEN.get(key) != value:
                 print(f"{key}: {GOLDEN.get(key)} → {value}")
+        for key, value in optima.items():
+            if not _same_optima(ROUND_OPTIMA.get(key), value):
+                print(f"ROUND_OPTIMA{key}: {ROUND_OPTIMA.get(key)} → {value}")
     else:
         print("GOLDEN = {")
         for key, value in got.items():
+            print(f"    {key!r}: {value!r},")
+        print("}")
+        print("ROUND_OPTIMA = {")
+        for key, value in optima.items():
             print(f"    {key!r}: {value!r},")
         print("}")

@@ -578,6 +578,28 @@ def test_lp_alone_goes_to_the_interior_point_solver(build, ipm, monkeypatch):
     assert options.get("solver", "ipm") == "ipm"
 
 
+def test_vertex_solve_runs_dual_simplex_without_presolve(monkeypatch):
+    t = ring(4)
+    d = generate_demand("alltoall", t)
+    m = build_lp_model(t, d, EpochConfig(1.0, 3), ModelOptions())
+    seen = []
+
+    def recorded(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset):
+        seen.append(dict(options))
+        return _HIGHS(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                      row_ub=row_ub, options=options, offset=offset)
+
+    monkeypatch.setattr(solver, "milp", recorded)
+    sol = solve(m, SolverOptions(vertex=True))
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(solve(m).objective, rel=1e-9)
+    assert (seen[0]["solver"], seen[0]["presolve"]) == ("simplex", "off")
+    assert seen[1]["solver"] == "ipm" and "presolve" not in seen[1]
+    with pytest.raises(ValidationError, match="no binary free column"):
+        solve(build_general_model(t, d, EpochConfig(1.0, 3), ModelOptions()),
+              SolverOptions(vertex=True))
+
+
 @pytest.mark.parametrize("run, jump", [
     (lambda t, d: astar_solve(t, d, 1.0, 2), False),
     (lambda t, d: solve(build_general_model(t, d, EpochConfig(1.0, 3), ModelOptions())), False),

@@ -197,7 +197,7 @@ def test_astar_reports_highs_time_and_its_worst_round(monkeypatch):
 
     # A round stopped by its time limit with an incumbent makes the solve's
     # status feasible-gap.
-    real = astar.solve
+    real = astar.solve_round
     calls = []
 
     def stopped_once(m, opts=None):
@@ -205,7 +205,7 @@ def test_astar_reports_highs_time_and_its_worst_round(monkeypatch):
         calls.append(sol.status)
         return dataclasses.replace(sol, status=FEASIBLE_GAP) if len(calls) == 1 else sol
 
-    monkeypatch.setattr(astar, "solve", stopped_once)
+    monkeypatch.setattr(astar, "solve_round", stopped_once)
     assert synthesize(t, d, "astar").status == FEASIBLE_GAP
 
 
