@@ -105,9 +105,11 @@ def _one_shot_inputs():
 
 
 def _round_input(name, coll):
-    """The topology and demand of an A* input: a digest topology, or line6,
-    a 6-node line with no latency, where a send lands within its round."""
-    t = line(6) if name == "line6" else _topologies()[name]
+    """The topology and demand of an A* input: a digest topology; line6, a
+    6-node line with no latency, where a send lands within its round; or
+    ndv2x2, the whole two-chassis NDv2."""
+    extra = {"line6": line(6), "ndv2x2": ndv2(chassis=2)}
+    t = extra[name] if name in extra else _topologies()[name]
     return t, generate_demand(coll, t, 1, MIB)
 
 
@@ -138,19 +140,23 @@ def _astar_rounds(name, coll, mode):
     return models, [s.carry for s in states[1:]], t_eff, timing
 
 
-def _digest(m) -> str:
-    """Digest of the model as `solve` receives it."""
-    c = np.zeros(m.num_vars)
-    np.subtract.at(c, *m.objective_arrays())
-    a = m.matrix()
+def _hash(c, integrality, lb, ub, row_lb, row_ub, a) -> str:
+    """Digest of a model as columns, column bounds, row bounds and a CSC."""
     h = hashlib.sha256(repr(a.shape).encode())
-    for arr, dtype in ((c, np.float64), (m.binary, np.int64), (m.lb, np.float64),
-                       (m.ub, np.float64), *((b, np.float64) for b in m.row_bounds()),
+    for arr, dtype in ((c, np.float64), (integrality, np.int64), (lb, np.float64),
+                       (ub, np.float64), (row_lb, np.float64), (row_ub, np.float64),
                        (a.indptr, np.int64), (a.indices, np.int64), (a.data, np.float64)):
         arr = np.ascontiguousarray(arr, dtype=dtype)
         h.update(repr(arr.shape).encode())
         h.update(arr.tobytes())
     return h.hexdigest()[:16]
+
+
+def _digest(m) -> str:
+    """Digest of the model as `solve` receives it."""
+    c = np.zeros(m.num_vars)
+    np.subtract.at(c, *m.objective_arrays())
+    return _hash(c, m.binary, m.lb, m.ub, *m.row_bounds(), m.matrix())
 
 
 GOLDEN = {
@@ -229,6 +235,16 @@ GOLDEN = {
     'astar/dgx2x2-slice/allgather/hyper-edge/0': '56667c6969a5fd2c',
     'astar/dgx2x2-slice/allgather/hyper-edge/1': '862987c9819f645c',
     'astar/dgx2x2-slice/allgather/hyper-edge/2': '131fcf80f26d48fd',
+}
+
+
+# Per-round HiGHS inputs of whole A* solves (`_highs_rounds`).
+GOLDEN_HIGHS = {
+    'dgx2x2-slice/allgather/hyper-edge': ['32018a8c6fa7b3df', 'cfe412f7ee74c077', '01f756a0c5b842f5', '0f439cfe6abe77f3'],
+    'line6/alltoall/copy': ['1fae7bcbf26c43f1', '978dc65790936625', '4eed31510aaad02d', '889ef4ddd0ecf577', '3a5945b8733edf2e'],
+    'ndv2x2-slice/allgather/copy': ['38a3c5c09d26440f', '128e6322de1b975b', '22c7bdcc04e85441', '4088a42de3dcc75d', '554fc2651b33ef9c', '2248bfd4ce037049', 'a8a9f3578cd5c47b'],
+    'ndv2x2-slice/alltoall/no-copy': ['943bc644b20ce054', 'befa122d3a8030de', '340bf948717e287e', '0386dc24d6a954de', '4a20c1016eb77b5b', '5c5f60709565ae47', '567e5ed7327e6201', 'd5978093a398f585', 'b8b81257743d774b', '0771e4cfc29f4a71', 'c0a4f3a5897655bf', '6218db23a2ed504a', '1347f3006207ab01', 'c6f1aa22f5936db8', 'bd2e0c34d2140b92', '7fb008926e811fca', '4638b030593bfd4f'],
+    'ndv2x2/allgather/copy': ['436356fb734e540c', '975f4af18fbb414f', '3644a5319cbed748', 'b6ce4d467703d72d', '0b08c8671473adce', 'aafc95eb25ac0424', 'e354564640e6108c', '9f53c18715af5b2b', '9d32a089bd054be6', '24b7161e09bc860f', '01bbe073438d2d6e', '09aec3d1d3448507', 'a28d4720e79ee530'],
 }
 
 
@@ -353,6 +369,51 @@ def _full_astar_rounds(name, coll, mode, monkeypatch) -> list:
     return models
 
 
+def _highs_rounds(name, coll, mode):
+    """What HiGHS receives in every solve of a whole `astar_solve` of the A*
+    input, one digest per solve (its objective offset aside), and the
+    demand left after each round."""
+    digests, left = [], []
+    real_milp, real_advance = solver.milp, astar.advance_state
+
+    def milp(c, *, integrality, lb, ub, a, row_lb, row_ub, options, offset=0.0):
+        digests.append(_hash(c, integrality, lb, ub, row_lb, row_ub, a))
+        return real_milp(c, integrality=integrality, lb=lb, ub=ub, a=a, row_lb=row_lb,
+                         row_ub=row_ub, options=options, offset=offset)
+
+    def advance(*args, **kwargs):
+        state = real_advance(*args, **kwargs)
+        left.append(state.demand)
+        return state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "milp", milp)
+        mp.setattr(astar, "advance_state", advance)
+        t, d = _round_input(name, coll)
+        astar.astar_solve(t, d, epoch_duration(t, MIB), opts=ModelOptions(switch_mode=mode))
+    return digests, left
+
+
+# Every round of a whole A* solve of each `ROUND_OPTIMA` input and of the
+# whole ndv2x2 allgather, as HiGHS receives it: the free columns' `c`,
+# integrality and bounds, the row bounds less the fixed columns' share, and
+# the CSC. Recorded while each round was built from scratch.
+HIGHS_ROUNDS = sorted(ROUND_OPTIMA) + [("ndv2x2", "allgather", "copy")]
+
+
+@pytest.mark.parametrize("name, coll, mode", HIGHS_ROUNDS)
+def test_every_astar_round_reaches_highs_unchanged(name, coll, mode):
+    digests, left = _highs_rounds(name, coll, mode)
+    assert digests == GOLDEN_HIGHS["/".join((name, coll, mode))]
+    if name == "ndv2x2":
+        # Its rounds meet some of a commodity's destinations before others,
+        # and run on after whole commodities are gone.
+        before = generate_demand(coll, ndv2(chassis=2), 1, MIB).commodities
+        assert any(0 < len(dem.entries) and set(dem.commodities) == set(before)
+                   and len(dem.entries) < len(before) * 15 for dem in left)
+        assert any(0 < len(dem.commodities) < len(before) for dem in left)
+
+
 @pytest.mark.parametrize("name", sorted(ONE_SHOT) + [
     "astar/" + "/".join(key) for key in sorted(set(ASTAR) | set(ROUND_OPTIMA))])
 def test_no_model_keeps_a_row_with_fewer_than_two_open_columns(name, monkeypatch):
@@ -372,6 +433,8 @@ def _record():
     for name, coll, mode in ASTAR:
         for r, m in enumerate(_astar_rounds(name, coll, mode)[0]):
             out[f"astar/{name}/{coll}/{mode}/{r}"] = _digest(m)
+    for key in HIGHS_ROUNDS:
+        out["/".join(key)] = _highs_rounds(*key)[0]
     optima = {key: [s.objective for s in _solved_rounds(*key)[2]] for key in sorted(ROUND_OPTIMA)}
     return out, optima
 
@@ -384,16 +447,19 @@ if __name__ == "__main__":
     got, optima = _record()
     if sys.argv[1:] == ["--changed"]:
         for key, value in got.items():
-            if GOLDEN.get(key) != value:
-                print(f"{key}: {GOLDEN.get(key)} → {value}")
+            old = GOLDEN.get(key, GOLDEN_HIGHS.get(key))
+            if old != value:
+                print(f"{key}: {old} → {value}")
         for key, value in optima.items():
             if not _same_optima(ROUND_OPTIMA.get(key), value):
                 print(f"ROUND_OPTIMA{key}: {ROUND_OPTIMA.get(key)} → {value}")
     else:
-        print("GOLDEN = {")
-        for key, value in got.items():
-            print(f"    {key!r}: {value!r},")
-        print("}")
+        for title, lists in (("GOLDEN", False), ("GOLDEN_HIGHS", True)):
+            print(f"{title} = {{")
+            for key, value in got.items():
+                if isinstance(value, list) == lists:
+                    print(f"    {key!r}: {value!r},")
+            print("}")
         print("ROUND_OPTIMA = {")
         for key, value in optima.items():
             print(f"    {key!r}: {value!r},")
