@@ -7,53 +7,48 @@ next one: the chunks its nodes hold and those still landing after the
 boundary seed buffers and switches, and its last sends on a link that holds
 a chunk for several epochs seed that link's capacity windows.
 
+Every round of a solve has the same network, length and rows, so a solve
+builds them once over its whole demand (`round_template`): the general
+model (`milp.time_expanded`), look-ahead (Q) and progress (P) counters, and
+one row per (commodity, buffering node) that lets it receive each chunk
+once a round, as it never drops a copy and a counter would credit a
+duplicate (sends out of a no-copy switch are exempt; with a buffer limit
+the rows stay out). A round is a copy that differs in bounds only
+(`build_round_model`). Its carry fixes what it decides: a send into a node
+that holds the chunk by the time it lands (unless a no-copy switch makes
+it), a buffer no free send reaches by an epoch, a look-ahead count whose
+predecessor and feeding sends are fixed, a progress counter no unmet chunk
+reaches. Met entries and commodities are fixed at 0, and a met entry's Q
+terms leave its destination's P rows, as an allgather commodity lives on
+while some of its destinations are met. Settling (`Model.settle`) leaves
+HiGHS only the rows and columns these bounds keep open.
+
 A round often has many optima with the same progress: on ndv2x2 every delay
 is at least a round long, so no send lands inside its own round. An
 early-send term rewards every send by a weight that falls with its epoch,
 far below any progress reward, so among those optima the round takes one
-that starts its sends soonest. A send of a chunk into a node that holds it
-from the carry by the time the send lands is never needed, so the round
-fixes it to zero unless a no-copy switch makes it (`milp.build_time_expanded`),
-and neither the term nor a progress counter can reward it. Nor is a second
-copy made within the round: a buffering node never drops a copy, so one row
-per (commodity, buffering node) lets it receive each chunk at most once a
-round (sends out of a no-copy switch are exempt, and with a buffer limit
-the rows stay out). Without it a duplicate would earn progress credit,
-since a progress counter sums copies. Other sends that nothing needs are
-pruned when the schedule is extracted.
-
-A round also states what its carry already decides. A buffer that no free
-send can reach by an epoch, a look-ahead count whose predecessor and feeding
-sends are all fixed, and a progress counter at a location that no wanted
-chunk can reach are fixed to the value their own row forces (0 for the
-counter). On ndv2x2 allgather that decides every buffer and most of the
-look-ahead, and HiGHS gets about a quarter of the nonzeros. The round is
-then settled (`Model.settle`): the rows those fixings decide, the buffer
-and look-ahead rows among them, are dropped or become column bounds.
+that starts its sends soonest; unneeded sends are pruned at extraction.
 
 A round is solved as its LP relaxation first (`solve_round`), by dual
-simplex with HiGHS's presolve off, which on rounds this small costs more
-than the solve itself. An optimal vertex whose binaries are all 0 or 1 is
-an optimum of the round; on every seed-1 benchmark input each one is.
-Only a fractional vertex, or a relaxation that is not optimal, sends the
-round to HiGHS's MILP solver, presolve and branch and bound included.
-
-`astar_solve` plans the rounds once, link timing and round length included,
-and stitches their flows under the `meta` a one-shot model carries.
+simplex with presolve off, which on rounds this small costs more than the
+solve. An optimal vertex whose binaries are all 0 or 1 is an optimum of the
+round, as on every seed-1 benchmark input; any other outcome goes to
+HiGHS's MILP solver. `astar_solve` plans the rounds once (link timing,
+round length, template) and stitches their flows under a one-shot `meta`.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .demand import Demand, check_demand_nodes
 from .epochs import EpochConfig, LinkTiming, link_timing
 from .errors import RoundLimitError, SolverBackendError, ValidationError
-from .milp import Carry, ModelOptions, build_time_expanded, model_topology
+from .milp import Carry, ModelOptions, model_topology, time_expanded
 from .model import INF, Axis, Model
 from .schedule import Schedule, schedule_from_flows
 from .solver import FEASIBLE_GAP, OPTIMAL, Solution, SolverOptions, solve
@@ -73,19 +68,13 @@ OPTIMAL_PER_ROUND = "optimal-per-round"
 # far smaller weights would near HiGHS's tolerances (1e-6 to 1e-7).
 EARLY_SEND = 1e-4
 
+# Progress away from the destination earns GAMMA / ((k' + 1)(1 + distance)),
+# below the 1 / (k' + 1) at it; neither 0.1 nor 0.9 beats 0.5 on every input.
+GAMMA = 0.5
+
 # How far from 0 or 1 a binary column of a round's relaxed optimum may lie
 # for the vertex to count as integral: HiGHS's own MIP feasibility tolerance.
 INTEGRAL = 1e-6
-
-
-def round_distance_table(t: Topology, cfg: EpochConfig) -> dict:
-    """Distance used to weight round progress, in epochs, as {(a, b): epochs}.
-
-    Every hop costs at least one epoch of transmission on top of its latency,
-    so the weight is 1 + alpha/tau per edge. A pure-alpha table would be flat
-    on zero-latency fixtures and give the solver no reason to move chunks.
-    """
-    return all_pairs_distances(t, lambda e: 1.0 + e.alpha / cfg.tau)
 
 
 @dataclass
@@ -98,40 +87,28 @@ class RoundState:
     carry: Carry
 
 
-def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
-                      fw: dict, gamma: float = 0.5,
-                      opts: ModelOptions | None = None, *,
-                      timing: LinkTiming | None = None) -> Model:
-    """One round: the general model seeded with the state's carry, plus
-    look-ahead accounting (Q), progress counters (P), the distance reward,
-    the early-send tie-break (`EARLY_SEND`) and, with no buffer limit, one
-    row per (commodity, buffering node) that caps its receptions, sends out
-    of a no-copy switch aside, at one. A Q whose predecessor (the
-    terminal buffer or the Q before it) and feeding sends are all fixed is
-    fixed to their sum; a P whose wanted chunks' Q at its location are all
-    fixed at 0 is fixed at 0. Settling is the last step (`Model.settle`), so
-    the round keeps only the rows with two or more free columns, and any row
-    that cannot hold.
-
-    gamma < 1 keeps any in-transit reward below the payoff of a chunk sitting
-    at its destination. `timing` is the link timing of the whole solve (the
-    model topology at cfg, epochs counted from the first round's start); it
-    is derived when not given.
-    """
-    if not (0 < gamma < 1):
-        raise ValidationError("gamma must lie in (0, 1)")
+def round_template(t: Topology, d: Demand, cfg: EpochConfig,
+                   opts: ModelOptions | None = None, *,
+                   timing: LinkTiming | None = None) -> tuple[Model, Callable]:
+    """The rounds of an A* solve of `d` (see the module): the model over
+    every entry, its matrix assembled, and `bound(m, state)`, which bounds a
+    copy of it for one round. `timing` is the solve's link timing (the model
+    topology at cfg, epochs from the first round's start) or derived."""
     opts = opts or ModelOptions()
     timing = timing or link_timing(model_topology(t, opts)[0], cfg)
     max_kp = timing.max_delta
     if cfg.K < max_kp:
         raise ValidationError(f"epochs per round {cfg.K} < max link delay {max_kp}")
+    # Progress is weighed by distance in epochs: a hop costs an epoch on top
+    # of its latency, so even with no latency a chunk gains by moving.
+    fw = all_pairs_distances(t, lambda e: 1.0 + e.alpha / cfg.tau)
+    for s, c, dst in d.entries:
+        if not math.isfinite(fw[s, dst]):
+            raise ValidationError(f"demanded pair ({s!r},{dst!r}) unreachable")
 
-    dem = state.demand
-    commodities = dem.commodities
+    commodities = d.commodities
     K, kk, M = cfg.K, cfg.K - 1, max_kp + 1
-    # The round sees each capacity override at its own epochs, k0 on.
-    m = build_time_expanded(t, dem, cfg, opts, state.carry,
-                            timing=timing.from_epoch(state.round_index * K, K))
+    m, bound_expanded = time_expanded(t, d, cfg, opts, timing=timing)
     net = m.meta["net"]
     C, N = len(commodities), len(net.nodes)
     F, B = m.families["F"].index, m.families["B"].index
@@ -160,27 +137,17 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     ok = np.broadcast_to(((dlt >= ar(M)[None, :]) & (k_send >= 0) & q_at[pn])[None],
                          (C, len(pn), M))
     sends = F[cc, pe[None, :, None], np.clip(k_send, 0, kk)[None]][ok]
-    # A Q whose predecessor and feeding sends are all fixed is decided: fix
-    # it to their sum. A switch's Q has no predecessor.
-    at = ((cc * N + pn[None, :, None]) * M + ar(M))[ok]  # (commodity, node, k') of each send
-    decided = np.bincount(at, m.lb[sends] != m.ub[sends], C * N * M).reshape(C, N, M) == 0
-    value = np.bincount(at, m.lb[sends], C * N * M).reshape(C, N, M)
+    q_of = ((cc * N + pn[None, :, None]) * M + ar(M))[ok]  # (commodity, node, k') of each send
     terminal = qref[:, buffering, 0]
-    decided[:, buffering, 0] = m.lb[terminal] == m.ub[terminal]
-    value[:, buffering, 0] = m.lb[terminal]
-    decided[:, buffering] = np.logical_and.accumulate(decided[:, buffering], axis=2)
-    value[:, buffering] = np.cumsum(value[:, buffering], axis=2)
-    fixed = decided & has_q
-    m.fix(Q[fixed], value[fixed])
     m.add_rows(np.zeros(count), np.zeros(count),
                (rq[has_q], Q[has_q], 1.0),
                (rq[prev], qref[:, :, :-1][prev[:, :, 1:]], -1.0),
                (rq[:, pn, :][ok], sends, -1.0))
 
-    # Progress counters: how many still-wanted chunks sit at (or move through)
-    # each location, rewarded by closeness to the wanting destination. Per
+    # Progress counters: how many unmet chunks sit at (or move through) each
+    # location, rewarded by closeness to the wanting destination. Per
     # (destination, k'): one cap row per location, then their sum.
-    wanted = dem.ordered_entries
+    wanted = d.ordered_entries
     dsts = sorted({dst for _, _, dst in wanted}, key=str)
     D = len(dsts)
     dpos = {dst: i for i, dst in enumerate(dsts)}
@@ -190,36 +157,32 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
     dk = ar(D)[None, :, None] * M + ar(M)[None, None, :]  # (1, D, M)
     P = m.columns(N * D * M) + dk * N + ar(N)[:, None, None]  # (loc, dst, k')
     m.add_family("P", [Axis(net.nodes), Axis(dsts), Axis(range(M))], P,
-                 lb=0.0, ub=float(dem.chunk_count))
-    # No wanted chunk can be at (loc, k'): the counter is 0.
-    at = (w_dst[:, None, None] * N + ar(N)[:, None]) * M + ar(M)  # (wanted entry, loc, k')
-    held = np.bincount(at.ravel(), (m.ub[qref[w_com]] != 0).ravel(), D * N * M)
-    m.fix(P[held.reshape(D, N, M).transpose(1, 0, 2) == 0], 0.0)
+                 lb=0.0, ub=float(d.chunk_count))
+    p_of = (w_dst[:, None, None] * N + ar(N)[:, None]) * M + ar(M)  # (wanted entry, loc, k')
+    q_w = qref[w_com]  # (wanted entry, loc, k')
+    w_ent = [m.families["R"].axes[0].position[e] for e in wanted]
     per = N + 1
     cap_row = dk * per + ar(N)[:, None, None]
-    lo = np.full((D, M, per), -INF)
-    hi = np.zeros((D, M, per))
-    lo[:, :, N] = hi[:, :, N] = np.bincount(w_dst, minlength=D)[:, None]
     q_row = ((w_dst[:, None, None] * M + ar(M)[None, :, None]) * per
              + ar(N)[None, None, :])  # (wanted entry, k', loc)
-    m.add_rows(lo.ravel(), hi.ravel(),
+    q_col = q_w.transpose(0, 2, 1)
+    p0 = m.num_rows
+    m.add_rows(np.full(D * M * per, -INF), 0.0,
                (cap_row, P, 1.0),
-               (q_row, qref[w_com].transpose(0, 2, 1), -1.0),
+               (q_row, q_col, -1.0),
                (np.broadcast_to(dk * per + N, P.shape), P, 1.0))
     dist = np.array([[fw[loc, dst] for dst in dsts] for loc in net.nodes],
                     dtype=float).reshape(N, D)[:, :, None]
     kp1 = ar(M)[None, None, :] + 1
     at_dst = ar(N)[:, None, None] == np.array([net.pos[dst] for dst in dsts])[None, :, None]
     with np.errstate(invalid="ignore"):
-        reward = np.where(np.isfinite(dist), gamma / (kp1 * (1.0 + dist)), 0.0)
+        reward = np.where(np.isfinite(dist), GAMMA / (kp1 * (1.0 + dist)), 0.0)
     m.add_objective(P, np.where(at_dst, 1.0 / kp1, reward))
     m.add_objective(F, EARLY_SEND / (ar(K) + 1)[None, None, :])
 
-    # A buffering node never drops a copy, so it needs each chunk at most
-    # once a round: one row per (commodity, buffering node) caps its
-    # receptions at 1. Sends out of a no-copy switch are exempt, as the
-    # switch must forward every arrival; with a buffer limit a node may
-    # drop a copy, so the rows stay out.
+    # One row per (commodity, buffering node) caps its receptions, sends out
+    # of a no-copy switch aside, at 1 a round; a node with a buffer limit may
+    # drop a copy, so then the rows stay out.
     if opts.buffer_limit is None:
         bn = np.flatnonzero(~net.switch)
         owner, into = net.edges_in(bn)
@@ -228,6 +191,36 @@ def build_round_model(t: Topology, state: RoundState, cfg: EpochConfig,
         once = ar(C)[:, None, None] * len(bn) + owner[None, :, None]
         m.add_rows(np.full(C * len(bn), -INF), np.ones(C * len(bn)),
                    (np.broadcast_to(once, (C, len(into), K)), F[:, into, :], 1.0))
+    q_terms = m.entry_positions(p0 + q_row, q_col)  # the matrix every round's copy starts from
+
+    def bound(r: Model, state: RoundState) -> None:
+        met = bound_expanded(r, state.carry, state.demand.entries, state.round_index * K)
+        # A Q whose predecessor and feeding sends are all fixed is decided:
+        # fix it to their sum. A switch's Q has no predecessor.
+        decided = np.bincount(q_of, r.lb[sends] != r.ub[sends], C * N * M).reshape(C, N, M) == 0
+        value = np.bincount(q_of, r.lb[sends], C * N * M).reshape(C, N, M)
+        decided[:, buffering, 0] = r.lb[terminal] == r.ub[terminal]
+        value[:, buffering, 0] = r.lb[terminal]
+        decided[:, buffering] = np.logical_and.accumulate(decided[:, buffering], axis=2)
+        value[:, buffering] = np.cumsum(value[:, buffering], axis=2)
+        fixed = decided & has_q
+        r.fix(Q[fixed], value[fixed])
+        # No unmet chunk can be at (loc, k'): the counter is 0.
+        live = ~met[w_ent]
+        held = np.bincount(p_of[live].ravel(), (r.ub[q_w[live]] != 0).ravel(), D * N * M)
+        r.fix(P[held.reshape(D, N, M).transpose(1, 0, 2) == 0], 0.0)
+        total = np.bincount(w_dst[live], minlength=D)[None, :, None]
+        r.bound_rows(p0 + dk * per + N, total, total)
+        r.remove_entries(q_terms[~live])
+
+    return m, bound
+
+
+def build_round_model(template: tuple[Model, Callable], state: RoundState) -> Model:
+    """One round: a copy of the solve's `round_template`, bounded by the
+    state and settled (`Model.settle`)."""
+    m = template[0].copy()
+    template[1](m, state)
     m.settle()
     return m
 
@@ -240,7 +233,7 @@ def solve_round(m: Model, opts: SolverOptions | None = None) -> Solution:
     the round is solved as the MILP with the time left. The returned
     solution's `solve_wall_time` sums both solves."""
     opts = opts or SolverOptions()
-    relaxed = copy.copy(m)  # shares every array; `solve` changes none
+    relaxed = m.copy()
     relaxed.binary = np.zeros_like(m.binary)
     sol = solve(relaxed, replace(opts, vertex=True))
     if sol.status == OPTIMAL:
@@ -293,7 +286,7 @@ def advance_state(state: RoundState, sol, timing: LinkTiming,
 
 
 def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None = None,
-                gamma: float = 0.5, *, opts: ModelOptions | None = None,
+                *, opts: ModelOptions | None = None,
                 solver_opts: SolverOptions | None = None) -> Schedule:
     """Solve round after round until every demand entry is met, then stitch
     the per-round flows into one schedule on the global epoch axis. Rounds
@@ -311,10 +304,7 @@ def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None
     if epochs_per_round is None:
         epochs_per_round = max(4, timing.max_delta)
     cfg = EpochConfig(tau, epochs_per_round, d.chunk_size)
-    fw = round_distance_table(t, cfg)
-    for s, c, dst in d.entries:
-        if not math.isfinite(fw[s, dst]):
-            raise ValidationError(f"demanded pair ({s!r},{dst!r}) unreachable")
+    template = round_template(t, d, cfg, opts, timing=timing)
 
     # A path crosses fewer than N edges of at most max_delta + 1 epochs, and an entry is met
     # once a copy is in flight to it: chunks still moving meet one within `stall` rounds.
@@ -326,7 +316,7 @@ def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None
         if state.round_index - last_met >= stall:
             raise RoundLimitError(f"no demand entry met in the {stall} rounds to round "
                                   f"{state.round_index - 1}: {len(state.demand.entries)} unmet")
-        m = build_round_model(t, state, cfg, fw, gamma, opts, timing=timing)
+        m = build_round_model(template, state)
         sol = solve_round(m, solver_opts)
         if not sol.feasible:
             raise SolverBackendError(f"round {state.round_index} came back {sol.status}")
@@ -344,6 +334,6 @@ def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None
     meta = {"eff_topology": t_eff, "delta": timing.delta, "opts": opts, "entries": set(d.entries),
             "cfg": cfg.with_horizon(max(1, state.round_index * cfg.K))}
     sched = schedule_from_flows(flows, meta)
-    sched.meta.update({"rounds": state.round_index, "epochs_per_round": cfg.K, "gamma": gamma,
+    sched.meta.update({"rounds": state.round_index, "epochs_per_round": cfg.K,
                        "status": status, "solver_wall_time_sec": highs_s})
     return sched

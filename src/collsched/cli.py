@@ -98,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="search for the smallest feasible horizon (milp and lp only)")
     g.add_argument("--gap", type=float, default=0.0)
     g.add_argument("--time-limit", type=float, default=300.0)
-    g.add_argument("--gamma", type=float, default=0.5)
     g.add_argument("--epochs-per-round", type=int, default=None,
                    help="A* round length (default: 4 or the largest link delay); A* stops "
                         "with a round-limit error once a window of rounds derived from the "
@@ -186,8 +185,8 @@ def cmd_solve(args) -> int:
         t, d, args.method, switch_mode=args.switch, buffer_limit=args.buffer_limit,
         epoch_mode=args.epoch_mode, em=args.em, epochs=args.epochs,
         search_horizon=args.search_horizon, gap=args.gap,
-        time_limit=args.time_limit, gamma=args.gamma,
-        epochs_per_round=args.epochs_per_round, dump_model_path=args.dump_model)
+        time_limit=args.time_limit, epochs_per_round=args.epochs_per_round,
+        dump_model_path=args.dump_model)
     sched = result.schedule
     sched.meta.update({
         "method": result.method, "status": result.status,

@@ -105,16 +105,20 @@ def link_timing(t: Topology, cfg: EpochConfig) -> LinkTiming:
     epochs before 0 counting at epoch 0's. With every kappa 1 this is plain
     per-epoch capacity and latency.
     """
-    kap, rate = {}, {}
+    kap, rate, delay, per_capacity, per_alpha = {}, {}, {}, {}, {}
     for e in t.edges:
         pair = (e.src, e.dst)
-        rate[pair] = _chunks_per_epoch(e.capacity, cfg)
-        if rate[pair] <= 0:
-            raise ValidationError(f"edge ({e.src!r},{e.dst!r}) has no capacity")
-        kap[pair] = max(1, _ceil(1 / rate[pair]))
+        if e.capacity not in per_capacity:  # each distinct capacity and alpha converted once
+            r = _chunks_per_epoch(e.capacity, cfg)
+            if r <= 0:
+                raise ValidationError(f"edge ({e.src!r},{e.dst!r}) has no capacity")
+            per_capacity[e.capacity] = r, max(1, _ceil(1 / r))
+        if e.alpha not in per_alpha:
+            per_alpha[e.alpha] = compute_delta(e, cfg.tau)
+        (rate[pair], kap[pair]), delay[pair] = per_capacity[e.capacity], per_alpha[e.alpha]
     overrides = {key: _chunks_per_epoch(c, cfg) for key, c in t.capacity_overrides.items()}
     widen = max(kap.values(), default=1) - 1
-    delta = {(e.src, e.dst): compute_delta(e, cfg.tau) + widen for e in t.edges}
+    delta = {pair: k + widen for pair, k in delay.items()}
     base = {pair: float(w * rate[pair]) for pair, w in kap.items()}
     return LinkTiming(kap, delta, _budgets(kap, rate, base, overrides, 0, cfg.K), rate, base,
                       overrides)

@@ -14,8 +14,10 @@ the topology's node and edge positions the arithmetic needs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .epochs import EpochConfig, LinkTiming, link_timing
 from .errors import ValidationError
 from .model import BINARY, INF, Axis, Model, check_columns
 from .topology import (COPY, HYPER_EDGE, NO_COPY, Topology, check_switch_mode,
-                       hyper_edge_transform, shortest_distances)
+                       hyper_edge_transform)
 
 
 @dataclass(frozen=True)
@@ -48,13 +50,6 @@ def model_topology(t: Topology, opts: ModelOptions) -> tuple[Topology, dict]:
     return t, {}
 
 
-def build_general_model(t: Topology, d: Demand, cfg: EpochConfig,
-                        opts: ModelOptions | None = None) -> Model:
-    """The general whole-chunk model; infeasible at too-short horizons."""
-    opts = opts or ModelOptions()
-    return build_time_expanded(t, d, cfg, opts)
-
-
 @dataclass(frozen=True)
 class Carry:
     """What earlier rounds of a horizon-decomposed solve hand to the next.
@@ -73,8 +68,6 @@ class Carry:
     def at_sources(cls, d: Demand) -> "Carry":
         """Every source holds its own chunks at epoch 0."""
         return cls({(s, c, s, 0): 1 for s, c in d.commodities})
-
-
 
 
 class Net:
@@ -120,36 +113,39 @@ def _expand(nodes, starts, counts, edges):
     return owner, edges[first + np.arange(int(n.sum()))]
 
 
-def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOptions,
-                        carry: Carry | None = None, *,
-                        timing: LinkTiming | None = None) -> Model:
-    """The time-expanded model behind the one-shot solve and every A* round.
+def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig,
+                        opts: ModelOptions | None = None) -> Model:
+    """The general (one-shot) model, infeasible at too-short horizons:
+    `time_expanded` bounded with no carry and settled (`Model.settle`), so
+    it keeps only rows with two or more free columns, or that cannot hold."""
+    m, bound = time_expanded(t, d, cfg, opts or ModelOptions())
+    bound(m)
+    m.settle()
+    return m
 
-    With carry None it is the one-shot model: sources hold their chunks at
-    epoch 0, every demanded chunk must be delivered by the last epoch, and
-    every send that could not reach a destination of its chunk by then is
-    fixed to zero. With a carry it is one round: buffers and switches
-    receive the carried arrivals, link windows start with the carried load,
-    and delivery is rewarded but not forced. `timing` is the link timing of
-    the model topology at cfg, for a caller that has derived it already; it
-    is derived when not given.
 
-    Columns are laid out commodity by commodity: F over (edge, epoch), B
-    over (buffering node, epoch 0..K), R over (destination, epoch) and, with
-    a buffer limit, X over (buffering node, epoch). Each constraint family
-    is one block of rows built by index arithmetic over (commodity, edge,
-    epoch). Settling is the last step of a one-shot model (`Model.settle`),
-    so the model keeps only the rows with two or more free columns, and any
-    row that cannot hold; a round's model is settled by the round builder,
-    once its own rows are in (`astar.build_round_model`).
-    """
+build_general_model = build_time_expanded
+
+
+def time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOptions, *,
+                  timing: LinkTiming | None = None) -> tuple[Model, Callable]:
+    """The time-expanded model behind the one-shot solve and every A* round:
+    its columns, rows and objective over every entry of `d`, and `bound(m,
+    carry=None, unmet=None, k0=0)`, which fixes the columns and sets the row
+    bounds of it or of a copy (`Model.copy`), and returns which entries, in
+    R's order, are met. With no carry sources hold their chunks at epoch 0
+    and every entry is read by the last epoch. A carry seeds buffers,
+    switches and link windows of a round whose epoch 0 is epoch k0, and
+    rewards delivery; the entries not in `unmet` are met, their reads fixed
+    at 0, as is every column of a commodity with none unmet. `timing` is the
+    link timing of the model topology at cfg, derived when not given.
+    Columns run commodity by commodity: F over (edge, epoch), B over
+    (buffering node, epoch 0..K), R over (destination, epoch) and, with a
+    buffer limit, X over (buffering node, epoch)."""
     check_demand_nodes(d, t)
-    if opts.buffer_limit is not None:
-        per_source = {}
-        for s, c in d.commodities:
-            per_source[s] = per_source.get(s, 0) + 1
-        if per_source and opts.buffer_limit < max(per_source.values()):
-            raise ValidationError("buffer_limit below a source's initial chunk count")
+    per_source = Counter(s for s, _ in d.commodities)
+    if opts.buffer_limit is not None and opts.buffer_limit < max(per_source.values(), default=0):
+        raise ValidationError("buffer_limit below a source's initial chunk count")
 
     t_eff, hyper_groups = model_topology(t, opts)
     K = cfg.K
@@ -166,9 +162,6 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     commodities = d.commodities
     C = len(commodities)
     cpos = {sc: i for i, sc in enumerate(commodities)}
-    one_shot = carry is None
-    carry = carry or Carry.at_sources(d)
-    arrivals = carry.arrivals
     entries = set(d.entries)
     dests = {}
     for s, c, dst in entries:
@@ -179,69 +172,33 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     m = Model()
     # What extraction reads (schedule.trace_required_flows and
     # delivery_epochs), what solver.completion_epoch reads, and the index
-    # tables a round model extends (astar.build_round_model).
+    # tables a round template extends (astar.round_template).
     m.meta.update({"eff_topology": t_eff, "delta": delta, "opts": opts, "entries": entries,
                    "cfg": cfg, "reads": "R", "net": net})
 
-    # Earliest epoch each chunk could be forwarded from each node (a hop costs
-    # delta + 1 epochs; inf where unreachable); flows, buffers, and reads
-    # before that are fixed to zero up front, which trims the search space
-    # considerably on multi-chassis horizons. One walk per distinct set of
-    # starting holdings: once per source in a one-shot model. A one-shot
-    # model also walks back from each distinct destination set for every
-    # node's epochs to go (0 at a destination): a send that lands at j at
-    # epoch a with a + togo[j] > K - 1 serves no read, nor does any later
-    # send of the chunk from j, so all of them are fixed to zero together.
-    # Sends carry no objective weight there, so no optimum changes; a
-    # round's late sends are carried, so a round fixes none of them. A round
-    # with no buffer limit instead fixes every send of a chunk that lands at
-    # a buffering node no sooner than the carry's copy of it there
-    # (`head_holds`): a copying node never drops a copy, so the send is never
-    # needed, and all it could earn is the early-send credit and progress
-    # credit for a duplicate. Sends out of a no-copy switch are exempt, as
-    # the switch must forward every arrival. Such a round also fixes each
-    # buffer B[k] that no free send can land in by epoch k to what the carry
-    # and the fixed sends put there; settling then drops its recurrence row.
-    seeds: dict[tuple, dict] = {}
-    for (s, c, n, k), v in arrivals.items():
-        if v:
-            held = seeds.setdefault((s, c), {})
-            held[n] = min(held.get(n, k), k)
-    hop = lambda e: delta[(e.src, e.dst)] + 1
-    walks: dict[tuple, np.ndarray] = {}
-
-    def walk(start: dict, backward: bool) -> np.ndarray:
-        key = (frozenset(start.items()), backward)
-        if key not in walks:
-            dist = shortest_distances(t_eff, hop, start, backward)
-            walks[key] = np.array([dist[n] for n in net.nodes], dtype=float)
-        return walks[key]
-
-    reach = np.array([walk(seeds.get(sc, {}), False) for sc in commodities]).reshape(C, N)
-    togo = np.full((C, N), -np.inf)
-    if one_shot:
-        togo = np.array([walk(dict.fromkeys(dests[sc], 0), True)
-                         for sc in commodities]).reshape(C, N)
-
-    # Carried arrivals as (commodity, node, epoch 0..K).
-    arr = np.zeros((C, N, K + 1))
-    for (s, c, n, k), v in arrivals.items():
-        if (s, c) in cpos and n in net.pos and 0 <= k <= K:
-            arr[cpos[(s, c)], net.pos[n], k] = v
+    # Epochs between nodes, a hop costing delta + 1 (inf where unreachable),
+    # give the earliest epoch each chunk could be forwarded from each node;
+    # flows, buffers, and reads before that are fixed to zero. A one-shot
+    # model also fixes every send that lands at j at epoch a with a + togo[j]
+    # > K - 1, togo the epochs to its chunk's nearest destination: it serves
+    # no read, nor does any later send of the chunk from j (and has no
+    # objective weight; a round carries late sends). A round with no buffer
+    # limit fixes every send of a chunk landing at a buffering node no sooner
+    # than the carry's copy of it there (`head_holds`), as a copying node
+    # never drops a copy (sends out of a no-copy switch, which must forward
+    # every arrival, are exempt), and each buffer B[k] that no free send can
+    # land in by epoch k, to what the carry and the fixed sends put there.
+    ar = np.arange
+    hops = np.full((N, N), np.inf)
+    hops[ar(N), ar(N)] = 0.0
+    np.minimum.at(hops, (net.src, net.dst), net.delta + 1.0)
+    for k in range(N):  # Floyd-Warshall, exact on these whole numbers
+        hops = np.minimum(hops, hops[:, k, None] + hops[k])
     limited = opts.buffer_limit is not None
     no_copy = net.switch & (opts.switch_mode == NO_COPY)
-    # Epoch from which each edge's head holds each commodity from the carry;
-    # inf where it never does, and on every edge out of a no-copy switch.
-    head_holds = np.full((C, E), np.inf)
-    if not (one_shot or limited):
-        lands = arr > 0
-        since = np.where(lands.any(axis=2), lands.argmax(axis=2), np.inf)
-        since[:, net.switch] = np.inf
-        head_holds = np.where(no_copy[net.src], np.inf, since[:, net.dst])
 
     # Variables. Buffers and reads stay continuous: integrality propagates
     # from the binary flows through the equalities that define them.
-    ar = np.arange
     ent = [(s, c, dst) for s, c in commodities for dst in dests[(s, c)]]
     ent_c = np.array([cpos[(s, c)] for s, c, _ in ent], dtype=np.int64)
     ent_j = np.array([j for s, c in commodities for j in range(len(dests[(s, c)]))],
@@ -262,31 +219,12 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
              + (ar(NB)[:, None] * K + ar(K))[None])
         m.add_family("X", [com, Axis(net.buffers), Axis(range(K))], X,
                      lb=0.0, ub=float(d.chunk_count))
-
     bnodes = np.flatnonzero(~net.switch)
-    kf = ar(K)[None, None, :]
-    m.fix(F[(kf < reach[:, net.src][:, :, None])
-            | (kf + (net.delta + togo[:, net.dst])[:, :, None] > kk)
-            | (kf + (net.delta + 1)[None, :, None] >= head_holds[:, :, None])], 0.0)
-    late = ar(K + 1)[None, None, :] < reach[:, bnodes][:, :, None]
-    late[:, :, 0] = False
-    m.fix(B[late], 0.0)
-    m.fix(B[:, :, 0], arr[:, bnodes, 0])
-    early = ar(K)[None, :] + 1 < reach[ent_c, ent_dst][:, None]
-    if one_shot:
-        early[:, kk] = False
-        m.fix(R[:, kk], 1.0)
-    m.fix(R[early], 0.0)
 
     # Capacity, per edge and epoch; sliding windows where a chunk needs
     # several epochs on the wire. A row sums F over every commodity and the
-    # window's epochs.
+    # window's epochs; its bound is the window's budget less the carried load.
     kap = np.array([timing.kappa[pair] for pair in net.pairs], dtype=np.int64)
-    load = np.zeros((E, K))
-    for (i, j, k), v in carry.link_load.items():
-        if (i, j) in net.epos and 0 <= k < K:
-            load[net.epos[(i, j)], k] = v
-    budget = np.array([timing.budget[pair] for pair in net.pairs], dtype=float).reshape(E, K)
     terms = []
     for w in sorted(set(kap.tolist())):  # (edge, k, commodity, window epoch) per kappa
         es = np.flatnonzero(kap == w)[:, None, None, None]
@@ -296,7 +234,10 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         cols = F[ar(C)[None, None, :, None], es, np.maximum(k2, 0)]
         terms.append((np.broadcast_to(es * K + k, ok.shape)[ok],
                       np.broadcast_to(cols, ok.shape)[ok], 1.0))
-    m.add_rows(np.full(E * K, -INF), (budget - load).ravel(), *terms)
+    cap_rows = m.num_rows + ar(E * K)
+    budget_at = lambda k0: np.array(list(map(timing.from_epoch(k0, K).budget.get, net.pairs)))
+    steady = None if timing.overrides else budget_at(0)  # every round's, with no override
+    m.add_rows(np.full(E * K, -INF), 0.0, *terms)
 
     # Conservation with copy: what a node holds at the start of an epoch plus
     # what lands during it bounds each outgoing flow of the next epoch. A
@@ -324,17 +265,10 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     # Carried arrivals usable from k_out are forwardable during it, like any
     # in-round arrival; a buffer's epoch-0 arrivals are already in B[0].
     counted = (ar(K)[None, None, :] >= 1) | sw_of[None, :, None]
-    rhs_e = np.where(counted, 0.0 - arr[:, n_of, :K], 0.0)
-    drop = sw_of[None, :, None] & (n_in == 0)[None] & (rhs_e == 0.0)
-    m.fix(F[:, ge, :][drop], 0.0)
 
-    lo = np.zeros((C, S))
-    hi = np.full((C, S), INF)
-    lo[:, slot_e] = rhs_e
-    rhs_n = arr[:, gn, :K]
-    lo[:, slot_n] = rhs_n
-    hi[:, slot_n] = rhs_n
     rows_e = cS + slot_e[None]  # (C, edge group, k_out)
+    rows_n = cS + slot_n[None]  # (C, switch group, k_out)
+    cons_e, cons_n = m.num_rows + rows_e, m.num_rows + rows_n
     kv = ar(K)[None, None, :]
     cc = ar(C)[:, None, None]
     bn = net.bpos[n_of]
@@ -346,7 +280,6 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     terms.append((rows_e[:, pair_g, :][ok],
                   F[cc, pair_e[None, :, None], np.maximum(kin, 0)[None]][ok], 1.0))
     if len(gn):
-        rows_n = cS + slot_n[None]  # (C, switch group, k_out)
         og, oe = net.edges_out(gn)
         ig, ie = net.edges_in(gn)
         terms.append((rows_n[:, og, :].ravel(), F[:, oe, :].ravel(), 1.0))
@@ -354,11 +287,12 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
         ok = np.broadcast_to(kin_n >= 0, (C, len(ig), K))
         terms.append((rows_n[:, ig, :][ok],
                       F[cc, ie[None, :, None], np.maximum(kin_n, 0)[None]][ok], -1.0))
-    m.add_rows(lo, hi, *terms)
+    m.add_rows(np.zeros(C * S), INF, *terms)
 
     # Buffer recurrence: each start-of-epoch buffer accumulates last epoch's
     # arrivals (minus explicit removals when a limit is in force).
     rb = (ar(C)[:, None, None] * NB + ar(NB)[None, :, None]) * K + ar(K)[None, None, :]
+    buf_rows = m.num_rows + rb
     terms = [(rb, B[:, :, 1:], 1.0), (rb, B[:, :, :-1], -1.0)]
     if limited:
         terms.append((rb, X, 1.0))
@@ -368,15 +302,7 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
     rows_in = rb[:, ib, :][ok]
     lands = F[cc, iedge[None, :, None], np.maximum(kin_b, 0)[None]][ok]
     terms.append((rows_in, lands, -1.0))
-    if not (one_shot or limited):
-        free = np.bincount(rows_in, m.lb[lands] != m.ub[lands], C * NB * K).reshape(C, NB, K)
-        sent = np.bincount(rows_in, m.lb[lands], C * NB * K).reshape(C, NB, K)
-        # At k: B[k + 1] holds only fixed terms.
-        decided = np.logical_and.accumulate(free == 0, axis=2)
-        value = arr[:, bnodes, :1] + np.cumsum(arr[:, bnodes, 1:] + sent, axis=2)
-        m.fix(B[:, :, 1:][decided], value[decided])
-    rhs_b = arr[:, bnodes, 1:]
-    m.add_rows(rhs_b, rhs_b, *terms)
+    m.add_rows(np.zeros(C * NB * K), 0.0, *terms)
 
     # Destination reads: R is capped by demand (declared R vars only) and by
     # what the buffer holds at the next boundary; monotone so a read is never
@@ -420,6 +346,78 @@ def build_time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOpt
                    (at(base + 1 + len(srcs) + rd[None, None, :]), cols, 1.0))
 
     m.add_objective(R, 1.0 / (ar(K) + 1)[None, :])
-    if one_shot:
-        m.settle()
-    return m
+
+    slot = {(s, c, n): i * N + p for (s, c), i in cpos.items() for n, p in net.pos.items()}
+    ent_at = {e: i for i, e in enumerate(ent)}
+
+    def bound(m: Model, carry: Carry | None = None, unmet=None, k0: int = 0) -> np.ndarray:
+        one_shot = carry is None
+        carry = carry or Carry.at_sources(d)
+        met = np.ones(len(ent), dtype=bool)
+        met[[ent_at[e] for e in (entries if unmet is None else unmet)]] = False
+        dead = np.bincount(ent_c[~met], minlength=C) == 0
+        # Live commodities' arrivals by (commodity, node, epoch 0..K), and first.
+        got = np.array([(slot.get((s, c, n), -1), k, v) for (s, c, n, k), v
+                        in carry.arrivals.items() if v]).reshape(-1, 3)
+        at, ka = got[:, :2].T.astype(np.int64)
+        on = ~np.append(dead, True)[at // N]  # a commodity of `d`, not dead
+        first, arr = np.full(C * N, np.inf), np.zeros((C * N, K + 1))
+        np.minimum.at(first, at[on], ka[on])
+        on &= ka <= K
+        arr[at[on], ka[on]] = got[on, 2]
+        first, arr = first.reshape(C, N), arr.reshape(C, N, K + 1)
+        reach = (first[:, :, None] + hops[None]).min(axis=1, initial=np.inf)
+
+        kf = ar(K)[None, None, :]
+        fixed = kf < reach[:, net.src][:, :, None]
+        if one_shot:
+            togo = np.full((C, N), np.inf)
+            np.minimum.at(togo, ent_c, hops[:, ent_dst].T)
+            fixed |= kf + (net.delta + togo[:, net.dst])[:, :, None] > kk
+        elif not limited:
+            # Epoch from which each edge's head holds each commodity from the
+            # carry (inf where never, and on every edge out of a no-copy switch).
+            landed = arr > 0
+            since = np.where(landed.any(axis=2), landed.argmax(axis=2), np.inf)
+            since[:, net.switch] = np.inf
+            head_holds = np.where(no_copy[net.src], np.inf, since[:, net.dst])
+            fixed |= kf + (net.delta + 1)[None, :, None] >= head_holds[:, :, None]
+        m.fix(F[fixed], 0.0)
+        late = ar(K + 1)[None, None, :] < reach[:, bnodes][:, :, None]
+        late[:, :, 0] = False
+        m.fix(B[late], 0.0)
+        m.fix(B[:, :, 0], arr[:, bnodes, 0])
+        early = ar(K)[None, :] + 1 < reach[ent_c, ent_dst][:, None]
+        if one_shot:
+            early[:, kk] = False
+            m.fix(R[:, kk], 1.0)
+        m.fix(R[early | met[:, None]], 0.0)
+        if limited:
+            m.fix(X[dead], 0.0)
+
+        load = np.zeros((E, K))
+        for (i, j, k), v in carry.link_load.items():
+            if (i, j) in net.epos and 0 <= k < K:
+                load[net.epos[(i, j)], k] = v
+        budget = (steady if steady is not None else budget_at(k0)).reshape(E, K)
+        m.bound_rows(cap_rows, -INF, (budget - load).ravel())
+
+        rhs_e = np.where(counted, 0.0 - arr[:, n_of, :K], 0.0)
+        drop = sw_of[None, :, None] & (n_in == 0)[None] & (rhs_e == 0.0)
+        m.fix(F[:, ge, :][drop], 0.0)
+        rhs_n = arr[:, gn, :K]
+        m.bound_rows(cons_e, rhs_e, INF)
+        m.bound_rows(cons_n, rhs_n, rhs_n)
+
+        if not (one_shot or limited):
+            free = np.bincount(rows_in, m.lb[lands] != m.ub[lands], C * NB * K).reshape(C, NB, K)
+            sent = np.bincount(rows_in, m.lb[lands], C * NB * K).reshape(C, NB, K)
+            # At k: B[k + 1] holds only fixed terms.
+            decided = np.logical_and.accumulate(free == 0, axis=2)
+            value = arr[:, bnodes, :1] + np.cumsum(arr[:, bnodes, 1:] + sent, axis=2)
+            m.fix(B[:, :, 1:][decided], value[decided])
+        rhs_b = arr[:, bnodes, 1:]
+        m.bound_rows(buf_rows, rhs_b, rhs_b)
+        return met
+
+    return m, bound

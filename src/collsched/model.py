@@ -20,12 +20,12 @@ float where a term gives a scalar, so most entries cost 8 bytes.
 The rows are read back one way too: `matrix` assembles them into the sparse
 matrix the solver gets, a `CSC`, summing the coefficients of a repeated
 (row, column) entry, and `rows` lists each row's entries of that matrix.
-Given a subset of the columns, `matrix` assembles only the entries on them.
-`CSC` and its assembly call scipy's compiled kernels
-(`scipy.sparse._sparsetools`, loaded by `extensions.load`) in the order
-`scipy.sparse` calls them, so each matrix is byte for byte the one
-`scipy.sparse.csc_matrix` builds from the same entries, without importing
-`scipy.sparse`.
+It is assembled once; a subset of the columns takes theirs. `CSC` and its
+assembly call scipy's compiled kernels (`scipy.sparse._sparsetools`, loaded
+by `extensions.load`) in the order `scipy.sparse` calls them, so each matrix
+is byte for byte the one `scipy.sparse.csc_matrix` builds from the same
+entries, without importing `scipy.sparse`. A `copy` shares its rows: models
+that differ in bounds (`fix`, `bound_rows`, `remove_entries`) share one.
 
 `settle` is every builder's last step: it takes out the rows the model's
 column bounds already decide. A row with no open column (lb < ub, nonzero
@@ -39,6 +39,7 @@ settled model's rows that can hold have two or more open columns each.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -166,14 +167,22 @@ class Model:
         self.ub = np.zeros(0)
         self.binary = np.zeros(0, dtype=bool)
         self.families: dict[str, Family] = {}
-        # (rows, columns, coefficients): global rows; a float or one per entry
-        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray | float]] = []
-        self._row_lb: list[np.ndarray] = []
-        self._row_ub: list[np.ndarray] = []
+        # (rows, columns, coefficients), a float or one per entry; or a view.
+        self._blocks: list[tuple] = []
+        self._row_lb = np.zeros(0)
+        self._row_ub = np.zeros(0)
         self.num_rows = 0
         self._objective: list[tuple[np.ndarray, np.ndarray]] = []
+        self._matrix: tuple | None = None  # a view (CSC, keep, rows): see `_take`
         self._rows = None
         self.meta: dict = {}
+
+    def copy(self) -> Model:
+        """This model, sharing families and meta, the rest its own to change."""
+        other = copy.copy(self)
+        for name in ("lb", "ub", "_row_lb", "_row_ub", "_blocks", "_objective"):
+            setattr(other, name, copy.copy(getattr(self, name)))
+        return other
 
     # -- variables ----------------------------------------------------------
 
@@ -183,6 +192,7 @@ class Model:
         self.lb = np.concatenate([self.lb, np.zeros(n)])
         self.ub = np.concatenate([self.ub, np.full(n, INF)])
         self.binary = np.concatenate([self.binary, np.zeros(n, dtype=bool)])
+        self._matrix = self._rows = None
         return start
 
     def add_family(self, family: str, axes: list[Axis], index: np.ndarray,
@@ -250,10 +260,29 @@ class Model:
                 nonzero = v != 0
                 r, c, v = r[nonzero], c[nonzero], v[nonzero]
             self._blocks.append((_narrow(r + self.num_rows), _narrow(c), v))
-        self._row_lb.append(np.array(lb, dtype=float).ravel())
-        self._row_ub.append(np.array(ub, dtype=float).ravel())
+        self._row_lb = np.concatenate([self._row_lb, lb.ravel()])
+        self._row_ub = np.concatenate([self._row_ub, ub.ravel()])
         self.num_rows += lb.size
-        self._rows = None
+        self._matrix = self._rows = None
+
+    def bound_rows(self, rows, lb, ub) -> None:
+        """Set the bounds of the given rows; lb and ub broadcast to them."""
+        self._row_lb[rows], self._row_ub[rows], self._rows = lb, ub, None
+
+    def entry_positions(self, rows, columns) -> np.ndarray:
+        """Where each (row, column) pair, an entry of `matrix()`, lies in its
+        `indices`, shaped like the pairs."""
+        a = self.matrix()
+        key = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr)) * a.shape[0] + a.indices
+        return np.searchsorted(key, np.asarray(columns, dtype=np.int64) * a.shape[0] + rows)
+
+    def remove_entries(self, at) -> None:
+        """Take the entries at positions `at` of `matrix()` out of it."""
+        a = self.matrix()
+        keep = np.ones(a.nnz, dtype=bool)
+        keep[at] = False
+        self._matrix, self._rows = (a, keep, None), None
+        self._blocks = [self._matrix]
 
     def settle(self) -> None:
         """Take out the rows the column bounds decide, and tighten the
@@ -266,22 +295,25 @@ class Model:
           bounds and rounded inward on a binary, and are dropped; where the
           intersection is empty they stay, and the bounds stay as they were.
         Passes repeat while one fixes a column. The remaining rows keep
-        their order, and their entries their order within each block."""
-        a = self.matrix()
+        their order, and the matrix's entries their order in each column."""
+        view = self._matrix  # or the whole matrix, where rows are left out
+        full, keep, _ = view if view and view[2] is None else (self.matrix(), None, None)
+        cols = np.flatnonzero((self.lb != self.ub) | (self.lb != 0))  # not fixed at 0
+        a = _take((full, keep, None), cols, self.num_rows)
         ones = CSC(a.indptr, a.indices, (a.data != 0).astype(float), a.shape)
         lo, hi = self.row_bounds()
         alive = np.ones(self.num_rows, dtype=bool)
-        column = np.arange(self.num_vars, dtype=float)
         while True:
             # Per row, by three products: its fixed columns' share, its open
             # entries and, for a row with one, that entry's column and
             # coefficient.
-            free = self.lb != self.ub
-            moved = a @ np.where(free, 0.0, self.lb)
+            lb = self.lb[cols]
+            free = lb != self.ub[cols]
+            moved = a @ np.where(free, 0.0, lb)
             count = ones @ free.astype(float)
             alive &= (count > 0) | ~holds(moved, lo, hi)
             r = np.flatnonzero(alive & (count == 1))
-            c = (ones @ np.where(free, column, 0.0))[r].astype(np.int64)
+            c = (ones @ np.where(free, cols, 0).astype(float))[r].astype(np.int64)
             v = (a @ free.astype(float))[r]
             at_lb, at_ub = (lo[r] - moved[r]) / v, (hi[r] - moved[r]) / v
             bound_lb, bound_ub = self.lb.copy(), self.ub.copy()
@@ -299,18 +331,10 @@ class Model:
             alive[r[hit[c]]] = False
             if not np.any(lb[ok] == ub[ok]):
                 break
-        if alive.all():
-            return
-        rid = np.cumsum(alive) - 1  # a row's new number is at most its old one
-        blocks = []
-        for r, c, v in self._blocks:
-            on = alive[r]
-            blocks.append((rid[r[on]].astype(r.dtype), c[on],
-                           v[on] if isinstance(v, np.ndarray) else v))
-        self._blocks = blocks
-        self._row_lb, self._row_ub = [lo[alive]], [hi[alive]]
+        self._row_lb, self._row_ub = lo[alive], hi[alive]
         self.num_rows = int(alive.sum())
-        self._rows = None
+        self._matrix, self._rows = (full, keep, np.where(alive, np.cumsum(alive) - 1, -1)), None
+        self._blocks = [self._matrix]
 
     def add_objective(self, idx, coef) -> None:
         """Add coef * var to the objective for each (idx, coef) pair."""
@@ -330,22 +354,31 @@ class Model:
         (row, column) entry are summed, and a sum of zero stays an entry.
         With `columns`, distinct column numbers, column j of the matrix is
         the model's column columns[j]: a permutation reorders the columns,
-        a subset assembles only the entries on its columns. Either way each
-        column holds the entries it holds in `matrix()`."""
-        rows, cols = (_cat([b[i] for b in self._blocks], np.int32) for i in (0, 1))
+        a subset takes only its columns, each holding what it holds in
+        `matrix()`. The caller changes none of its arrays."""
+        if self._matrix is None:
+            self._matrix = self._assemble(), None, None
+        a, keep, rows = self._matrix
+        if columns is not None:
+            return _take(self._matrix, np.asarray(columns, dtype=np.int64), self.num_rows)
+        if keep is not None or rows is not None:
+            a = _take(self._matrix, np.arange(self.num_vars), self.num_rows)
+            self._matrix = a, None, None
+        return a
+
+    def _assemble(self) -> CSC:
+        """`matrix()` from the model's blocks."""
+        views = [_take(b, np.arange(b[0].shape[1]), self.num_rows) for b in self._blocks
+                 if isinstance(b[0], CSC)]  # a view is the first block, if any
+        blocks = [(a.indices, np.repeat(np.arange(a.shape[1]), np.diff(a.indptr)), a.data)
+                  for a in views] + self._blocks[len(views):]
+        rows, cols = (_cat([b[i] for b in blocks], np.int32) for i in (0, 1))
         coefs = _cat([v if isinstance(v, np.ndarray) else np.full(len(r), v)
-                      for r, _, v in self._blocks], float)
+                      for r, _, v in blocks], float)
         n_rows, n_cols = self.num_rows, self.num_vars
         for name, idx, size in (("row", rows, n_rows), ("column", cols, n_cols)):
             if len(idx) and not 0 <= idx.min() <= idx.max() < size:  # the kernels write there
                 raise ValueError(f"a {name} index outside [0, {size})")
-        if columns is not None:
-            position = np.full(n_cols, -1)
-            position[columns] = np.arange(len(columns))
-            cols = position[cols]
-            keep = cols >= 0
-            rows, cols, coefs = rows[keep], cols[keep], coefs[keep]
-            n_cols = len(columns)
         # The kernels `scipy.sparse.csc_matrix((coefs, (rows, cols)), shape)`
         # calls: compress by column, sort each column's rows unless all are
         # sorted already, sum repeated entries, and drop the space they freed.
@@ -363,8 +396,8 @@ class Model:
         return CSC(indptr, indices[:end], data[:end], (n_rows, n_cols))
 
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lb, ub) of every row."""
-        return _cat(self._row_lb, float), _cat(self._row_ub, float)
+        """(lb, ub) of every row, the model's own arrays (see `bound_rows`)."""
+        return self._row_lb, self._row_ub
 
     @property
     def rows(self) -> Rows:
@@ -433,6 +466,20 @@ class Rows:
 
 def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype)
+
+
+def _take(view: tuple, columns: np.ndarray, n_rows: int) -> CSC:
+    """Column j is column columns[j] of view (a, keep, rows): the entries of
+    CSC `a` where `keep`, its row r at rows[r], none where -1 (None: all)."""
+    a, keep, rows = view
+    counts = np.diff(a.indptr)[columns]
+    start = np.concatenate([[0], np.cumsum(counts)])
+    at = np.repeat(a.indptr[columns] - start[:-1], counts) + np.arange(start[-1])
+    r = a.indices[at] if rows is None else rows[a.indices[at]]
+    on = (r >= 0) & (True if keep is None else keep[at])
+    start, at, r = np.concatenate([[0], np.cumsum(on)])[start], at[on], r[on]
+    return CSC(start.astype(a.indptr.dtype), r.astype(a.indices.dtype), a.data[at],
+               (n_rows, len(columns)))
 
 
 def _narrow(idx: np.ndarray) -> np.ndarray:

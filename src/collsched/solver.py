@@ -14,10 +14,10 @@ against `scipy.optimize.milp`; `extensions.load` loads it without importing
 `solve` passes a `Model` to `milp`: its free columns only (lb < ub), with
 each fixed column's value moved into the row bounds and the fixed columns'
 share of the objective passed as HiGHS's objective offset, so the objective
-and MIP gap HiGHS reports are the whole model's. It never assembles the whole
-matrix: it asks the model for two column subsets, the fixed columns with a
-nonzero value, whose product with those values is each row's moved share,
-and the free columns, which are HiGHS's matrix. It scatters the values back
+and MIP gap HiGHS reports are the whole model's. It takes two column subsets
+of the model's matrix: the fixed columns with a nonzero value, whose product
+with those values is each row's moved share, and the free columns, which are
+HiGHS's matrix. It scatters the values back
 into one value per column and maps HiGHS's model status to `OPTIMAL`,
 `FEASIBLE_GAP`, `INFEASIBLE` or `TIMEOUT`; a model with no free column is
 checked against its rows without HiGHS. A model with no binary free column

@@ -124,14 +124,13 @@ def validate_topology(t: Topology) -> list[str]:
     return violations
 
 
-def shortest_distances(t: Topology, weight, seeds: dict, backward: bool = False) -> dict:
+def shortest_distances(t: Topology, weight, seeds: dict) -> dict:
     """Dijkstra from several starting nodes at once.
 
     weight(e) is the non-negative cost of crossing edge e; seeds maps each
     starting node to the distance it starts at. Returns every node's
-    distance from the nearest seed, inf where no seed reaches it; backward,
-    the walk follows in-edges, so it is each node's distance to the nearest
-    seed. Equal distances pop in node-name order.
+    distance from the nearest seed, inf where no seed reaches it. Equal
+    distances pop in node-name order.
     """
     dist = dict.fromkeys(t.nodes, math.inf)
     heap = []
@@ -143,12 +142,11 @@ def shortest_distances(t: Topology, weight, seeds: dict, backward: bool = False)
         d0, _, n = heapq.heappop(heap)
         if d0 > dist[n]:
             continue
-        for e in t.in_edges(n) if backward else t.out_edges(n):
-            nxt = e.src if backward else e.dst
+        for e in t.out_edges(n):
             alt = d0 + weight(e)
-            if alt < dist[nxt]:
-                dist[nxt] = alt
-                heapq.heappush(heap, (alt, str(nxt), nxt))
+            if alt < dist[e.dst]:
+                dist[e.dst] = alt
+                heapq.heappush(heap, (alt, str(e.dst), e.dst))
     return dist
 
 
@@ -205,42 +203,6 @@ def star(leaves: int = 3, capacity: float = 1.0, alpha: float = 0.0) -> Topology
     edges = [Edge("s", "h", capacity, alpha)]
     edges += [Edge("h", f"d{i + 1}", capacity, alpha) for i in range(leaves)]
     return Topology(tuple(nodes), frozenset({"h"}), tuple(edges))
-
-
-def funnel(sources: int = 3, head_capacity: float = 2.0, capacity: float = 1.0,
-           alpha: float = 0.0) -> Topology:
-    """Sources feeding a buffering relay `h` that drains into one sink `d`."""
-    nodes = [f"s{i + 1}" for i in range(sources)] + ["h", "d"]
-    edges = [Edge(f"s{i + 1}", "h", capacity, alpha) for i in range(sources)]
-    edges.append(Edge("h", "d", head_capacity, alpha))
-    return Topology(tuple(nodes), frozenset(), tuple(edges))
-
-
-def relay_chain(alpha_hop: float = 1.0, alpha_direct: float = 5.0,
-                capacity: float = 1.0) -> Topology:
-    """Two sources racing to one sink: s1 over a 3-relay chain with per-hop
-    latency, s2 over a single high-latency edge into the last relay."""
-    nodes = ("s1", "h1", "h2", "h3", "d", "s2")
-    edges = (
-        Edge("s1", "h1", capacity, alpha_hop),
-        Edge("h1", "h2", capacity, alpha_hop),
-        Edge("h2", "h3", capacity, alpha_hop),
-        Edge("h3", "d", capacity, 0.0),
-        Edge("s2", "h3", capacity, alpha_direct),
-    )
-    return Topology(nodes, frozenset(), edges)
-
-
-def diamond(capacity: float = 0.5, alpha: float = 0.0) -> Topology:
-    """s fans out to d1/d2 which both feed d3; no d1<->d2 link."""
-    nodes = ("s", "d1", "d2", "d3")
-    edges = (
-        Edge("s", "d1", capacity, alpha),
-        Edge("s", "d2", capacity, alpha),
-        Edge("d1", "d3", capacity, alpha),
-        Edge("d2", "d3", capacity, alpha),
-    )
-    return Topology(nodes, frozenset(), edges)
 
 
 def line(n: int, capacity: float = 1.0, alpha: float = 0.0) -> Topology:

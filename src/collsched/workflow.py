@@ -58,7 +58,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
                epoch_mode: str = FASTEST, em: int = 1,
                epochs: int | None = None, search_horizon: bool = False,
                gap: float = 0.0, time_limit: float = 300.0,
-               gamma: float = 0.5, epochs_per_round: int | None = None,
+               epochs_per_round: int | None = None,
                dump_model_path=None) -> SynthesisResult:
     """Produce a schedule with the requested solver and verify it by replay.
 
@@ -85,7 +85,7 @@ def synthesize(t: Topology, d: Demand, method: str = "milp", *,
         if epochs is not None or search_horizon:
             raise ValidationError("A* sets its own horizon, round by round: use "
                                   "epochs_per_round, not epochs or search_horizon")
-        sched = astar_solve(t, d, tau, epochs_per_round, gamma, opts=opts,
+        sched = astar_solve(t, d, tau, epochs_per_round, opts=opts,
                             solver_opts=solver_opts)
         report = _checked_replay(sched, t, d, switch_mode)
         return SynthesisResult(sched, report, method, sched.meta["status"],

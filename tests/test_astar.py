@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from collsched import astar
 from collsched.astar import (RoundState, advance_state, astar_solve, build_round_model,
-                             initial_state, round_distance_table, solve_round)
+                             initial_state, round_template, solve_round)
 from collsched.demand import Demand, generate_demand
 from collsched.epochs import EpochConfig, epoch_duration, link_timing
 from collsched.errors import RoundLimitError, SolverBackendError, ValidationError
@@ -73,8 +73,18 @@ def test_distances_match_floyd_warshall(n, data):
 
 
 def test_round_distance_counts_hops_at_zero_alpha():
-    dt = round_distance_table(line(3, alpha=0.0), EpochConfig(1.0, 2))
-    assert dt[0, 2] == 2.0 and dt[1, 2] == 1.0
+    # Progress toward node 2 is weighed by hops on a line with no latency:
+    # GAMMA / (1 + 2) from node 0 and GAMMA / (1 + 1) from node 1, at k' = 0.
+    t = line(3, alpha=0.0)
+    m, _ = round_template(t, Demand(frozenset({(0, 0, 2)}), 1, 1), EpochConfig(1.0, 2))
+    objective = dict(zip(*(a.tolist() for a in m.objective_arrays())))
+    assert objective[m.var("P", 0, 2, 0)] == astar.GAMMA / 3
+    assert objective[m.var("P", 1, 2, 0)] == astar.GAMMA / 2
+
+
+def _round(t, state, cfg, opts=None):
+    """The round model of `state`, from a template over its unmet demand."""
+    return build_round_model(round_template(t, state.demand, cfg, opts), state)
 
 
 class TestRoundModel:
@@ -83,22 +93,14 @@ class TestRoundModel:
         d = Demand(frozenset({(0, 0, 2)}), 1, 1)
         cfg = EpochConfig(1.0, 2)  # max link delay is 3 epochs
         with pytest.raises(ValidationError, match="max link delay"):
-            build_round_model(t, initial_state(d), cfg, round_distance_table(t, cfg))
-
-    def test_gamma_must_stay_below_one(self):
-        t = line(2)
-        d = Demand(frozenset({(0, 0, 1)}), 1, 1)
-        cfg = EpochConfig(1.0, 2)
-        with pytest.raises(ValidationError):
-            build_round_model(t, initial_state(d), cfg, round_distance_table(t, cfg),
-                              gamma=1.0)
+            _round(t, initial_state(d), cfg)
 
     def test_satisfied_demand_round_is_zero_flow(self, solver_opts):
         # no residual entries: the model trivially solves with no flows
         t = line(2)
         cfg = EpochConfig(1.0, 2)
         state = RoundState(1, Demand(frozenset(), 1, 1), Carry({(0, 0, 0, 0): 1}))
-        m = build_round_model(t, state, cfg, round_distance_table(t, cfg))
+        m = _round(t, state, cfg)
         sol = solve(m, solver_opts)
         assert sol.feasible
         assert sol.family_values("F", 0.5) == {}
@@ -106,7 +108,7 @@ class TestRoundModel:
     @staticmethod
     def _fixed_sends(t, state, opts):
         cfg = EpochConfig(1.0, 4)
-        m = build_round_model(t, state, cfg, round_distance_table(t, cfg), opts=opts)
+        m = _round(t, state, cfg, opts)
         return {(i, j, k) for (_, _, i, j, k), idx in m.family_items("F")
                 if m.lb[idx] == m.ub[idx] == 0.0}
 
@@ -142,8 +144,7 @@ class TestRoundModel:
         t = line(3, alpha=0.0)
         cfg = EpochConfig(1.0, 2)
         d = Demand(frozenset({(0, 0, 2)}), 1, 1)
-        m = build_round_model(t, initial_state(d), cfg, round_distance_table(t, cfg),
-                              gamma=0.5)
+        m = _round(t, initial_state(d), cfg)
         objective = dict(zip(*(a.tolist() for a in m.objective_arrays())))
         weights = {}
         for (loc, dst, kp), idx in m.family_items("P"):
@@ -209,20 +210,16 @@ class TestAstarSolve:
         assert len(built) == 3
 
     def test_residual_demand_never_grows(self, solver_opts):
-        from collsched.astar import advance_state
-        from collsched.astar import build_round_model as brm
-        from collsched.epochs import link_timing
         t = ring(6, alpha=1.0)
         d = generate_demand("allgather", t, 1, 1)
         cfg = EpochConfig(1.0, 3)
-        fw = round_distance_table(t, cfg)
-        timing = link_timing(t, cfg)
+        template, timing = round_template(t, d, cfg), link_timing(t, cfg)
         state = initial_state(d)
         sizes = [len(state.demand.entries)]
         for _ in range(12):
             if not state.demand.entries:
                 break
-            sol = solve(brm(t, state, cfg, fw), solver_opts)
+            sol = solve(build_round_model(template, state), solver_opts)
             state = advance_state(state, sol, timing)
             sizes.append(len(state.demand.entries))
         assert sizes[-1] == 0
@@ -261,10 +258,10 @@ class TestAstarSolve:
                                               Edge(1, 2, 1.0), Edge(2, 1, 1.0)))
         d = Demand(frozenset((0, c, j) for c in range(2) for j in (1, 2)), 2, 1)
         cfg = EpochConfig(1.0, 2)
-        timing, fw = link_timing(t, cfg), round_distance_table(t, cfg)
+        timing, template = link_timing(t, cfg), round_template(t, d, cfg)
         states, placed = [initial_state(d)], []
         while states[-1].demand.entries:
-            sol = solve(build_round_model(t, states[-1], cfg, fw), solver_opts)
+            sol = solve(build_round_model(template, states[-1]), solver_opts)
             placed.append(sol.family_values("F", 0.5))
             states.append(advance_state(states[-1], sol, timing))
         waiting, after = states[2], states[3]
@@ -471,13 +468,14 @@ def test_early_sends_only_break_ties(monkeypatch, solver_opts):
     t = dgx1()
     d = generate_demand("alltoall", t, 1, 1 << 20)
     cfg = EpochConfig(epoch_duration(t, 1 << 20), 4, 1 << 20)
-    timing, fw = link_timing(t, cfg), round_distance_table(t, cfg)
+    timing, template = link_timing(t, cfg), round_template(t, d, cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(astar, "EARLY_SEND", 0.0)
+        without = round_template(t, d, cfg)
     state, rounds = initial_state(d), 0
     while state.demand.entries:
-        sol = solve_round(build_round_model(t, state, cfg, fw, timing=timing), solver_opts)
-        with monkeypatch.context() as mp:
-            mp.setattr(astar, "EARLY_SEND", 0.0)
-            plain = solve_round(build_round_model(t, state, cfg, fw, timing=timing), solver_opts)
+        sol = solve_round(build_round_model(template, state), solver_opts)
+        plain = solve_round(build_round_model(without, state), solver_opts)
         assert _progress(sol) == pytest.approx(plain.objective, abs=1e-9)
         assert sol.objective > plain.objective  # the term is in the objective
         state, rounds = advance_state(state, sol, timing), rounds + 1

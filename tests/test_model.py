@@ -260,3 +260,36 @@ def test_settle_keeps_the_status_and_the_optimum(drawn, data):
         assert all(sum(1 for j, v in coeffs if free[j] and v != 0) >= 2
                    for coeffs, _, _ in settled.rows)
     assert np.all(settled.lb >= lb) and np.all(settled.ub <= ub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models(), st.data())
+def test_a_copy_trims_settles_and_grows_apart_from_its_original(drawn, data):
+    m, entries, order, subset, x = drawn
+    before = m.matrix()
+    rows_before = [list(r) for r in zip(*m.row_bounds())]
+    c = m.copy()
+    # Take some (row, column) entries out: the copy's matrix is scipy's of
+    # the rest, and the original's is as it was.
+    pairs = sorted({(r, k) for r, k, _ in entries})
+    gone = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rows, cols = (np.array([p[i] for p in gone], dtype=np.int64) for i in (0, 1))
+    c.remove_entries(c.entry_positions(rows, cols))
+    kept = [(r, k, v) for r, k, v in entries if (r, k) not in set(gone)]
+    ref = sp.csc_matrix(([v for _, _, v in kept], ([r for r, _, _ in kept], [k for _, k, _ in kept])),
+                        shape=(m.num_rows, m.num_vars))
+    _same(c.matrix(), ref)
+    _same(m.matrix(), before)
+    # Settled, its columns read the same from the whole matrix or by subset;
+    # rows added after still assemble with the rest.
+    c.fix(np.arange(0, m.num_vars, 2), 0.0)
+    c.settle()
+    whole = c.matrix()
+    _same(c.matrix(subset), sp.csc_matrix((whole.data, whole.indices, whole.indptr),
+                                          shape=whole.shape)[:, subset])
+    c.add_rows([0.0], [1.0], (0, np.arange(m.num_vars), 1.0))
+    grown = sp.vstack([sp.csc_matrix((whole.data, whole.indices, whole.indptr), shape=whole.shape),
+                       sp.csc_matrix(np.ones((1, m.num_vars)))], format="csc")
+    assert (c.matrix() @ x).tolist() == pytest.approx((grown @ x).tolist())
+    assert [list(r) for r in zip(*m.row_bounds())] == rows_before
+    assert m.lb.tolist() == [0.0] * m.num_vars

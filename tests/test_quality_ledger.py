@@ -4,11 +4,18 @@ change that makes schedules longer or wordier fails here. Each limit is the
 value A* gave when it was pinned; a change that improves a cell may lower
 its limit."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from collsched import generate_demand
-from collsched.topology import Edge, Topology, dgx1, ndv2
-from collsched.workflow import synthesize
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import WORKLOADS, run_inputs  # noqa: E402  (the benchmark's inputs, read only)
+
+from collsched import generate_demand  # noqa: E402
+from collsched.topology import Edge, Topology, dgx1, ndv2  # noqa: E402
+from collsched.workflow import synthesize  # noqa: E402
 
 MIB = 1 << 20
 
@@ -37,3 +44,15 @@ def test_hyper_edge_star_allgather_completes_at_epoch_4():
                         switch_mode="hyper-edge")
     assert result.report.ok
     assert result.report.completion_epoch <= 4
+
+
+# Each `ndv2x2-allgather-astar` input of benchmark seed 1, as the benchmark
+# builds it (GPU ids relabelled, 1 MiB chunks, the workload's options), and
+# the epochs A* took when they were pinned.
+SEED1_EPOCHS = [60, 60, 60, 60, 64, 64, 64]
+
+
+def test_astar_benchmark_inputs_stay_within_their_ledger():
+    w = WORKLOADS["ndv2x2-allgather-astar"]
+    got = [synthesize(t, d, **w.synthesis_options()).epochs for t, d in run_inputs(w, 1)]
+    assert all(g <= limit for g, limit in zip(got, SEED1_EPOCHS, strict=True)), got

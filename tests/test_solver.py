@@ -12,7 +12,7 @@ from scipy.optimize._highspy import _core
 from scipy.sparse import csc_matrix
 
 from collsched import Demand, extensions, solver
-from collsched.astar import astar_solve, build_round_model, initial_state, round_distance_table
+from collsched.astar import astar_solve, build_round_model, initial_state, round_template
 from collsched.demand import generate_demand
 from collsched.epochs import EpochConfig, link_timing
 from collsched.estimator import default_candidates, estimate_epoch_upper_bound
@@ -828,7 +828,7 @@ def _exactness_models():
             K = max(4, link_timing(t_eff, EpochConfig(1.0, 1)).max_delta)
             cfg = EpochConfig(1.0, K)
             out[f"astar/{name}/{mode}"] = lambda t=t, d=d, c=cfg, o=opts: build_round_model(
-                t, initial_state(d), c, round_distance_table(t, c), 0.5, o)
+                round_template(t, d, c, o), initial_state(d))
             coarse = EpochConfig(default_candidates(t, d)[0] / 4, 4)
             out[f"coarse/{name}/{mode}"] = lambda t=t, d=d, c=coarse, o=opts: (
                 build_time_expanded(t, d, c, o))

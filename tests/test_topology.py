@@ -7,7 +7,7 @@ from collsched.epochs import EpochConfig, link_timing
 from collsched.errors import ValidationError
 from collsched.milp import ModelOptions
 from collsched.simulator import SimOptions
-from collsched.topology import (SWITCH_MODES, Edge, Topology, dgx1, dgx2,
+from collsched.topology import (SWITCH_MODES, Edge, Topology, all_pairs_distances, dgx1, dgx2,
                                 hyper_edge_transform, line, ndv2, ring, shortest_distances,
                                 star, topology_from_json, topology_to_json, validate_topology)
 
@@ -100,10 +100,10 @@ def test_shortest_distances_walk_either_way():
     hop = lambda e: delta[(e.src, e.dst)] + 1
     assert shortest_distances(t, hop, {0: 0}) == {0: 0, 1: 2, 2: 5}
     assert shortest_distances(t, hop, {2: 0}) == {0: 5, 1: 1, 2: 0}
-    # Backward, each node's distance to the seeds.
-    assert shortest_distances(t, hop, {0: 0}, backward=True) == {0: 0, 1: 4, 2: 5}
-    assert shortest_distances(t, hop, {2: 0}, backward=True) == {0: 5, 1: 3, 2: 0}
-    assert shortest_distances(t, hop, {0: 0, 2: 0}, backward=True) == {0: 0, 1: 3, 2: 0}
+    # The other way, each node's distance to a node.
+    to = all_pairs_distances(t, hop)
+    assert {n: to[n, 0] for n in t.nodes} == {0: 0, 1: 4, 2: 5}
+    assert {n: to[n, 2] for n in t.nodes} == {0: 5, 1: 3, 2: 0}
 
 
 def test_dgx1_shape():

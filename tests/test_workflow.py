@@ -271,3 +271,32 @@ def test_multicast_lp_is_noted_as_a_bound():
         result = synthesize(t, generate_demand("allgather", t), "lp", search_horizon=True)
     assert any(note.startswith("demand is multicast") for note in result.warnings)
     assert result.report.ok and result.epochs == 2
+
+
+@pytest.mark.parametrize("method, options", [
+    ("milp", {}), ("lp", {"search_horizon": True}), ("astar", {})])
+def test_synthesize_writes_nothing(method, options, capfd):
+    # Nothing the package runs, HiGHS included, writes to stdout or stderr.
+    t = ring(4)
+    assert synthesize(t, generate_demand("alltoall", t), method, **options).report.ok
+    assert capfd.readouterr() == ("", "")
+
+
+def test_an_astar_round_solved_as_its_milp_writes_nothing(monkeypatch, capfd):
+    # Each round's relaxation made fractional, so every round runs HiGHS's
+    # MILP solver, presolve and branch and bound included.
+    real, vertex = astar.solve, []
+
+    def fractional(m, opts=None):
+        sol = real(m, opts)
+        vertex.append(opts.vertex)
+        if opts.vertex and sol.x is not None:
+            sol.x = sol.x.copy()
+            sol.x[m.families["F"].index.flat[0]] = 0.5
+        return sol
+
+    monkeypatch.setattr(astar, "solve", fractional)
+    t = ring(4)
+    result = synthesize(t, generate_demand("alltoall", t), "astar")
+    assert result.report.ok and vertex.count(False) == result.schedule.meta["rounds"] >= 1
+    assert capfd.readouterr() == ("", "")
