@@ -105,7 +105,8 @@ def link_timing(t: Topology, cfg: EpochConfig) -> LinkTiming:
     epochs before 0 counting at epoch 0's. With every kappa 1 this is plain
     per-epoch capacity and latency.
     """
-    kap, rate, delay, per_capacity, per_alpha = {}, {}, {}, {}, {}
+    kap, rate, per_capacity = {}, {}, {}
+    per_alpha = {a: compute_delta(e, cfg.tau) for a, e in {e.alpha: e for e in t.edges}.items()}
     for e in t.edges:
         pair = (e.src, e.dst)
         if e.capacity not in per_capacity:  # each distinct capacity and alpha converted once
@@ -113,12 +114,10 @@ def link_timing(t: Topology, cfg: EpochConfig) -> LinkTiming:
             if r <= 0:
                 raise ValidationError(f"edge ({e.src!r},{e.dst!r}) has no capacity")
             per_capacity[e.capacity] = r, max(1, _ceil(1 / r))
-        if e.alpha not in per_alpha:
-            per_alpha[e.alpha] = compute_delta(e, cfg.tau)
-        (rate[pair], kap[pair]), delay[pair] = per_capacity[e.capacity], per_alpha[e.alpha]
+        rate[pair], kap[pair] = per_capacity[e.capacity]
     overrides = {key: _chunks_per_epoch(c, cfg) for key, c in t.capacity_overrides.items()}
     widen = max(kap.values(), default=1) - 1
-    delta = {pair: k + widen for pair, k in delay.items()}
+    delta = {(e.src, e.dst): per_alpha[e.alpha] + widen for e in t.edges}
     base = {pair: float(w * rate[pair]) for pair, w in kap.items()}
     return LinkTiming(kap, delta, _budgets(kap, rate, base, overrides, 0, cfg.K), rate, base,
                       overrides)

@@ -167,13 +167,14 @@ class Model:
         self.ub = np.zeros(0)
         self.binary = np.zeros(0, dtype=bool)
         self.families: dict[str, Family] = {}
-        # (rows, columns, coefficients), a float or one per entry; or a view.
+        # Rows added since `_matrix`: (rows, columns, coefficients), a float
+        # or one per entry. The matrix is `_matrix` (a view, see `_take`) and these.
         self._blocks: list[tuple] = []
         self._row_lb = np.zeros(0)
         self._row_ub = np.zeros(0)
         self.num_rows = 0
         self._objective: list[tuple[np.ndarray, np.ndarray]] = []
-        self._matrix: tuple | None = None  # a view (CSC, keep, rows): see `_take`
+        self._matrix: tuple | None = None
         self._rows = None
         self.meta: dict = {}
 
@@ -192,7 +193,7 @@ class Model:
         self.lb = np.concatenate([self.lb, np.zeros(n)])
         self.ub = np.concatenate([self.ub, np.full(n, INF)])
         self.binary = np.concatenate([self.binary, np.zeros(n, dtype=bool)])
-        self._matrix = self._rows = None
+        self._rows = None
         return start
 
     def add_family(self, family: str, axes: list[Axis], index: np.ndarray,
@@ -263,7 +264,7 @@ class Model:
         self._row_lb = np.concatenate([self._row_lb, lb.ravel()])
         self._row_ub = np.concatenate([self._row_ub, ub.ravel()])
         self.num_rows += lb.size
-        self._matrix = self._rows = None
+        self._rows = None
 
     def bound_rows(self, rows, lb, ub) -> None:
         """Set the bounds of the given rows; lb and ub broadcast to them."""
@@ -282,7 +283,6 @@ class Model:
         keep = np.ones(a.nnz, dtype=bool)
         keep[at] = False
         self._matrix, self._rows = (a, keep, None), None
-        self._blocks = [self._matrix]
 
     def settle(self) -> None:
         """Take out the rows the column bounds decide, and tighten the
@@ -296,7 +296,7 @@ class Model:
           intersection is empty they stay, and the bounds stay as they were.
         Passes repeat while one fixes a column. The remaining rows keep
         their order, and the matrix's entries their order in each column."""
-        view = self._matrix  # or the whole matrix, where rows are left out
+        view = None if self._blocks else self._matrix  # else the whole matrix, as is:
         full, keep, _ = view if view and view[2] is None else (self.matrix(), None, None)
         cols = np.flatnonzero((self.lb != self.ub) | (self.lb != 0))  # not fixed at 0
         a = _take((full, keep, None), cols, self.num_rows)
@@ -333,8 +333,10 @@ class Model:
                 break
         self._row_lb, self._row_ub = lo[alive], hi[alive]
         self.num_rows = int(alive.sum())
-        self._matrix, self._rows = (full, keep, np.where(alive, np.cumsum(alive) - 1, -1)), None
-        self._blocks = [self._matrix]
+        rid = np.where(alive, np.cumsum(alive, dtype=full.indices.dtype) - 1, -1)
+        self._matrix, self._rows = (full, keep, rid), None
+        if keep is None:  # a matrix no template shares: hold only the rows left
+            self.matrix()
 
     def add_objective(self, idx, coef) -> None:
         """Add coef * var to the objective for each (idx, coef) pair."""
@@ -356,8 +358,8 @@ class Model:
         the model's column columns[j]: a permutation reorders the columns,
         a subset takes only its columns, each holding what it holds in
         `matrix()`. The caller changes none of its arrays."""
-        if self._matrix is None:
-            self._matrix = self._assemble(), None, None
+        if self._blocks or self._matrix is None or self._matrix[0].shape[1] < self.num_vars:
+            self._matrix, self._blocks = (self._assemble(), None, None), []
         a, keep, rows = self._matrix
         if columns is not None:
             return _take(self._matrix, np.asarray(columns, dtype=np.int64), self.num_rows)
@@ -367,11 +369,11 @@ class Model:
         return a
 
     def _assemble(self) -> CSC:
-        """`matrix()` from the model's blocks."""
-        views = [_take(b, np.arange(b[0].shape[1]), self.num_rows) for b in self._blocks
-                 if isinstance(b[0], CSC)]  # a view is the first block, if any
-        blocks = [(a.indices, np.repeat(np.arange(a.shape[1]), np.diff(a.indptr)), a.data)
-                  for a in views] + self._blocks[len(views):]
+        """`matrix()` from `_matrix`, if any, and the blocks added since."""
+        blocks = list(self._blocks)
+        if self._matrix is not None:
+            a = _take(self._matrix, np.arange(self._matrix[0].shape[1]), self.num_rows)
+            blocks[:0] = [(a.indices, np.repeat(np.arange(a.shape[1]), np.diff(a.indptr)), a.data)]
         rows, cols = (_cat([b[i] for b in blocks], np.int32) for i in (0, 1))
         coefs = _cat([v if isinstance(v, np.ndarray) else np.full(len(r), v)
                       for r, _, v in blocks], float)
@@ -471,15 +473,14 @@ def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
 def _take(view: tuple, columns: np.ndarray, n_rows: int) -> CSC:
     """Column j is column columns[j] of view (a, keep, rows): the entries of
     CSC `a` where `keep`, its row r at rows[r], none where -1 (None: all)."""
-    a, keep, rows = view
+    (a, keep, rows), idx = view, view[0].indptr.dtype  # index arithmetic in a's dtype
     counts = np.diff(a.indptr)[columns]
-    start = np.concatenate([[0], np.cumsum(counts)])
-    at = np.repeat(a.indptr[columns] - start[:-1], counts) + np.arange(start[-1])
+    start = np.concatenate([np.zeros(1, idx), np.cumsum(counts, dtype=idx)])
+    at = np.repeat(a.indptr[columns] - start[:-1], counts) + np.arange(start[-1], dtype=idx)
     r = a.indices[at] if rows is None else rows[a.indices[at]]
-    on = (r >= 0) & (True if keep is None else keep[at])
-    start, at, r = np.concatenate([[0], np.cumsum(on)])[start], at[on], r[on]
-    return CSC(start.astype(a.indptr.dtype), r.astype(a.indices.dtype), a.data[at],
-               (n_rows, len(columns)))
+    on = np.flatnonzero((r >= 0) & (True if keep is None else keep[at]))
+    return CSC(np.searchsorted(on, start).astype(idx), r[on].astype(idx, copy=False),
+               a.data[at[on]], (n_rows, len(columns)))
 
 
 def _narrow(idx: np.ndarray) -> np.ndarray:
