@@ -11,9 +11,9 @@ Every round of a solve has the same network, length and rows, so a solve
 builds them once over its whole demand (`round_template`): the general
 model (`milp.time_expanded`), look-ahead (Q) and progress (P) counters, and
 one row per (commodity, buffering node) that lets it receive each chunk
-once a round, as it never drops a copy and a counter would credit a
-duplicate (sends out of a no-copy switch are exempt; with a buffer limit
-the rows stay out). A round is a copy that differs in bounds only
+once a round, as it never drops a copy and a duplicate would earn progress
+credit (sends out of a no-copy switch are exempt; with a buffer limit the
+rows stay out). A round is a copy that differs in bounds only
 (`build_round_model`). Its carry fixes what it decides: a send into a node
 that holds the chunk by the time it lands (unless a no-copy switch makes
 it), a buffer no free send reaches by an epoch, a look-ahead count whose

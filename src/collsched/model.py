@@ -24,8 +24,8 @@ It is assembled once; a subset of the columns takes theirs. `CSC` and its
 assembly call scipy's compiled kernels (`scipy.sparse._sparsetools`, loaded
 by `extensions.load`) in the order `scipy.sparse` calls them, so each matrix
 is byte for byte the one `scipy.sparse.csc_matrix` builds from the same
-entries, without importing `scipy.sparse`. A `copy` shares its rows: models
-that differ in bounds (`fix`, `bound_rows`, `remove_entries`) share one.
+entries, without importing `scipy.sparse`. A `copy` shares the matrix, so
+models that differ only in bounds (`fix`, `bound_rows`) assemble it once.
 
 `settle` is every builder's last step: it takes out the rows the model's
 column bounds already decide. A row with no open column (lb < ub, nonzero
@@ -296,7 +296,7 @@ class Model:
           intersection is empty they stay, and the bounds stay as they were.
         Passes repeat while one fixes a column. The remaining rows keep
         their order, and the matrix's entries their order in each column."""
-        view = None if self._blocks else self._matrix  # else the whole matrix, as is:
+        view = None if self._blocks else self._matrix  # as is, if it leaves out no row
         full, keep, _ = view if view and view[2] is None else (self.matrix(), None, None)
         cols = np.flatnonzero((self.lb != self.ub) | (self.lb != 0))  # not fixed at 0
         a = _take((full, keep, None), cols, self.num_rows)
