@@ -8,7 +8,8 @@ boundary seed buffers and switches, and its last sends on a link that holds
 a chunk for several epochs seed that link's capacity windows.
 
 Every round of a solve has the same network, length and rows, so a solve
-builds them once over its whole demand (`round_template`): the general
+builds them once over its live demand (`round_template`), and again only
+when three quarters of those commodities are met. A template holds the general
 model (`milp.time_expanded`), look-ahead (Q) and progress (P) counters, and
 one row per (commodity, buffering node) that lets it receive each chunk
 once a round, as it never drops a copy and a duplicate would earn progress
@@ -33,8 +34,8 @@ A round is solved as its LP relaxation first (`solve_round`), by dual
 simplex with presolve off, which on rounds this small costs more than the
 solve. An optimal vertex whose binaries are all 0 or 1 is an optimum of the
 round, as on every seed-1 benchmark input; any other outcome goes to
-HiGHS's MILP solver. `astar_solve` plans the rounds once (link timing,
-round length, template) and stitches their flows under a one-shot `meta`.
+HiGHS's MILP solver. `astar_solve` plans the rounds (link timing, round
+length, templates) and stitches their flows under a one-shot `meta`.
 """
 
 from __future__ import annotations
@@ -90,15 +91,14 @@ class RoundState:
 def round_template(t: Topology, d: Demand, cfg: EpochConfig,
                    opts: ModelOptions | None = None, *,
                    timing: LinkTiming | None = None) -> tuple[Model, Callable]:
-    """The rounds of an A* solve of `d` (see the module): the model over
-    every entry, its matrix assembled, and `bound(m, state)`, which bounds a
-    copy of it for one round. `timing` is the solve's link timing (the model
-    topology at cfg, epochs from the first round's start) or derived."""
+    """The rounds of an A* solve of `d` (see the module): the model over every
+    entry, its matrix assembled, and `bound(m, state)` for a copy of it. `timing`
+    is the solve's link timing (epochs from its first round), derived if None."""
     opts = opts or ModelOptions()
     timing = timing or link_timing(model_topology(t, opts)[0], cfg)
-    max_kp = timing.max_delta
-    if cfg.K < max_kp:
-        raise ValidationError(f"epochs per round {cfg.K} < max link delay {max_kp}")
+    K, kk, M = cfg.K, cfg.K - 1, timing.max_delta + 1
+    if K < M - 1:
+        raise ValidationError(f"epochs per round {K} < max link delay {M - 1}")
     # Progress is weighed by distance in epochs: a hop costs an epoch on top
     # of its latency, so even with no latency a chunk gains by moving.
     fw = all_pairs_distances(t, lambda e: 1.0 + e.alpha / cfg.tau)
@@ -107,7 +107,6 @@ def round_template(t: Topology, d: Demand, cfg: EpochConfig,
             raise ValidationError(f"demanded pair ({s!r},{dst!r}) unreachable")
 
     commodities = d.commodities
-    K, kk, M = cfg.K, cfg.K - 1, max_kp + 1
     m, bound_expanded = time_expanded(t, d, cfg, opts, timing=timing)
     net = m.meta["net"]
     C, N = len(commodities), len(net.nodes)
@@ -158,14 +157,12 @@ def round_template(t: Topology, d: Demand, cfg: EpochConfig,
     P = m.columns(N * D * M) + dk * N + ar(N)[:, None, None]  # (loc, dst, k')
     m.add_family("P", [Axis(net.nodes), Axis(dsts), Axis(range(M))], P,
                  lb=0.0, ub=float(d.chunk_count))
-    p_of = (w_dst[:, None, None] * N + ar(N)[:, None]) * M + ar(M)  # (wanted entry, loc, k')
-    q_w = qref[w_com]  # (wanted entry, loc, k')
     w_ent = [m.families["R"].axes[0].position[e] for e in wanted]
     per = N + 1
     cap_row = dk * per + ar(N)[:, None, None]
     q_row = ((w_dst[:, None, None] * M + ar(M)[None, :, None]) * per
              + ar(N)[None, None, :])  # (wanted entry, k', loc)
-    q_col = q_w.transpose(0, 2, 1)
+    q_col = qref[w_com].transpose(0, 2, 1)
     p0 = m.num_rows
     m.add_rows(np.full(D * M * per, -INF), 0.0,
                (cap_row, P, 1.0),
@@ -207,7 +204,8 @@ def round_template(t: Topology, d: Demand, cfg: EpochConfig,
         r.fix(Q[fixed], value[fixed])
         # No unmet chunk can be at (loc, k'): the counter is 0.
         live = ~met[w_ent]
-        held = np.bincount(p_of[live].ravel(), (r.ub[q_w[live]] != 0).ravel(), D * N * M)
+        at = (w_dst[live, None, None] * N + ar(N)[:, None]) * M + ar(M)  # (unmet entry, loc, k')
+        held = np.bincount(at.ravel(), (r.ub[qref[w_com[live]]] != 0).ravel(), D * N * M)
         r.fix(P[held.reshape(D, N, M).transpose(1, 0, 2) == 0], 0.0)
         total = np.bincount(w_dst[live], minlength=D)[None, :, None]
         r.bound_rows(p0 + dk * per + N, total, total)
@@ -304,7 +302,7 @@ def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None
     if epochs_per_round is None:
         epochs_per_round = max(4, timing.max_delta)
     cfg = EpochConfig(tau, epochs_per_round, d.chunk_size)
-    template = round_template(t, d, cfg, opts, timing=timing)
+    size = 4 * len(d.commodities)  # so that the first round builds the first template
 
     # A path crosses fewer than N edges of at most max_delta + 1 epochs, and an entry is met
     # once a copy is in flight to it: chunks still moving meet one within `stall` rounds.
@@ -316,6 +314,9 @@ def astar_solve(t: Topology, d: Demand, tau: float, epochs_per_round: int | None
         if state.round_index - last_met >= stall:
             raise RoundLimitError(f"no demand entry met in the {stall} rounds to round "
                                   f"{state.round_index - 1}: {len(state.demand.entries)} unmet")
+        live = len(state.demand.commodities)
+        if 4 * live <= size:  # a round costs as its template: rebuilt at a quarter live
+            template, size = round_template(t, state.demand, cfg, opts, timing=timing), live
         m = build_round_model(template, state)
         sol = solve_round(m, solver_opts)
         if not sol.feasible:

@@ -154,9 +154,8 @@ def time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOptions, 
     check_columns(K, len(d.commodities) * (len(t_eff.edges) * K + nb * K + len(t_eff.gpus))
                   + len(d.entries) * K)
     timing = timing or link_timing(t_eff, cfg)
-    delta = timing.delta
     kk = K - 1  # last epoch index
-    net = Net(t_eff, delta)
+    net = Net(t_eff, timing.delta)
     N, E, NB = len(net.nodes), len(net.pairs), len(net.buffers)
 
     commodities = d.commodities
@@ -173,7 +172,7 @@ def time_expanded(t: Topology, d: Demand, cfg: EpochConfig, opts: ModelOptions, 
     # What extraction reads (schedule.trace_required_flows and
     # delivery_epochs), what solver.completion_epoch reads, and the index
     # tables a round template extends (astar.round_template).
-    m.meta.update({"eff_topology": t_eff, "delta": delta, "opts": opts, "entries": entries,
+    m.meta.update({"eff_topology": t_eff, "delta": timing.delta, "opts": opts, "entries": entries,
                    "cfg": cfg, "reads": "R", "net": net})
 
     # Epochs between nodes, a hop costing delta + 1 (inf where unreachable),

@@ -274,7 +274,7 @@ class Model:
         """Where each (row, column) pair, an entry of `matrix()`, lies in its
         `indices`, shaped like the pairs."""
         a = self.matrix()
-        key = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr)) * a.shape[0] + a.indices
+        key = np.repeat(np.arange(a.shape[1]) * a.shape[0], np.diff(a.indptr)) + a.indices
         return np.searchsorted(key, np.asarray(columns, dtype=np.int64) * a.shape[0] + rows)
 
     def remove_entries(self, at) -> None:
